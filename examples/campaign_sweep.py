@@ -16,8 +16,11 @@ from repro.analysis.reporting import format_campaign, format_sweep
 from repro.campaign import (
     CampaignRunner,
     ScenarioGrid,
+    ScenarioOutcome,
+    run_scenario,
     theorem8_specs,
 )
+from repro.campaign.scenarios import execute_theorem8_solvable
 
 
 def main() -> None:
@@ -53,24 +56,33 @@ def main() -> None:
     print(f"\nserial == process backend: {identical}")
     assert identical, "campaign backends must produce identical results"
 
-    # 3. The batched verdict kernel: VERDICT_ONLY specs run as SoA waves,
-    #    everything else (here: the impossible side's partitioning
-    #    constructions) falls back to the scalar path — and the whole
-    #    batched campaign is bit-identical to the scalar one.
+    # 3. The bitmask fast path: the solvable side's VERDICT_ONLY specs run
+    #    on it by themselves (the scenario kind picks the engine), the
+    #    impossible side's partitioning constructions on the scalar
+    #    executor.  The scalar executor is the oracle: rebuilding every
+    #    solvable outcome from execute_theorem8_solvable gives the
+    #    identical campaign.
     import time
 
     trimmed = theorem8_specs(
         n_values, seeds=seeds, max_steps=max_steps, recording="verdict-only")
     started = time.perf_counter()
-    scalar = CampaignRunner(backend="serial").run(trimmed)
-    scalar_seconds = time.perf_counter() - started
+    fast = CampaignRunner(backend="serial").run(trimmed)
+    fast_seconds = time.perf_counter() - started
+
+    def scalar_outcome(spec):
+        if spec.kind != "theorem8-solvable":
+            return run_scenario(spec)  # this kind has no fast path
+        run, report = execute_theorem8_solvable(spec)
+        return ScenarioOutcome.from_report(spec, report, run)
+
     started = time.perf_counter()
-    batched = CampaignRunner(backend="serial", batch=True).run(trimmed)
-    batch_seconds = time.perf_counter() - started
-    print(f"\nbatched == scalar campaign: {batched == scalar} "
-          f"(scalar {scalar_seconds * 1e3:.0f} ms, "
-          f"batched {batch_seconds * 1e3:.0f} ms)")
-    assert batched == scalar, "the scalar executor is the oracle"
+    oracle = tuple(scalar_outcome(spec) for spec in trimmed)
+    scalar_seconds = time.perf_counter() - started
+    print(f"\nverdict-only campaign == scalar oracle: {fast.outcomes == oracle} "
+          f"(campaign {fast_seconds * 1e3:.0f} ms, "
+          f"scalar oracle {scalar_seconds * 1e3:.0f} ms)")
+    assert fast.outcomes == oracle, "the scalar executor is the oracle"
 
     # 4. The analysis layer turns the campaign into the reproduced figure.
     points = sweep_theorem8(n_values, seeds=seeds, max_steps=max_steps)

@@ -4,10 +4,9 @@ The even-split chunker divides a campaign into ``4 × workers`` pieces no
 matter what the pieces cost, so a chunk of ``n=64`` scenarios takes an
 order of magnitude longer than a chunk of ``n=8`` ones and the pool
 idles behind the straggler.  A :class:`CostModel` estimates per-scenario
-cost from ``(kind, n, f)`` history — the same key the batched kernel
-groups waves by — and :func:`plan_chunks` sizes chunks toward a target
-task latency instead, submitting the longest-expected chunks first so
-stragglers start early rather than last.
+cost from ``(kind, n, f)`` history and :func:`plan_chunks` sizes chunks
+toward a target task latency instead, submitting the longest-expected
+chunks first so stragglers start early rather than last.
 
 Two properties are load-bearing and pinned by
 ``tests/campaign/test_costmodel.py``:
@@ -44,8 +43,8 @@ from repro.exceptions import ConfigurationError
 
 __all__ = ["CostKey", "CostModel", "OnlineCostModel", "cost_key", "plan_chunks"]
 
-#: The granularity cost is modelled at — same key the batched kernel
-#: groups waves by, and the key a shard coordinator would balance on.
+#: The granularity cost is modelled at — the key a shard coordinator
+#: would balance on.
 CostKey = Tuple[str, int, int]
 
 #: Floor for per-scenario estimates: a zero or negative estimate would

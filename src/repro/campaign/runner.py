@@ -36,8 +36,8 @@ persistent store (:mod:`repro.store`) builds on:
   budgets (:class:`repro.store.EarlyStopPolicy`) use this to stop
   sampling a sweep point once its outcome is certified.
 
-The process backend dispatches chunks in waves (at most ``2 × workers``
-outstanding) instead of one bulk ``pool.map``: results arrive as they
+The process backend keeps at most ``2 × workers`` chunks outstanding
+instead of issuing one bulk ``pool.map``: results arrive as they
 complete, which keeps ``on_outcome`` persistence incremental and lets
 ``should_skip`` see the outcomes observed so far when deciding whether a
 later chunk still needs to run.  Dispatch runs under the
@@ -276,55 +276,6 @@ def _run_batch(
     return outcomes, timings
 
 
-def _run_wave(
-    specs: Sequence[ScenarioSpec],
-    event_sink: Optional[ProgressHook] = None,
-    telemetry: Optional[WorkerTelemetry] = None,
-    attempt: int = 1,
-    faults: Optional[FaultPlan] = None,
-) -> Tuple[List[ScenarioOutcome], List[float]]:
-    """Worker entry point for one batched wave (the sibling of
-    :func:`_run_batch`).
-
-    The whole wave runs in one call to
-    :func:`repro.simulation.batch_kernel.execute_wave`, so per-scenario
-    wall-clock cannot be observed individually: every scenario is billed
-    the wave mean.  When telemetry samples at least one wave member, the
-    kernel's ``kernel:wave`` span (wave key, size, fallback count) is
-    recorded and rides back on the first sampled scenario's event.
-    """
-    # Function-level import: the kernel's scalar fallback imports
-    # run_scenario from this module, so the top level would be circular.
-    from repro.simulation.batch_kernel import execute_wave
-
-    specs = ensure_specs(specs)
-    sink = event_sink if event_sink is not None else _WORKER_EVENT_SINK
-    telem = telemetry if telemetry is not None else _WORKER_TELEMETRY
-    plan = faults if faults is not None else _WORKER_FAULTS
-    if plan is not None:
-        # Wave-granular chaos: any planned fault fails (or kills) the
-        # whole wave task before the kernel runs, and the supervisor's
-        # bisection narrows it down exactly as for scalar chunks.
-        for spec in specs:
-            plan.perform(spec, attempt, in_worker=_IN_POOL_WORKER,
-                         before_crash=_flush_worker_queue)
-    sampled = [telem is not None and telem.samples(spec) for spec in specs]
-    tracer: Optional[Tracer] = None
-    if any(sampled):
-        tracer = Tracer(
-            trace_id=telem.campaign, capture_phases=telem.capture_phases)
-    started = time.perf_counter()
-    outcomes = execute_wave(specs, tracer=tracer)
-    seconds = (time.perf_counter() - started) / len(specs) if specs else 0.0
-    spans = tracer.drain() if tracer is not None else ()
-    first_sampled = sampled.index(True) if tracer is not None else -1
-    timings = [seconds] * len(specs)
-    for position, (spec, outcome) in enumerate(zip(specs, outcomes)):
-        _emit_event(sink, spec, outcome, seconds,
-                    spans if position == first_sampled else ())
-    return list(outcomes), timings
-
-
 def _chunk(specs: Sequence[ScenarioSpec], size: int) -> List[Tuple[ScenarioSpec, ...]]:
     return [tuple(specs[i:i + size]) for i in range(0, len(specs), size)]
 
@@ -484,18 +435,6 @@ class CampaignRunner:
     chunk_size:
         Scenarios per chunk for the chunked/process backends (default:
         an even split into roughly ``4 * workers`` chunks).
-    batch:
-        When ``True``, specs the batched kernel can execute
-        (:func:`repro.simulation.batch_kernel.is_batchable`) are grouped
-        into same-``(kind, n, f)`` waves and run through
-        :func:`_run_wave`; everything else — FULL/DECISIONS_ONLY
-        recording, kinds without a batched step function, unknown
-        schedulers — takes the scalar path unchanged.  Outcomes are
-        reassembled in spec order, so a batched campaign compares equal
-        to the same campaign without batching on every backend.
-        ``should_skip`` is consulted once per scenario *before* waves
-        form (this is where :class:`repro.store.CachingRunner` skims
-        cached fingerprints off), not re-evaluated at submission time.
     faults:
         An optional :class:`~repro.faults.plan.FaultPlan` injecting
         deterministic chaos (worker crashes, hangs, task exceptions,
@@ -513,8 +452,8 @@ class CampaignRunner:
         set, keeping the fault-free fast path untouched.
     cost_model:
         An optional frozen :class:`~repro.campaign.costmodel.CostModel`.
-        When set, the chunked/process/batched backends size their chunks
-        and waves by *expected cost* toward ``target_task_seconds`` (via
+        When set, the chunked/process backends size their chunks by
+        *expected cost* toward ``target_task_seconds`` (via
         :func:`~repro.campaign.costmodel.plan_chunks`) and submit the
         longest-expected tasks first, instead of the even count split.
         Pure scheduling: outcomes are reassembled by spec position, so
@@ -528,7 +467,6 @@ class CampaignRunner:
     backend: str = "serial"
     workers: Optional[int] = None
     chunk_size: Optional[int] = None
-    batch: bool = False
     faults: Optional[FaultPlan] = None
     retry: Optional[RetryPolicy] = None
     cost_model: Optional[CostModel] = None
@@ -590,11 +528,7 @@ class CampaignRunner:
         stats = FaultStats()
         dispatch = DispatchStats()
         started = time.perf_counter()
-        if self.batch:
-            outcomes, timings, workers = self._run_batched(
-                specs, on_outcome, progress, should_skip, telemetry, stats,
-                dispatch)
-        elif self.backend == "serial":
+        if self.backend == "serial":
             if self.faults is None:
                 outcomes, timings = self._run_inprocess(
                     [specs], on_outcome, progress, should_skip, telemetry,
@@ -816,104 +750,6 @@ class CampaignRunner:
         for outcome, seconds in zip(outcomes, timings):
             on_outcome(outcome, seconds)
 
-    def _run_batched(
-        self,
-        specs: Sequence[ScenarioSpec],
-        on_outcome: Optional[OutcomeHook],
-        progress: Optional[ProgressHook],
-        should_skip: Optional[SkipHook],
-        telemetry: Optional[WorkerTelemetry],
-        stats: FaultStats,
-        dispatch: DispatchStats,
-    ) -> Tuple[List[ScenarioOutcome], List[float], int]:
-        """Partition specs into kernel waves plus a scalar remainder.
-
-        Skips are applied first, so cached fingerprints never inflate a
-        wave.  Waves keep their first-occurrence order; the scalar
-        leftovers follow in spec order.  For the parallel backends both
-        waves and scalar leftovers are split at the usual chunk size —
-        or, with a :attr:`cost_model`, at cost-sized boundaries with the
-        longest-expected tasks submitted first — so a single large wave
-        cannot serialise the pool.  Results are reassembled by original
-        spec position either way.
-        """
-        # Function-level import: the kernel's scalar fallback imports
-        # run_scenario from this module.
-        from repro.simulation.batch_kernel import partition_waves
-
-        live = [
-            (index, spec) for index, spec in enumerate(specs)
-            if should_skip is None or not should_skip(spec)
-        ]
-        live_specs = [spec for _, spec in live]
-        waves, scalar = partition_waves(live_specs)
-
-        workers = self._effective_workers() if self.backend == "process" else 1
-        # Serial batched runs always take whole waves (max amortisation);
-        # the cost model only re-sizes where parallelism can use it.
-        model = (self.cost_model
-                 if self.backend != "serial" and self.chunk_size is None
-                 else None)
-        if self.backend == "serial":
-            piece_size = len(live_specs) or 1  # whole waves: max amortisation
-        else:
-            piece_size = self._effective_chunk_size(len(live_specs), workers)
-
-        def pieces(positions: Sequence[int]) -> List[Sequence[int]]:
-            if model is None:
-                return [positions[start:start + piece_size]
-                        for start in range(0, len(positions), piece_size)]
-            groups = plan_chunks(
-                [live_specs[p] for p in positions], model,
-                target_seconds=self.target_task_seconds)
-            return [[positions[i] for i in group] for group in groups]
-
-        tasks: List[Tuple[Callable, Tuple[ScenarioSpec, ...], Tuple[int, ...]]] = []
-        for positions in waves:
-            for piece in pieces(positions):
-                tasks.append((
-                    _run_wave,
-                    tuple(live_specs[p] for p in piece),
-                    tuple(live[p][0] for p in piece),
-                ))
-        for piece in pieces(scalar):
-            tasks.append((
-                _run_batch,
-                tuple(live_specs[p] for p in piece),
-                tuple(live[p][0] for p in piece),
-            ))
-        if model is not None:
-            # Longest-expected first across waves *and* scalar leftovers;
-            # ties broken by first slot, so the order is deterministic.
-            tasks.sort(key=lambda task: (
-                -model.estimate_total(task[1]), task[2][0]))
-
-        results: Dict[int, Tuple[ScenarioOutcome, float]] = {}
-
-        def record(indices: Sequence[int],
-                   outcomes: Sequence[ScenarioOutcome],
-                   timings: Sequence[float]) -> None:
-            for index, outcome, seconds in zip(indices, outcomes, timings):
-                results[index] = (outcome, seconds)
-            self._deliver(outcomes, timings, on_outcome)
-
-        if self.backend == "process" and tasks and workers > 1:
-            workers = self._run_on_pool(
-                iter(tasks), min(workers, len(tasks)),
-                progress, telemetry, record, stats, dispatch)
-        elif self.faults is None:
-            for fn, task_specs, indices in tasks:
-                task_outcomes, task_timings = fn(task_specs, progress, telemetry)
-                record(indices, task_outcomes, task_timings)
-            workers = 1
-        else:
-            self._make_supervisor(
-                record, progress, telemetry, stats).run_inline(tasks)
-            workers = 1
-        ordered = sorted(results)
-        return ([results[i][0] for i in ordered],
-                [results[i][1] for i in ordered], workers)
-
     def _run_process(
         self,
         specs: Sequence[ScenarioSpec],
@@ -961,7 +797,7 @@ class CampaignRunner:
         stats: FaultStats,
         dispatch: Optional[DispatchStats] = None,
     ) -> int:
-        """Shared pool plumbing for both process backends.
+        """Pool plumbing for the process backend.
 
         ``tasks`` (an iterable of ``(fn, specs, slot indices)``) is
         consumed lazily by the supervisor at submission time.  The

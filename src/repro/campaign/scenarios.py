@@ -15,6 +15,12 @@ The kinds shipped here cover the paper's two reproduced borders:
   (``k * n > (k + 1) * f``), under the spec's scheduler and planned
   initial-crash schedule, respectively the Section VI partitioning
   construction with ``k + 1`` isolated groups of size ``n - f``.
+  ``theorem8-solvable`` picks its engine from the spec alone: a
+  ``"verdict-only"`` spec runs the bitmask loop of
+  :mod:`repro.simulation.bitmask_kernel`, every other spec the scalar
+  executor, which stays the oracle (:func:`execute_theorem8_solvable`).
+  The engine never changes an outcome, so it is not part of the spec or
+  its fingerprint.
 * ``corollary13-k1`` / ``corollary13-kmax`` / ``corollary13-middle`` —
   the three regimes of Corollary 13: the ``(Sigma, Omega)`` consensus
   protocol at ``k = 1``, the ``Sigma_{n-1}`` protocol at ``k = n - 1``
@@ -45,6 +51,7 @@ from repro.models.asynchronous import asynchronous_model
 from repro.models.initial_crash import initial_crash_model
 from repro.partitioning.scenarios import Theorem10Scenario
 from repro.simulation.adversary import PartitioningAdversary
+from repro.simulation.bitmask_kernel import execute_bitmask
 from repro.simulation.executor import ExecutionSettings, execute
 from repro.simulation.recording import RecordingPolicy
 from repro.simulation.scheduler import Adversary, RandomScheduler, RoundRobinScheduler
@@ -149,18 +156,18 @@ def initial_crash_patterns(n: int, f: int, seeds: Sequence[int]) -> List[frozens
 # -- Theorem 8 ---------------------------------------------------------------
 
 
-def execute_theorem8_solvable(spec: ScenarioSpec):
-    """One run of the Section VI protocol on the solvable side.
+def _theorem8_solvable(spec: ScenarioSpec, engine):
+    """Build the solvable-side scenario, run it on ``engine``, evaluate.
 
-    Returns ``(run, report)``; the registered kind wraps this into an
-    outcome, while :func:`repro.analysis.border_sweep.observe_solvable`
-    uses it directly to hand full property reports to callers.
+    Both engines take :func:`execute`'s arguments and get them from the
+    same constructors in the same order, so a spec the scenario rejects
+    raises the identical exception on either.
     """
     algorithm = KSetInitialCrash(spec.n, spec.f)
     model = initial_crash_model(spec.n, spec.f)
     proposals = {pid: pid for pid in model.processes}
     pattern = FailurePattern(model.processes, dict(spec.crashes))
-    run = execute(
+    run = engine(
         algorithm,
         model,
         proposals,
@@ -171,6 +178,17 @@ def execute_theorem8_solvable(spec: ScenarioSpec):
     with _span("decision", k=spec.k):
         report = KSetAgreementProblem(spec.k).evaluate(run, proposals=proposals)
     return run, report
+
+
+def execute_theorem8_solvable(spec: ScenarioSpec):
+    """One run of the Section VI protocol on the solvable side.
+
+    Always runs the scalar executor: this is the oracle the bitmask fast
+    path is tested against.  Returns ``(run, report)``;
+    :func:`repro.analysis.border_sweep.observe_solvable` uses it directly
+    to hand full property reports to callers.
+    """
+    return _theorem8_solvable(spec, execute)
 
 
 def execute_theorem8_impossible(spec: ScenarioSpec):
@@ -213,7 +231,10 @@ def execute_theorem8_impossible(spec: ScenarioSpec):
 
 @scenario_kind("theorem8-solvable")
 def _run_theorem8_solvable(spec: ScenarioSpec) -> ScenarioOutcome:
-    run, report = execute_theorem8_solvable(spec)
+    if spec.recording == RecordingPolicy.VERDICT_ONLY.value:
+        run, report = _theorem8_solvable(spec, execute_bitmask)
+    else:
+        run, report = execute_theorem8_solvable(spec)
     return ScenarioOutcome.from_report(spec, report, run)
 
 

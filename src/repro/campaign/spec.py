@@ -209,7 +209,7 @@ class ScenarioSpec:
         policies.
 
         The sha256 is computed once per spec instance and memoised —
-        telemetry sampling, fault plans and the batched kernel all
+        telemetry sampling, fault plans and the seeded schedulers all
         consult the derived seed on the hot dispatch path.
         """
         cached = self.__dict__.get("_derived_seed")

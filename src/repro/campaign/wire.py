@@ -1,8 +1,8 @@
-"""Compact wave shipping: the campaign dispatch wire format.
+"""Compact chunk shipping: the campaign dispatch wire format.
 
 Under the process backend every task used to cross the pool pipe as a
 pickled tuple of full :class:`~repro.campaign.spec.ScenarioSpec`
-objects.  The specs of one chunk or wave are near-identical — a grid
+objects.  The specs of one chunk are near-identical — a grid
 varies one or two axes at a time — so almost every byte shipped was a
 repeat of the previous spec.  This module replaces that with a
 *self-contained* compact descriptor: one template (the field values of
@@ -59,7 +59,7 @@ SPEC_FIELDS: Tuple[str, ...] = tuple(
 
 @dataclass(frozen=True)
 class WireChunk:
-    """One chunk/wave of scenario specs in compact template+delta form.
+    """One chunk of scenario specs in compact template+delta form.
 
     ``template`` holds the field values of the first spec (in
     :data:`SPEC_FIELDS` order); ``deltas`` holds, per spec, the sorted

@@ -271,7 +271,8 @@ def execute(
     phases = None
     if tracer is not None:
         exec_span = tracer.start_span(
-            "execute", {"algorithm": algorithm.name, "model": model.name}
+            "execute",
+            {"engine": "scalar", "algorithm": algorithm.name, "model": model.name},
         )
         phases = tracer.phase_accumulator()
 

@@ -7,9 +7,10 @@ events missing required fields) exits non-zero.
 
 On a healthy trace it prints, per campaign correlation id:
 
+* the number of executions per engine (``scalar`` executor or the
+  ``bitmask`` fast path), read off the ``execute`` spans;
 * the per-phase time breakdown (scheduling / delivery / transition /
-  recording), with lap counts — the profile ROADMAP item 3's
-  batch-vectorized kernel work targets;
+  recording) of the scalar executions, with lap counts;
 * the slowest traced scenarios, with their worker pids — pool-wide,
   since worker-side spans carry their producing pid;
 * with ``--metrics``, the campaign's counter/histogram dump including
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -87,8 +88,9 @@ def summarize_trace(
 
     Each summary holds ``phases`` (name → ``[seconds, laps]``),
     ``scenarios`` (``(duration_s, label, pid)`` tuples), ``executes``
-    (count), ``pids`` (set) and ``campaign_span`` (the parent-side root
-    span's args, when present).
+    (count), ``engines`` (engine name → execute count), ``pids`` (set)
+    and ``campaign_span`` (the parent-side root span's args, when
+    present).
     """
     summaries: Dict[str, Dict[str, Any]] = {}
     for event in events:
@@ -102,6 +104,7 @@ def summarize_trace(
                 "phases": defaultdict(lambda: [0.0, 0]),
                 "scenarios": [],
                 "executes": 0,
+                "engines": Counter(),
                 "pids": set(),
                 "campaign_span": None,
             }
@@ -117,6 +120,9 @@ def summarize_trace(
                 (duration, str(args.get("label", "?")), event.get("pid")))
         elif name == "execute":
             summary["executes"] += 1
+            # Execute spans written before the attribute existed all came
+            # from the scalar executor.
+            summary["engines"][str(args.get("engine", "scalar"))] += 1
         elif name == "campaign":
             summary["campaign_span"] = dict(args)
     return summaries
@@ -131,6 +137,10 @@ def _print_campaign(campaign: str, summary: Dict[str, Any], top: int, out) -> No
     if root is not None:
         out(f"  total {root.get('total', '?')} scenario(s), "
             f"sampling stride {root.get('stride', '?')}")
+    engines = summary["engines"]
+    if engines:
+        out("  executions per engine: " + ", ".join(
+            f"{name} {count}" for name, count in sorted(engines.items())))
     phases = summary["phases"]
     if phases:
         total_phase_seconds = sum(entry[0] for entry in phases.values()) or 1.0

@@ -170,12 +170,9 @@ class TestDeterminismHammer:
                                target_task_seconds=0.02),
                 CampaignRunner(backend="process", workers=workers,
                                cost_model=model, target_task_seconds=0.02),
-                CampaignRunner(backend="process", workers=workers, batch=True,
-                               cost_model=model, target_task_seconds=0.02),
             ):
                 assert runner.run(HAMMER_SPECS) == reference, (
-                    f"{runner.backend} batch={runner.batch} "
-                    f"model={model!r} diverged")
+                    f"{runner.backend} model={model!r} diverged")
 
     def test_chaos_with_cost_model_still_agrees(self, reference):
         model = history_snapshots()[2]

@@ -21,14 +21,11 @@ from repro.campaign.wire import (
     raw_bytes,
     wire_bytes,
 )
-from repro.simulation.batch_kernel import is_batchable
 
 
 def mixed_specs():
     """A deliberately heterogeneous spec set: every recording policy,
-    crash schedules, params, several kinds — including specs the batched
-    kernel cannot execute (mixed batchable/non-batchable matters because
-    both ``_run_wave`` and ``_run_batch`` tasks ship as descriptors)."""
+    crash schedules, params, several kinds."""
     specs = list(theorem8_specs([4, 5], seeds=(1, 2), max_steps=4_000))[:12]
     specs += [
         ScenarioSpec(kind="theorem8-solvable", n=4, f=1, k=1,
@@ -51,12 +48,6 @@ def mixed_specs():
 class TestRoundTrip:
     def test_mixed_grid_round_trips_exactly(self):
         specs = mixed_specs()
-        assert decode_chunk(encode_chunk(specs)) == specs
-
-    def test_includes_non_batchable_specs(self):
-        specs = mixed_specs()
-        batchable = [is_batchable(s) for s in specs]
-        assert any(batchable) and not all(batchable)
         assert decode_chunk(encode_chunk(specs)) == specs
 
     def test_single_spec_and_empty(self):

@@ -19,6 +19,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+# Opt-in deep run (CI's differential-oracle step):
+#   pytest --hypothesis-profile=repro-thorough ...
+settings.register_profile(
+    "repro-thorough",
+    parent=settings.get_profile("repro"),
+    max_examples=2_000,
+)
 
 
 @pytest.fixture

@@ -61,11 +61,6 @@ class TestTransientChaosEquality:
         assert result.fault_stats.task_retries >= 1
         assert result.fault_stats.quarantined == 0
 
-    def test_batched_kernel_under_chaos(self):
-        result = CampaignRunner(batch=True, faults=RAISE_PLAN,
-                                retry=FAST_RETRY).run(SPECS)
-        _assert_equal_to_baseline(result)
-
     def test_fault_stats_do_not_perturb_result_equality(self):
         # Chaos is infrastructure: two runs with different fault plans
         # (and so different stats) still compare equal on outcomes.

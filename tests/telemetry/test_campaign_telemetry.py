@@ -100,14 +100,26 @@ class TestWorkerSpans:
         assert {"scenario", "execute", "decision"} <= names
         assert any(n.startswith("phase:") for n in names)
 
-    def test_execute_spans_carry_deterministic_counters(self):
-        session, _ = _run_with_telemetry("full", "serial")
+    @pytest.mark.parametrize("recording", ["full", "verdict-only"])
+    def test_execute_spans_carry_deterministic_counters(self, recording):
+        session, _ = _run_with_telemetry(recording, "serial")
         executes = [s for s in session.spans() if s.name == "execute"]
         det = session.deterministic_snapshot()
         assert sum(s.attrs["steps"] for s in executes) == \
             det["steps_total"]["value"]
         assert sum(s.attrs["messages_sent"] for s in executes) == \
             det["messages_sent_total"]["value"]
+        if recording == "verdict-only":
+            # Every traced scenario executes exactly once; the solvable
+            # side takes the bitmask fast path, the partitioning
+            # constructions of the impossible side the scalar executor.
+            scenarios = [s for s in session.spans() if s.name == "scenario"]
+            solvable = [s for s in scenarios
+                        if s.attrs["kind"] == "theorem8-solvable"]
+            engines = [s.attrs["engine"] for s in executes]
+            assert solvable and len(executes) == len(scenarios)
+            assert engines.count("bitmask") == len(solvable)
+            assert engines.count("scalar") == len(scenarios) - len(solvable)
 
     def test_phase_capture_can_be_disabled(self):
         session, _ = _run_with_telemetry(

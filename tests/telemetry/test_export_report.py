@@ -24,11 +24,12 @@ from repro.telemetry.report import main as report_main, summarize_trace
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def _records(campaign="feed00000001", scenarios=2):
+def _records(campaign="feed00000001", scenarios=2, engine=None):
     tracer = Tracer(trace_id=campaign, capture_phases=True)
     for i in range(scenarios):
         with tracer.span("scenario", label=f"s{i}"):
-            opened = tracer.start_span("execute")
+            opened = tracer.start_span(
+                "execute", {"engine": engine} if engine else None)
             acc = tracer.phase_accumulator()
             acc.lap("scheduling")
             acc.lap("delivery")
@@ -145,6 +146,15 @@ class TestSummarize:
         assert summaries["bbb"]["executes"] == 1
         assert set(summaries["aaa"]["phases"]) == {"scheduling", "delivery"}
 
+    def test_counts_executions_per_engine(self, tmp_path):
+        records = (_records(scenarios=3, engine="bitmask")
+                   + _records(scenarios=1, engine="scalar")
+                   + _records(scenarios=1))  # written before the attribute
+        path = write_trace(tmp_path / "trace.jsonl", records)
+        summary = summarize_trace(read_trace(path))["feed00000001"]
+        assert summary["executes"] == 5
+        assert summary["engines"] == {"bitmask": 3, "scalar": 2}
+
     def test_phase_seconds_sum_laps(self, tmp_path):
         path = write_trace(tmp_path / "trace.jsonl", _records(scenarios=3))
         summaries = summarize_trace(read_trace(path))
@@ -160,6 +170,14 @@ class TestReportCli:
         assert "per-phase time breakdown" in out
         assert "slowest traced scenario" in out
         assert "feed00000001" in out
+
+    def test_prints_executions_per_engine(self, tmp_path, capsys):
+        records = (_records(scenarios=2, engine="bitmask")
+                   + _records(scenarios=1, engine="scalar"))
+        path = write_trace(tmp_path / "trace.jsonl", records)
+        assert report_main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "executions per engine: bitmask 2, scalar 1" in out
 
     def test_exits_nonzero_on_corrupt_trace(self, tmp_path, capsys):
         path = write_trace(tmp_path / "trace.jsonl", _records())

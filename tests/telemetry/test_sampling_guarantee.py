@@ -65,18 +65,17 @@ class TestEnsureSamples:
 
 
 class TestCampaignNeverTracesZero:
-    @pytest.mark.parametrize("backend,workers,batch", [
-        ("serial", None, False),
-        ("process", 2, False),
-        ("serial", None, True),
+    @pytest.mark.parametrize("backend,workers", [
+        ("serial", None),
+        ("process", 2),
     ])
     def test_strided_campaign_traces_at_least_one_scenario(
-        self, backend, workers, batch
+        self, backend, workers
     ):
         specs = _specs()
         stride = _empty_stride(specs)
         reporter = CollectingProgressReporter()
-        CampaignRunner(backend=backend, workers=workers, batch=batch).run(
+        CampaignRunner(backend=backend, workers=workers).run(
             specs, progress=reporter,
             telemetry=WorkerTelemetry(campaign="strided", stride=stride))
         traced = [event for event in reporter.events if event.spans]
