@@ -1,18 +1,14 @@
-"""E15 — dispatch overhead: compact shipping, planned chunks, bulk store I/O.
+"""E15 — dispatch overhead: compact shipping and bulk store I/O.
 
-PR 8's batch kernel made the compute inside a wave cheap; this benchmark
+The bitmask fast path made in-worker compute cheap; this benchmark
 measures everything *around* it and gates that the orchestration stays
-cheap too.  One 32-scenario seed sweep at ``n = 32`` (the same wave
-shape E14 times) runs three ways:
+cheap too.  One 32-scenario seed sweep at ``n = 32`` runs two ways:
 
 * **serial** — the reference: bit-identical outcomes and the in-worker
   compute baseline;
-* **process** — the supervised pool (2 workers, one 16-spec wave per
+* **process** — the supervised pool (2 workers, one 16-spec chunk per
   worker), shipping tasks as compact
-  :class:`~repro.campaign.wire.WireChunk` descriptors;
-* **process + cost model** — the same pool with chunks sized by a
-  :class:`~repro.campaign.costmodel.CostModel` learned from the serial
-  run, longest-expected tasks first.
+  :class:`~repro.campaign.wire.WireChunk` descriptors.
 
 The headline gates, baselined in ``BENCH_E15_dispatch_overhead.json``
 and diffed by ``benchmarks/compare_bench.py`` in CI:
@@ -22,9 +18,9 @@ and diffed by ``benchmarks/compare_bench.py`` in CI:
   without the codec vs what it does carry), floor
   :data:`WIRE_REDUCTION_FLOOR`.  Byte counts are deterministic, so the
   committed baseline pins them exactly.
-* ``dispatch_overhead_ratio_n32`` (and ``..._planned_``) — campaign
-  wall-clock over the sum of in-worker scenario seconds (the ratio a
-  perfectly overhead-free 2-worker pool would drive toward 0.5),
+* ``dispatch_overhead_ratio_n32`` — campaign wall-clock over the sum
+  of in-worker scenario seconds (the ratio a perfectly overhead-free
+  2-worker pool would drive toward 0.5),
   ceiling :data:`OVERHEAD_CEILING`: pool startup, wire encode/decode,
   queue wait and result return together must not eat the parallelism.
   The ratio is machine- and load-dependent, so the committed baseline
@@ -34,13 +30,9 @@ and diffed by ``benchmarks/compare_bench.py`` in CI:
 * ``store_commits_n32`` — SQLite commits for persisting the campaign
   through a ``commit_batch=16`` store (bulk I/O actually batching).
 
-The cost-model run's chunk boundaries depend on measured timings, so
-its byte metrics are printed but not baselined (they would flake across
-machines); its overhead ratio is gated like the even-split run's.
-
-Outcome equality across all three runs is asserted inline, so the
-benchmark doubles as a dispatch-equivalence check at a size the pinned
-grids do not reach.
+Outcome equality across the runs is asserted inline, so the benchmark
+doubles as a dispatch-equivalence check at a size the pinned grids do
+not reach.
 """
 
 from __future__ import annotations
@@ -48,15 +40,15 @@ from __future__ import annotations
 import pickle
 
 from repro.analysis.reporting import format_table
-from repro.campaign import CampaignRunner, CostModel, ScenarioSpec, plan_chunks
+from repro.campaign import CampaignRunner, ScenarioSpec
 from repro.store import CachingRunner, open_store
 from benchmarks.conftest import emit, emit_json
 
-#: The measured point: one wave-shaped seed sweep at n = 32, f = n/2.
+#: The measured point: one 32-seed sweep at n = 32, f = n/2.
 SIZE_N = 32
 WAVE_SEEDS = 32
 WORKERS = 2
-#: Even-split wave size: one wave per worker, the shape E14's kernel eats.
+#: Even-split chunk size: one chunk per worker.
 WAVE_SIZE = WAVE_SEEDS // WORKERS
 #: Acceptance floor: raw pickled task bytes / wire task bytes.
 WIRE_REDUCTION_FLOOR = 3.0
@@ -108,14 +100,9 @@ def test_dispatch_overhead(benchmark, tmp_path):
         plain = _best_run(
             CampaignRunner(backend="process", workers=WORKERS,
                            chunk_size=WAVE_SIZE), specs)
-        model = CostModel.from_result(serial)
-        planned = _best_run(
-            CampaignRunner(backend="process", workers=WORKERS,
-                           cost_model=model), specs)
-        # Dispatch is pure plumbing: every configuration must produce the
+        # Dispatch is pure plumbing: the pool must produce the
         # bit-identical campaign.
         assert plain == serial
-        assert planned == serial
         assert all(outcome.verdict == "ok" for outcome in serial.outcomes)
 
         # Persist the same campaign through a batched store: commits
@@ -128,51 +115,33 @@ def test_dispatch_overhead(benchmark, tmp_path):
         assert io["committed_rows"] == len(specs)
         assert io["commits"] <= -(-len(specs) // COMMIT_BATCH) + 1
 
-        # Raw references at the exact task boundaries each run shipped
-        # (plan_chunks is pure, so the planned boundaries re-derive).
-        plain_tasks = [specs[i:i + WAVE_SIZE]
-                       for i in range(0, len(specs), WAVE_SIZE)]
-        plan = plan_chunks(specs, model)
-        planned_tasks = [[specs[p] for p in group] for group in plan]
-
-        rows = []
+        # The raw reference at the exact task boundaries the pool shipped.
+        tasks = [specs[i:i + WAVE_SIZE]
+                 for i in range(0, len(specs), WAVE_SIZE)]
+        dispatch = plain.dispatch_stats
+        assert dispatch.tasks_shipped == len(tasks)
+        raw_per = raw_task_bytes(tasks) / len(specs)
+        wire_per = dispatch.wire_bytes / dispatch.scenarios_shipped
+        ratio = overhead_ratio(plain)
+        rows = [(
+            "process", dispatch.tasks_shipped,
+            round(plain.elapsed_seconds * 1e3, 1),
+            round(sum(plain.scenario_seconds) * 1e3, 1),
+            round(ratio, 3), round(raw_per, 1), round(wire_per, 1),
+            round(raw_per / wire_per, 2),
+        )]
         payload = {
             f"store_commits_n{SIZE_N}": io["commits"],
             f"store_committed_rows_n{SIZE_N}": io["committed_rows"],
+            f"dispatch_overhead_ratio_n{SIZE_N}": round(ratio, 3),
+            f"encode_seconds_n{SIZE_N}": round(dispatch.encode_seconds, 6),
+            f"queue_seconds_n{SIZE_N}": round(dispatch.queue_seconds, 6),
+            f"tasks_shipped_n{SIZE_N}": dispatch.tasks_shipped,
+            f"raw_bytes_per_scenario_n{SIZE_N}": round(raw_per, 1),
+            f"wire_bytes_per_scenario_n{SIZE_N}": round(wire_per, 1),
+            f"wire_bytes_reduction_speedup_n{SIZE_N}": round(
+                raw_per / wire_per, 3),
         }
-        for label, result, tasks in (
-            ("process", plain, plain_tasks),
-            ("process+model", planned, planned_tasks),
-        ):
-            dispatch = result.dispatch_stats
-            assert dispatch.tasks_shipped == len(tasks)
-            raw_per = raw_task_bytes(tasks) / len(specs)
-            wire_per = dispatch.wire_bytes / dispatch.scenarios_shipped
-            ratio = overhead_ratio(result)
-            rows.append((
-                label, dispatch.tasks_shipped,
-                round(result.elapsed_seconds * 1e3, 1),
-                round(sum(result.scenario_seconds) * 1e3, 1),
-                round(ratio, 3), round(raw_per, 1), round(wire_per, 1),
-                round(raw_per / wire_per, 2),
-            ))
-            suffix = "_planned" if result is planned else ""
-            payload[f"dispatch_overhead_ratio{suffix}_n{SIZE_N}"] = round(
-                ratio, 3)
-            payload[f"encode_seconds{suffix}_n{SIZE_N}"] = round(
-                dispatch.encode_seconds, 6)
-            payload[f"queue_seconds{suffix}_n{SIZE_N}"] = round(
-                dispatch.queue_seconds, 6)
-            if not suffix:
-                # Deterministic boundaries only: the planned run's chunk
-                # sizes follow measured timings and would flake a baseline.
-                payload.update({
-                    f"tasks_shipped_n{SIZE_N}": dispatch.tasks_shipped,
-                    f"raw_bytes_per_scenario_n{SIZE_N}": round(raw_per, 1),
-                    f"wire_bytes_per_scenario_n{SIZE_N}": round(wire_per, 1),
-                    f"wire_bytes_reduction_speedup_n{SIZE_N}": round(
-                        raw_per / wire_per, 3),
-                })
         return rows, payload
 
     rows, payload = benchmark.pedantic(measure, iterations=1, rounds=1)
@@ -192,10 +161,8 @@ def test_dispatch_overhead(benchmark, tmp_path):
         f"wire shipping only {reduction:.2f}x smaller than raw task "
         f"pickles (floor {WIRE_REDUCTION_FLOOR}x)"
     )
-    for suffix in ("", "_planned"):
-        ratio = payload[f"dispatch_overhead_ratio{suffix}_n{SIZE_N}"]
-        assert ratio <= OVERHEAD_CEILING, (
-            f"dispatch overhead{suffix or ' (even split)'} at "
-            f"{ratio:.3f}x the in-worker compute "
-            f"(ceiling {OVERHEAD_CEILING}x)"
-        )
+    ratio = payload[f"dispatch_overhead_ratio_n{SIZE_N}"]
+    assert ratio <= OVERHEAD_CEILING, (
+        f"dispatch overhead at {ratio:.3f}x the in-worker compute "
+        f"(ceiling {OVERHEAD_CEILING}x)"
+    )

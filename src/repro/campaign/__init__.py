@@ -45,12 +45,6 @@ from repro.campaign.codec import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.campaign.costmodel import (
-    CostModel,
-    OnlineCostModel,
-    cost_key,
-    plan_chunks,
-)
 from repro.campaign.runner import (
     CampaignResult,
     CampaignRunner,
@@ -73,10 +67,6 @@ __all__ = [
     "CampaignResult",
     "ScenarioEvent",
     "run_scenario",
-    "CostModel",
-    "OnlineCostModel",
-    "cost_key",
-    "plan_chunks",
     "WireChunk",
     "encode_chunk",
     "decode_chunk",

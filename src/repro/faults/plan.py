@@ -46,7 +46,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -268,26 +268,20 @@ class FaultPlan:
 
     # -- execution ---------------------------------------------------------
 
-    def perform(self, spec, attempt: int, *, in_worker: bool,
-                before_crash: Optional[Callable[[], None]] = None) -> None:
+    def perform(self, spec, attempt: int, *, in_worker: bool) -> None:
         """Execute the planned fault for ``spec`` at this attempt, if any.
 
         ``crash`` and ``hang`` are worker-level faults: outside a pool
         worker (serial/chunked backends, the pool's in-process fallback)
         they are skipped, because killing or stalling the calling
         process would take the campaign down with it — the very thing
-        the supervisor exists to survive.  ``before_crash`` runs right
-        before an injected SIGKILL (the runner uses it to flush the
-        worker's event-queue feeder so the kill cannot corrupt the
-        shared pipe).
+        the supervisor exists to survive.
         """
         action = self.decide(spec, attempt)
         if action is None:
             return
         if action.kind == "crash":
             if in_worker:
-                if before_crash is not None:
-                    before_crash()
                 os.kill(os.getpid(), signal.SIGKILL)
             return
         if action.kind == "hang":

@@ -20,20 +20,25 @@ matter how many times its task crashes, hangs, raises or is re-queued:
 * failures are retried under the :class:`~repro.faults.plan.RetryPolicy`
   with exponential backoff; a task that exhausts its attempts is
   **bisected**, and a single spec that still fails is **quarantined**
-  into an ``"error"`` outcome (plus a synthetic progress event so the
-  journal ledger stays exact) instead of aborting the campaign;
+  into an ``"error"`` outcome instead of aborting the campaign;
 * if the pool itself breaks (``apply_async`` starts raising), the
   supervisor degrades to in-process execution and finishes the campaign.
 
+Task functions return ``(outcomes, timings, events)``, one entry per
+spec, and a slot's event settles with its outcome: the first result
+wins, so the event of a retried or late duplicate task is dropped with
+its outcome.  When the campaign wants events (``events=True``), a
+quarantined slot settles with an event built here, so the journal
+ledger stays exact without any other emitter.
+
 The module deliberately imports nothing from :mod:`repro.campaign` at
 the top level — the campaign runner imports *it* — so the campaign
-types it needs (outcomes, events, fingerprints) are imported inside the
-functions that build them.
+types it needs (outcomes, events) are imported inside the functions
+that build them.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import queue as queue_module
 import time
@@ -48,8 +53,9 @@ __all__ = ["DispatchStats", "QuarantineError", "SupervisedTask", "Supervisor"]
 #: A unit of supervised work: ``fn(specs, ...)`` filling ``indices``.
 TaskSpec = Tuple[Callable, Tuple, Tuple[int, ...]]
 
-#: ``record(indices, outcomes, timings)`` — the runner's slot writer.
-RecordHook = Callable[[Sequence[int], Sequence, Sequence[float]], None]
+#: ``record(indices, outcomes, timings, events)`` — the runner's slot
+#: writer, called with newly settled slots only.
+RecordHook = Callable[[Sequence[int], Sequence, Sequence[float], Sequence], None]
 
 
 @dataclass
@@ -131,7 +137,11 @@ class Supervisor:
     One instance supervises one campaign run: it accumulates the
     :class:`~repro.faults.plan.FaultStats` for the run and remembers
     which slots already settled (so retries, zombies and the in-process
-    fallback can never double-deliver an outcome).
+    fallback can never double-deliver an outcome or its event).
+
+    ``events``, ``telemetry`` and ``faults`` are what tasks run inline
+    are called with; pool workers get the same settings from the pool
+    initializer.
     """
 
     def __init__(
@@ -141,7 +151,7 @@ class Supervisor:
         faults: Optional[FaultPlan] = None,
         stats: Optional[FaultStats] = None,
         record: RecordHook,
-        progress: Optional[Callable] = None,
+        events: bool = False,
         telemetry=None,
         max_outstanding: int = 4,
         pack: Optional[Callable[[Tuple], Any]] = None,
@@ -151,7 +161,7 @@ class Supervisor:
         self.faults = faults
         self.stats = stats if stats is not None else FaultStats()
         self._record = record
-        self._progress = progress
+        self._events = events
         self._telemetry = telemetry
         self._max_outstanding = max(1, max_outstanding)
         # ``pack`` compresses a task's spec tuple into the descriptor that
@@ -173,46 +183,20 @@ class Supervisor:
         return SupervisedTask(self._next_id, fn, specs, indices, attempt)
 
     def _settle(self, indices: Sequence[int], outcomes: Sequence,
-                timings: Sequence[float]) -> None:
-        """Record outcomes for slots not yet settled (first result wins)."""
+                timings: Sequence[float],
+                events: Optional[Sequence] = None) -> None:
+        """Record slots not yet settled with their outcomes and events
+        (first result wins; ``events=None`` settles without events)."""
+        if events is None:
+            events = [None] * len(indices)
         fresh = [
-            (index, outcome, seconds)
-            for index, outcome, seconds in zip(indices, outcomes, timings)
-            if index not in self._settled
+            slot for slot in zip(indices, outcomes, timings, events)
+            if slot[0] not in self._settled
         ]
         if not fresh:
             return
-        self._settled.update(index for index, _, _ in fresh)
-        self._record(
-            [index for index, _, _ in fresh],
-            [outcome for _, outcome, _ in fresh],
-            [seconds for _, _, seconds in fresh],
-        )
-
-    def _emit_synthetic(self, spec, outcome) -> None:
-        """Ship a parent-side event for a scenario no worker reported.
-
-        Quarantined specs never reach a worker's event emitter (the
-        injected fault fires first), but the journal ledger still needs
-        exactly one scenario record for them.
-        """
-        if self._progress is None:
-            return
-        from repro.campaign.runner import ScenarioEvent
-        from repro.provenance.usage import ResourceUsage
-        from repro.store.fingerprint import fingerprint_spec
-
-        try:
-            self._progress(ScenarioEvent(
-                label=spec.label(),
-                verdict=outcome.verdict,
-                seconds=0.0,
-                worker_pid=os.getpid(),
-                fingerprint=fingerprint_spec(spec),
-                usage=ResourceUsage.of_outcome(outcome, seconds=0.0),
-            ))
-        except Exception:  # noqa: BLE001 - progress must never break a campaign
-            pass
+        self._settled.update(slot[0] for slot in fresh)
+        self._record(*zip(*fresh))
 
     def _quarantine(self, task: SupervisedTask, exc: BaseException) -> None:
         from repro.campaign.spec import ScenarioOutcome
@@ -226,8 +210,14 @@ class Supervisor:
             f"quarantined after {task.attempt} attempt(s); "
             f"last failure: {type(exc).__name__}: {exc}"
         ))
-        self._settle(task.indices, [outcome], [0.0])
-        self._emit_synthetic(spec, outcome)
+        event = None
+        if self._events:
+            # No task ever returned for this spec (the failure fired
+            # first), but the journal ledger still needs its record.
+            from repro.campaign.runner import ScenarioEvent
+
+            event = ScenarioEvent.of(spec, outcome, 0.0)
+        self._settle(task.indices, [outcome], [0.0], [event])
 
     def _after_failure(self, task: SupervisedTask,
                        exc: BaseException) -> List[SupervisedTask]:
@@ -276,15 +266,15 @@ class Supervisor:
         while stack:
             current = stack.pop(0)
             try:
-                outcomes, timings = current.fn(
-                    current.specs, self._progress, self._telemetry,
+                outcomes, timings, events = current.fn(
+                    current.specs, self._events, self._telemetry,
                     attempt=current.attempt, faults=self.faults)
             except Exception as exc:  # noqa: BLE001 - that's the job
                 # No backoff sleeps inline: injected faults are
                 # deterministic per attempt, waiting buys nothing.
                 stack[:0] = self._after_failure(current, exc)
             else:
-                self._settle(current.indices, list(outcomes), list(timings))
+                self._settle(current.indices, outcomes, timings, events)
 
     # -- pool execution ----------------------------------------------------
 
@@ -307,8 +297,12 @@ class Supervisor:
         # task queue's ``get()`` dies holding the queue's reader lock,
         # starving every other worker forever — no callback will ever
         # arrive again.  Track when the pool last showed signs of life
-        # (a submission or a completed callback) and degrade to inline
-        # execution once the silence outlasts any legitimate task.
+        # (a completed callback, or a submission to a pool that owed
+        # nothing) and degrade to inline execution once the silence
+        # outlasts any legitimate task.  Re-submitting lost work while
+        # results are still owed is no sign of life: the deadline →
+        # re-queue cycle of a wedged pool would otherwise keep the
+        # silence short forever.
         last_callback = time.monotonic()
 
         def submit(task: SupervisedTask) -> None:
@@ -333,9 +327,10 @@ class Supervisor:
             self.dispatch.scenarios_shipped += len(task.specs)
             self.dispatch.wire_bytes += len(
                 pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-            inflight[task_id] = task
             task.submitted_at = time.monotonic()
-            last_callback = task.submitted_at
+            if not inflight and not zombies:
+                last_callback = task.submitted_at
+            inflight[task_id] = task
 
         def next_ready() -> Optional[SupervisedTask]:
             nonlocal exhausted
@@ -386,20 +381,21 @@ class Supervisor:
                 task = inflight.pop(task_id, None)
                 if task is not None:
                     if exc is None:
-                        outcomes, timings = result
+                        outcomes, timings, events = result
                         self.dispatch.queue_seconds += max(
                             0.0,
                             last_callback - task.submitted_at - sum(timings))
-                        self._settle(task.indices, list(outcomes), list(timings))
+                        self._settle(task.indices, outcomes, timings, events)
                     else:
                         waiting.extend(self._after_failure(task, exc))
                     continue
                 zombie_indices = zombies.pop(task_id, None)
                 if zombie_indices is not None and exc is None:
                     # A presumed-lost task completed after all: accept
-                    # the late result; already-settled slots are no-ops.
-                    outcomes, timings = result
-                    self._settle(zombie_indices, list(outcomes), list(timings))
+                    # the late result; already-settled slots (and their
+                    # events) are no-ops.
+                    outcomes, timings, events = result
+                    self._settle(zombie_indices, outcomes, timings, events)
                 # A zombie *failure* needs nothing: its replacement was
                 # queued when the deadline expired.
         except _PoolBroken:

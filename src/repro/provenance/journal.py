@@ -15,9 +15,9 @@ schema-versioned JSON object per line, appended with a ``write + flush``
 so a SIGKILL loses at most the line being written.  Reading is
 torn-tail-safe (:func:`read_journal` drops a torn final line, reports
 mid-file corruption loudly, skips rows of other journal versions) and
-the writer is **thread-safe** — under the process campaign backend the
-``ran`` records arrive from the parent's event-drain thread while the
-caller's thread appends lifecycle records.
+the writer is **thread-safe**: campaigns append every record from the
+calling thread, but one journal may be shared by threads running
+campaigns side by side, and its lines must never interleave.
 
 :func:`replay_ledger` folds a journal (possibly spanning several
 campaigns, including killed ones) back into a :class:`JournalReplay`:
@@ -188,9 +188,9 @@ class CampaignJournal:
         line = json.dumps(record, sort_keys=True) + "\n"
         with self._lock:
             # One write + flush per record, under the lock: lines never
-            # interleave even when the drain thread and the caller's
-            # thread journal concurrently, and a kill tears at most the
-            # final line (which read_journal drops).
+            # interleave even when several threads journal concurrently,
+            # and a kill tears at most the final line (which
+            # read_journal drops).
             self._file.write(line)
             self._file.flush()
 

@@ -24,10 +24,11 @@ An optional campaign **journal**
 opened at) receives the full provenance record: campaign start/finish,
 one per-scenario ``ran``/``cached``/``skipped`` decision with its
 :class:`~repro.provenance.usage.ResourceUsage`, and the early-stop
-triggers.  Journal records for executed scenarios are appended from the
-same delivery path that persists outcomes — under the process backend
-that includes the parent's event-drain thread, which is exactly why the
-SQLite store is thread-safe.
+triggers.  Journal records for executed scenarios are appended on the
+calling thread, right after the wrapped runner hands over each outcome
+for persistence: every event rides on its task's result, so each
+executed position yields exactly one ``ran`` record, whatever retries
+or worker deaths the campaign survived.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.campaign.costmodel import OnlineCostModel
 from repro.campaign.grid import ScenarioGrid
 from repro.campaign.runner import CampaignResult, CampaignRunner, ScenarioEvent
 from repro.campaign.scenarios import get_kind
@@ -118,13 +118,6 @@ class CachingRunner:
         spans collected from sampled workers — and finishes it, writing
         any configured trace/metrics exports.  The caller keeps ownership
         of the session and can inspect or re-export it afterwards.
-    cost_model:
-        Optional :class:`~repro.campaign.costmodel.OnlineCostModel`.
-        Every *executed* outcome's wall seconds are fed to it, so a
-        sweep driver can snapshot it between campaigns and hand the
-        snapshot to the next :class:`CampaignRunner` as its
-        ``cost_model`` — scheduling learns across runs while each
-        individual plan stays a frozen, reproducible function.
 
     After each ``run``, :attr:`last_stats` holds the run's
     :class:`CacheStats` and :attr:`last_campaign_id` the journal id of
@@ -141,14 +134,12 @@ class CachingRunner:
         progress: Optional[ProgressReporter] = None,
         journal: Optional[Union[str, Path, CampaignJournal]] = None,
         telemetry: Optional[TelemetrySession] = None,
-        cost_model: Optional[OnlineCostModel] = None,
     ):
         self.store = store
         self.runner = runner if runner is not None else CampaignRunner()
         self.policy = policy
         self.progress = progress
         self.telemetry = telemetry
-        self.cost_model = cost_model
         if journal is None or isinstance(journal, CampaignJournal):
             self.journal = journal
             self._owns_journal = False
@@ -195,25 +186,10 @@ class CachingRunner:
             # which is what makes traces joinable against the ledger.
             self.telemetry.begin(campaign, len(specs))
 
-        ran_fps: set = set()
-
         def emit(event: ScenarioEvent) -> None:
             # Journal first (provenance is the record), then telemetry
-            # (metrics + span collection), reporter last.  Under the
-            # process backend this runs on the parent's drain thread for
-            # executed scenarios.
-            if not event.cached and event.fingerprint:
-                # A supervised retry re-runs scenarios whose first
-                # attempt already reported (the worker died mid-chunk
-                # after emitting some events, or a timed-out chunk
-                # completed late).  The journal ledger demands exactly
-                # one record per position, so replayed "ran" events are
-                # dropped; legitimate duplicate input positions are
-                # always reported as ``cached`` replays, never as a
-                # second non-cached event.
-                if event.fingerprint in ran_fps:
-                    return
-                ran_fps.add(event.fingerprint)
+            # (metrics + span collection), reporter last.  Executed
+            # scenarios arrive here once each, right after ``persist``.
             if self.journal is not None:
                 self.journal.scenario_event(campaign, event)
             if self.telemetry is not None:
@@ -262,7 +238,6 @@ class CachingRunner:
             pending.append(spec)
 
         executed_fps: set = set()
-        executed_seconds: Dict[object, float] = {}
         store_write_failures = 0
 
         def persist(outcome: ScenarioOutcome, seconds: float) -> None:
@@ -270,9 +245,6 @@ class CachingRunner:
             fingerprint = fp_by_spec.get(outcome.spec)
             if fingerprint is None:  # pragma: no cover - defensive only
                 fingerprint = fingerprint_spec(outcome.spec)
-            executed_seconds[fingerprint] = seconds
-            if self.cost_model is not None:
-                self.cost_model.observe(outcome.spec, seconds)
             quarantined = (
                 outcome.verdict == "error"
                 and (outcome.error or "").startswith("QuarantineError")
@@ -320,24 +292,6 @@ class CachingRunner:
         self.store.flush()
 
         if inner_progress is not None:
-            # A worker SIGKILLed while holding the event queue's write
-            # lock (or mid-write) silences the queue for good: the drain
-            # sees nothing further, and every later worker event is lost.
-            # The parent still received every outcome through the result
-            # channel, so reconcile — each executed scenario whose "ran"
-            # event never arrived gets a synthetic one, keeping the
-            # journal ledger and telemetry exact under external kills.
-            for spec, fingerprint in zip(specs, fingerprints):
-                if fingerprint not in executed_fps or fingerprint in ran_fps:
-                    continue
-                outcome = outcomes_by_fp[fingerprint]
-                emit(ScenarioEvent(
-                    label=spec.label(), verdict=outcome.verdict,
-                    seconds=executed_seconds.get(fingerprint, 0.0),
-                    worker_pid=os.getpid(), cached=False,
-                    fingerprint=fingerprint,
-                    usage=ResourceUsage.of_outcome(outcome),
-                ))
             # Deduplicated duplicate positions completed with their first
             # occurrence; report them so totals add up to the campaign size.
             for spec, fingerprint in duplicates:

@@ -3,11 +3,13 @@
 A :class:`ProgressReporter` is a callable that consumes the
 :class:`~repro.campaign.runner.ScenarioEvent` stream a campaign emits —
 one event per finished scenario, produced *where the scenario ran*.
-Under the process backend the events cross the process boundary on a
-queue and are delivered from a drain thread, so the reporter keeps its
-counters under a lock and a long multiprocess campaign can be watched
-live: scenarios completed out of how many, verdict counts, which worker
-pids are alive, throughput.
+Under the process backend the events ride back on each task's result
+and are delivered on the calling thread as the task settles, so a long
+multiprocess campaign can be watched live, one chunk at a time:
+scenarios completed out of how many, verdict counts, which worker pids
+are alive, throughput.  The reporter keeps its counters under a lock,
+so another thread may call :meth:`~ProgressReporter.snapshot` while the
+campaign runs.
 
 :class:`~repro.store.caching.CachingRunner` additionally brackets the
 stream with :meth:`campaign_started` / :meth:`campaign_finished` and

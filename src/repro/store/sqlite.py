@@ -8,9 +8,9 @@ on), batched ``IN (...)`` lookups for ``get_many``.
 
 Thread-safety: the connection is opened with ``check_same_thread=False``
 and every operation runs under an internal lock.  This is load-bearing,
-not cosmetic — under the process campaign backend, ``put`` is called
-from the parent's event/result-delivery path while other threads (a
-progress drain, the caller) may read, and sqlite3's default thread
+not cosmetic — campaigns persist from their calling thread, but the
+idle-commit timer of a batching store flushes from its own thread, and
+one store may be shared by several threads; sqlite3's default thread
 affinity would raise ``ProgrammingError`` on the first cross-thread
 call.  The store is safe to share between threads of one process; it is
 *not* a multi-process store (each process opens its own).
@@ -103,9 +103,10 @@ class SqliteResultStore(ResultStore):
         self._io = {"puts": 0, "commits": 0, "committed_rows": 0,
                     "max_commit_batch": 0, "flushes": 0}
         try:
-            # check_same_thread=False + self._lock: the process campaign
-            # backend calls put from delivery/drain threads, which the
-            # default thread affinity would reject with ProgrammingError.
+            # check_same_thread=False + self._lock: the idle-commit timer
+            # and threads sharing the store use the connection off its
+            # opening thread, which the default thread affinity would
+            # reject with ProgrammingError.
             conn = sqlite3.connect(str(self._path), check_same_thread=False)
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")

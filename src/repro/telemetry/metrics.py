@@ -2,10 +2,10 @@
 
 One :class:`MetricsRegistry` per telemetry session; metrics are created
 on first use (``registry.counter("scenarios_completed")``) and updated
-under one registry-wide lock — updates arrive from the process
-backend's event-drain thread and the caller's thread concurrently, and
-campaign-scale update rates (one batch of updates per *scenario*, not
-per step) make lock granularity irrelevant.
+under one registry-wide lock — a campaign updates from its calling
+thread, but a registry may be read or fed from other threads at the
+same time, and campaign-scale update rates (one batch of updates per
+*scenario*, not per step) make lock granularity irrelevant.
 
 Determinism is the design constraint, mirroring
 :class:`~repro.provenance.usage.ResourceUsage`: metrics fed from the

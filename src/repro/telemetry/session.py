@@ -114,8 +114,9 @@ class TelemetrySession:
     Wire it into a :class:`~repro.store.caching.CachingRunner` via its
     ``telemetry=`` parameter; standalone use follows the same protocol:
     ``begin(campaign_id, total)`` → feed events to :meth:`on_event` →
-    ``finish()``.  Events arrive concurrently (the process backend's
-    drain thread plus the caller's thread); all mutation is locked.
+    ``finish()``.  A campaign feeds its events from the calling thread,
+    but a session may be shared by threads running campaigns or reading
+    snapshots concurrently; all mutation is locked.
     """
 
     def __init__(self, config: Optional[TelemetryConfig] = None):

@@ -131,8 +131,7 @@ class Tracer:
     A tracer is cheap to construct; campaign workers build one per
     *sampled* scenario and ship its drained records back to the parent
     on the scenario's event.  The span stack is per-thread, so a tracer
-    shared across the drain thread and the caller's thread never
-    corrupts its hierarchy.
+    shared across threads never corrupts its hierarchy.
     """
 
     def __init__(self, trace_id: str = "", capture_phases: bool = True):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import threading
 
 import pytest
 
@@ -197,6 +198,41 @@ class TestRunnerHooks:
         assert len(events) == len(result.outcomes)
         assert {e.verdict for e in events} == {o.verdict for o in result.outcomes}
         assert all(e.seconds >= 0 and not e.cached for e in events)
+
+    @pytest.mark.parametrize("runner", [
+        CampaignRunner(),
+        CampaignRunner(backend="chunked", chunk_size=4),
+        CampaignRunner(backend="process", workers=2, chunk_size=4),
+    ], ids=["serial", "chunked", "process"])
+    def test_progress_runs_on_the_calling_thread_after_on_outcome(self, runner):
+        # The delivery contract: events ride back on task results, so
+        # every progress call happens on the caller's thread, right
+        # after its own slot's on_outcome — per task, not per scenario.
+        calls = []
+        result = runner.run(
+            SPECS,
+            on_outcome=lambda o, s: calls.append(
+                ("outcome", o.spec.label(), threading.get_ident())),
+            progress=lambda e: calls.append(
+                ("progress", e.label, threading.get_ident())),
+        )
+        assert {thread for _, _, thread in calls} == {threading.get_ident()}
+        assert len(calls) == 2 * len(result.outcomes)
+        for outcome_call, progress_call in zip(calls[::2], calls[1::2]):
+            assert outcome_call[0] == "outcome"
+            assert progress_call[:2] == ("progress", outcome_call[1])
+        assert {label for _, label, _ in calls} == {s.label() for s in SPECS}
+
+    def test_workers_reports_the_pool_size_started(self):
+        # One 3-spec chunk ships one task to a one-process pool, whatever
+        # the configured worker count.
+        result = CampaignRunner(backend="process", workers=8, chunk_size=3).run(
+            SPECS[:3])
+        assert result.dispatch_stats.tasks_shipped == 1
+        assert result.workers == 1
+        pooled = CampaignRunner(backend="process", workers=2, chunk_size=5).run(SPECS)
+        assert pooled.workers == 2
+        assert CampaignRunner(backend="chunked").run(SPECS).workers == 1
 
 
 class TestRobustness:

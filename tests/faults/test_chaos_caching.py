@@ -138,14 +138,19 @@ class TestFaultyStoreTolerance:
         faulty.put(fingerprint_spec(outcome.spec), outcome)
         assert faulty.get(fingerprint_spec(outcome.spec)) == outcome
 
-    def test_configuration_errors_still_propagate(self):
+    @pytest.mark.parametrize("backend", [
+        {"backend": "serial"},
+        {"backend": "chunked"},
+        {"backend": "process", "workers": 2},
+    ], ids=["serial", "chunked", "process"])
+    def test_configuration_errors_still_propagate(self, backend):
         # A user mistake (unpersistable spec) must raise, not be absorbed
         # as a tolerated infrastructure failure.
         class Broken(MemoryResultStore):
             def put(self, fingerprint, outcome):
                 raise ConfigurationError("unpersistable")
 
-        runner = CachingRunner(Broken(), CampaignRunner())
+        runner = CachingRunner(Broken(), CampaignRunner(**backend))
         with pytest.raises(ConfigurationError):
             runner.run(SPECS[:2])
 

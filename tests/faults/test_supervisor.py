@@ -23,11 +23,14 @@ def _ok(spec) -> ScenarioOutcome:
                            decided=spec.n, steps=1)
 
 
-def _recorder(results):
-    def record(indices, outcomes, timings):
-        for index, outcome, seconds in zip(indices, outcomes, timings):
+def _recorder(results, events=None):
+    def record(indices, outcomes, timings, slot_events):
+        for index, outcome, seconds, event in zip(
+                indices, outcomes, timings, slot_events):
             assert index not in results, f"slot {index} settled twice"
             results[index] = outcome
+            if events is not None:
+                events.append(event)
     return record
 
 
@@ -45,7 +48,8 @@ class TestInline:
         supervisor = Supervisor(retry=_policy(), record=_recorder(results))
         supervisor.run_inline([
             (lambda specs, *a, **k: ([_ok(s) for s in specs],
-                                     [0.0] * len(specs)),
+                                     [0.0] * len(specs),
+                                     [None] * len(specs)),
              tuple(SPECS), tuple(range(len(SPECS)))),
         ])
         assert sorted(results) == list(range(len(SPECS)))
@@ -58,7 +62,7 @@ class TestInline:
             calls.append(attempt)
             if attempt == 1:
                 raise RuntimeError("transient")
-            return [_ok(s) for s in specs], [0.0] * len(specs)
+            return [_ok(s) for s in specs], [0.0] * len(specs), [None] * len(specs)
 
         results = {}
         stats = FaultStats()
@@ -75,7 +79,7 @@ class TestInline:
         def poisoned(specs, *args, **kwargs):
             if guilty in specs:
                 raise RuntimeError("poison")
-            return [_ok(s) for s in specs], [0.0] * len(specs)
+            return [_ok(s) for s in specs], [0.0] * len(specs), [None] * len(specs)
 
         results = {}
         stats = FaultStats()
@@ -117,14 +121,35 @@ class TestInline:
             raise RuntimeError("boom")
 
         supervisor = Supervisor(retry=_policy(max_attempts=1),
-                                record=_recorder({}),
-                                progress=events.append)
+                                record=_recorder({}, events), events=True)
         supervisor.run_inline([(always_fails, (SPECS[0],), (0,))])
         assert len(events) == 1
         event = events[0]
         assert event.label == SPECS[0].label()
         assert event.verdict == "error"
         assert event.fingerprint  # ledger needs the scenario identity
+        assert event.seconds == 0.0
+
+    def test_quarantine_builds_no_event_when_events_are_off(self):
+        events = []
+
+        def always_fails(specs, *args, **kwargs):
+            raise RuntimeError("boom")
+
+        supervisor = Supervisor(retry=_policy(max_attempts=1),
+                                record=_recorder({}, events))
+        supervisor.run_inline([(always_fails, (SPECS[0],), (0,))])
+        assert events == [None]
+
+    def test_repeated_events_are_dropped_with_their_slot(self):
+        events = []
+        supervisor = Supervisor(retry=_policy(), record=_recorder({}, events))
+        supervisor._settle([0, 1], [_ok(SPECS[0]), _ok(SPECS[1])], [0.0, 0.0],
+                           ["first-0", "first-1"])
+        # A retried or late duplicate task: slot 0 again, plus slot 2.
+        supervisor._settle([0, 2], [_ok(SPECS[0]), _ok(SPECS[2])], [0.0, 0.0],
+                           ["late-0", "first-2"])
+        assert events == ["first-0", "first-1", "first-2"]
 
     def test_settled_slots_are_never_overwritten(self):
         results = {}
@@ -137,7 +162,7 @@ class TestInline:
 
     def test_empty_tasks_are_skipped(self):
         supervisor = Supervisor(retry=_policy(), record=_recorder({}))
-        supervisor.run_inline([(lambda *a, **k: ([], []), (), ())])
+        supervisor.run_inline([(lambda *a, **k: ([], [], []), (), ())])
 
 
 class TestQuarantineError:

@@ -1,8 +1,8 @@
 """ProgressReporter under concurrent event delivery.
 
-Under the process backend, events reach the reporter from the parent's
-drain thread while the owner thread calls ``snapshot()`` whenever it
-likes; these tests hammer that contract directly with threads (the
+A campaign delivers events on its calling thread, while another thread
+may call ``snapshot()`` whenever it likes; these tests hammer that
+contract directly with threads (the
 same discipline as tests/store/test_store_concurrency.py applies to the
 SQLite store) and pin the well-formed-zero-state guarantee for
 snapshots taken before ``campaign_started``.

@@ -34,7 +34,7 @@ def _digest(index: int) -> str:
 
 class TestSqliteThreadSafety:
     def test_put_from_another_thread_does_not_raise(self, tmp_path):
-        """The exact failure mode of the process backend's drain thread."""
+        """The failure mode of any off-thread caller (e.g. the idle-commit timer)."""
         store = SqliteResultStore(tmp_path / "threaded.sqlite")
         failures = []
 
@@ -90,7 +90,7 @@ class TestSqliteThreadSafety:
 
     def test_caching_runner_with_process_backend_persists_through_threads(self, tmp_path):
         # End to end: a process-backend campaign with progress events
-        # (which activates the drain thread) against a SQLite store.
+        # (which ride back on task results) against a SQLite store.
         from repro.campaign import CampaignRunner, theorem8_specs
         from repro.store import CollectingProgressReporter
 
