@@ -7,12 +7,41 @@ frozenset copies per scheduled process.  For ``VERDICT_ONLY`` campaign
 sweeps nothing of that per-step structure survives into the result: the
 outcome consumes only the final decision map, the completed/truncated
 flags and the volume counters.  :func:`execute_bitmask` replays one
-execution of the two-stage protocol over plain locals instead — per-process
-knowledge as int bitmasks (bit ``p - 1`` stands for process ``p``), pending
-messages as ``(sent_at, is_report, sender)`` triples in send order
-(mirroring the id-ordered deques of
-:class:`~repro.simulation.message.MessageBuffer`), one decision attempt as
-a bitmask closure walk.
+execution of the two-stage protocol over plain locals instead:
+
+* **Messages as bits.**  Every message of a run is a broadcast and each
+  process sends at most two, so every message is one bit of a 2n-bit
+  mask: bit ``j`` is the stage-1 message of process ``j + 1``, bit
+  ``n + j`` its stage-2 report.  Each process keeps one mask of the
+  messages it has absorbed or sent; its stage-1 "heard" set and the
+  reports it knows are the two halves of that int.
+* **One broadcast log.**  A send is one entry ``(sent_at << 2n) | bit``
+  appended to the run's log, so entries are increasing ints in send
+  order (the order of the id-ordered deques of
+  :class:`~repro.simulation.message.MessageBuffer`).  Each receiver keeps
+  a cursor into the log, moved past its own sends at the end of each of
+  its steps, plus the entries it has read but not been delivered.  Round
+  robin delivers everything, so it needs no log: a step absorbs
+  ``sent & ~seen`` whole.  The random scheduler delivers the overdue
+  prefix of the pending entries without a draw (one int comparison
+  each) and draws one ``random()`` per remaining entry, in send order.
+* **Candidates in place.**  The sorted list of alive, undecided processes
+  is edited when a process crashes or decides.  Round robin finds its
+  successor with :func:`bisect.bisect_right`; the random pick inlines the
+  ``getrandbits`` rejection loop that ``Random.choice`` runs (CPython
+  3.10–3.12), so it consumes the same stream.
+* **Memoised closures.**  Stage-2 predecessor sets are write-once, so a
+  process's report closure is fixed once all its members have entered
+  stage 2.  Each owner's closure walk stops at the first member not yet
+  in stage 2 and resumes from there once that member has entered it; a
+  finished closure is memoised, and later walks take memoised closures
+  whole.  A decision attempt is then one mask test, closure ⊆ known
+  reports.
+* **A bitmask decision.**  With the members' closures as ancestor masks,
+  :func:`lowest_source` finds the lowest process in any source component
+  of a complete closure — the representative whose value
+  :func:`repro.graphs.knowledge_graph.decide_from_reports` returns.  It is
+  computed once per distinct closure.
 
 **The scalar executor is the oracle.**  The loop re-implements the
 executor loop, the two schedulers and the two-stage protocol *exactly*:
@@ -25,11 +54,11 @@ executor loop, the two schedulers and the two-stage protocol *exactly*:
   checks are the scheduler constructor's, not a copy;
 * validation runs the executor's own helpers in the executor's order, so
   an inadmissible input raises the identical exception;
-* stage-2 reports are write-once, so the decision value at closure
-  completion is computed by the *same*
-  :func:`repro.graphs.knowledge_graph.decide_from_reports` the scalar
-  protocol calls — the loop only replaces the per-step "closure still
-  incomplete" answers with a bitmask walk;
+* the decision rule is a different function from the scalar protocol's
+  :func:`~repro.graphs.knowledge_graph.decide_from_reports`, pinned to
+  it by a property test over random predecessor graphs
+  (``tests/campaign/test_fast_path_oracle.py``), next to the
+  outcome-for-outcome and RNG-state comparisons with the scalar executor;
 * the finished execution is returned as a genuine verdict-only
   :class:`~repro.simulation.run.Run`, which callers evaluate with the same
   :class:`~repro.core.ksetagreement.KSetAgreementProblem` machinery.
@@ -41,12 +70,12 @@ else runs the scalar executor.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, Mapping, Sequence
 
 from repro.algorithms.two_stage import TwoStageKnowledgeProtocol
 from repro.exceptions import ConfigurationError
 from repro.failure_detectors.base import FailurePattern, RecordedHistory
-from repro.graphs.knowledge_graph import decide_from_reports
 from repro.models.model import SystemModel
 from repro.simulation.executor import (
     ExecutionSettings,
@@ -69,11 +98,6 @@ def iter_bits(mask: int):
         bit = mask & -mask
         yield bit.bit_length() - 1
         mask ^= bit
-
-
-def bits_to_pids(mask: int) -> Tuple[int, ...]:
-    """The 1-based process ids of a bitmask, in ascending (sorted) order."""
-    return tuple(index + 1 for index in iter_bits(mask))
 
 
 def execute_bitmask(
@@ -164,151 +188,202 @@ def execute_bitmask(
 
 def _replay(n, threshold, values, correct, crash_schedule, rng, bias,
             max_delay, max_steps):
-    """The tight loop: a line-for-line replay of the scalar executor loop
-    specialised to the two-stage protocol — crash application, membership
-    refresh, scheduler pick, delivery, absorption, stage transitions,
-    decision.
+    """The tight loop: a replay of the scalar executor loop specialised to
+    the two-stage protocol — crash application, scheduler pick, delivery,
+    absorption, stage transitions, decision.
 
     Returns ``(time, completed, decisions, sent, delivered)``.
     """
-    threshold_m1 = threshold - 1
-    heard = [0] * n  # stage-1 senders each process heard from
-    known = [0] * n  # stage-2 reports each process holds
+    full = (1 << n) - 1
+    shift = n + n  # a log entry is (sent_at << shift) | message bit
+    low = (1 << shift) - 1
+    others = n - 1
+    # Per process, the messages it has absorbed or sent: bit j is j's
+    # stage-1 message, bit n + j is j's stage-2 report.
+    seen = [0] * n
     preds = [0] * n  # write-once predecessor mask of each stage-2 report
-    queues = [[] for _ in range(n)]
+    closures = [0] * n  # complete report closures (0: not known yet)
+    walk_required = [0] * n  # resumable closure walks, per owner
+    walk_frontier = [0] * n
+    representatives: Dict[int, int] = {}  # lowest_source per closure
     decision_value = [None] * n
+    candidates = list(range(n))  # alive, undecided; ascending
+    count = n
+    width = count.bit_length()
     crash_count = len(crash_schedule)
     crash_index = 0
-    alive = (1 << n) - 1
     decided = 0
-    sent_s1 = 0
+    sent_mask = 0  # every message sent so far
     stage2 = 0
     sent = 0
-    delivered_count = 0
-    rng_random = rng.random if rng is not None else None
-    rng_choice = rng.choice if rng is not None else None
-    rr_last: Optional[int] = None
-    candidates: Tuple[int, ...] = ()
-    dirty = True
+    delivered = 0
+    last = -1  # round robin's previous pick
+    if rng is not None:
+        getrandbits = rng.getrandbits
+        draw = rng.random
+        log = []  # every broadcast, in send order
+        logged = 0  # len(log)
+        cursors = [0] * n  # each receiver's read position in the log
+        pending = [[] for _ in range(n)]  # read but undelivered entries
     time = 0
     completed = (correct & ~decided) == 0
-    # Reports are write-once and shared by the whole scenario, so the
-    # decision reached from a given complete closure mask is the same for
-    # every owner inside it: decide_from_reports takes the minimum over
-    # the source components of the closure's induced graph, which does
-    # not depend on the owner.  Memoising per closure mask turns the
-    # n-fold repeated graph analysis into one call per distinct closure.
-    decision_cache: Dict[int, Optional[int]] = {}
 
     while not completed and time < max_steps:
         time += 1
         if crash_index < crash_count and crash_schedule[crash_index][0] <= time:
             while crash_index < crash_count and crash_schedule[crash_index][0] <= time:
-                alive &= ~(1 << (crash_schedule[crash_index][1] - 1))
+                index = crash_schedule[crash_index][1] - 1
+                if index in candidates:
+                    candidates.remove(index)
                 crash_index += 1
-            dirty = True
-        if dirty:
-            candidates = bits_to_pids(alive & ~decided)
-            dirty = False
-        if not candidates:
-            # the scalar adversary-halt rewind: the aborted step never ran
-            time -= 1
-            break
+            count = len(candidates)
+            width = count.bit_length()
+            if not candidates:
+                # the scalar adversary-halt rewind: the aborted step never ran
+                time -= 1
+                break
 
-        # -- scheduling (exact scalar RNG order) --------------------------
         if rng is None:
-            pid = candidates[0]
-            if rr_last is not None:
-                for candidate in candidates:
-                    if candidate > rr_last:
-                        pid = candidate
-                        break
-            rr_last = pid
-            i = pid - 1
-            delivered = queues[i]
-            if delivered:
-                queues[i] = []
+            # round robin: the next candidate after the last one, wrapping;
+            # every pending message is delivered.
+            position = bisect_right(candidates, last)
+            i = last = candidates[position if position < count else 0]
+            seen_i = seen[i]
+            new = sent_mask & ~seen_i
+            if new:
+                delivered += new.bit_count()
+                seen_i |= new
         else:
-            pid = rng_choice(candidates)
-            i = pid - 1
-            queue = queues[i]
+            # Random.choice(candidates), inlined: the same getrandbits
+            # rejection loop, so the same stream.
+            r = getrandbits(width)
+            while r >= count:
+                r = getrandbits(width)
+            i = candidates[r]
+            seen_i = seen[i]
+            queue = pending[i]
+            cursor = cursors[i]
+            if cursor < logged:
+                queue += log[cursor:]
+            new = 0
             if queue:
-                delivered = []
+                # In send order: overdue entries never draw (the scalar
+                # short-circuit), the others draw one random() each.
+                limit = (time - max_delay + 1) << shift
                 kept = []
                 for entry in queue:
-                    # overdue messages never consume the RNG (short-circuit)
-                    if (time - entry[0]) >= max_delay or rng_random() < bias:
-                        delivered.append(entry)
+                    if entry < limit or draw() < bias:
+                        new |= entry
                     else:
                         kept.append(entry)
-                queues[i] = kept
+                delivered += len(queue) - len(kept)
+                pending[i] = kept
+                new &= low
+                seen_i |= new
+
+        bit = 1 << i
+        if not sent_mask & bit:  # the stage-1 broadcast
+            sent_mask |= bit
+            seen_i |= bit
+            sent += others
+            if rng is not None:
+                log.append((time << shift) | bit)
+                logged += 1
+        if not stage2 & bit:
+            heard = seen_i & full
+            if heard.bit_count() >= threshold:  # own bit included
+                stage2 |= bit
+                preds[i] = heard ^ bit  # the frozen predecessor set
+                walk_frontier[i] = bit
+                report = bit << n
+                seen_i |= report
+                sent_mask |= report
+                sent += others
+                if rng is not None:
+                    log.append((time << shift) | report)
+                    logged += 1
+                new = report
             else:
-                delivered = ()
+                new = 0
+        if rng is not None:
+            cursors[i] = logged
+        seen[i] = seen_i
 
-        # -- absorption ---------------------------------------------------
-        heard_i = heard[i]
-        known_i = known[i]
-        for entry in delivered:
-            if entry[1]:
-                known_i |= 1 << (entry[2] - 1)
-            else:
-                heard_i |= 1 << (entry[2] - 1)
-        delivered_count += len(delivered)
-        new_reports = known_i != known[i]
-        heard[i] = heard_i
-
-        # -- stage-1 broadcast --------------------------------------------
-        if not (sent_s1 >> i) & 1:
-            sent_s1 |= 1 << i
-            entry = (time, False, pid)
-            for j in range(n):
-                if j != i:
-                    queues[j].append(entry)
-            sent += n - 1
-
-        # -- stage-2 entry (threshold reached) ----------------------------
-        if not (stage2 >> i) & 1 and heard_i.bit_count() >= threshold_m1:
-            stage2 |= 1 << i
-            preds[i] = heard_i  # the frozen predecessor set
-            known_i |= 1 << i
-            entry = (time, True, pid)
-            for j in range(n):
-                if j != i:
-                    queues[j].append(entry)
-            sent += n - 1
-            new_reports = True
-        known[i] = known_i
-
-        # -- decision attempt ---------------------------------------------
-        if new_reports and (stage2 >> i) & 1 and (known_i >> i) & 1:
-            required = 0
-            frontier = 1 << i
-            complete = True
-            while frontier:
-                bit = frontier & -frontier
-                frontier ^= bit
-                j = bit.bit_length() - 1
-                if not (known_i >> j) & 1:
-                    complete = False
-                    break
-                required |= bit
-                frontier |= preds[j] & ~required & ~frontier
-            if complete:
-                if required in decision_cache:
-                    decision = decision_cache[required]
-                else:
-                    heard_from = {}
-                    report_values = {}
-                    for j in iter_bits(required):
-                        heard_from[j + 1] = bits_to_pids(preds[j])
-                        report_values[j + 1] = values[j]
-                    decision = decide_from_reports(pid, heard_from, report_values)
-                    decision_cache[required] = decision
-                if decision is not None:
-                    decision_value[i] = decision
-                    decided |= 1 << i
-                    dirty = True
+        # -- decision attempt: only a new report can complete the closure
+        if new >> n:
+            closure = closures[i]
+            if not closure:
+                frontier = walk_frontier[i]
+                if stage2 & frontier & -frontier:  # the blocker moved on
+                    required, frontier = _walk(
+                        walk_required[i], frontier, preds, stage2, closures)
+                    if frontier:
+                        walk_required[i] = required
+                        walk_frontier[i] = frontier
+                    else:
+                        closures[i] = closure = required
+            if closure and not closure & ~(seen_i >> n):
+                representative = representatives.get(closure)
+                if representative is None:
+                    for j in iter_bits(closure):
+                        if not closures[j]:
+                            closures[j] = _walk(
+                                0, 1 << j, preds, stage2, closures)[0]
+                    representative = lowest_source(closure, closures)
+                    representatives[closure] = representative
+                value = values[representative]
+                if value is not None:
+                    decision_value[i] = value
+                    decided |= bit
+                    candidates.remove(i)
+                    count -= 1
+                    width = count.bit_length()
                     completed = (correct & ~decided) == 0
 
     decisions = {i + 1: decision_value[i] for i in iter_bits(decided)}
-    return time, completed, decisions, sent, delivered_count
+    return time, completed, decisions, sent, delivered
+
+
+def _walk(required, frontier, preds, stage2, closures):
+    """Advance a report-closure walk over the write-once predecessor masks.
+
+    Expands the lowest frontier node while it is in stage 2; a node with a
+    complete memoised closure contributes it whole.  Returns ``(required,
+    frontier)``: an empty frontier means ``required`` is the complete
+    closure, otherwise the frontier's lowest node has not entered stage 2
+    and the walk resumes from this state once it has.
+    """
+    while frontier:
+        bit = frontier & -frontier
+        j = bit.bit_length() - 1
+        closure = closures[j]
+        if closure:
+            required |= closure
+        elif stage2 & bit:
+            required |= bit
+            frontier |= preds[j]
+        else:
+            break
+        frontier &= ~required
+    return required, frontier
+
+
+def lowest_source(members: int, ancestors: Sequence[int]) -> int:
+    """The lowest process in any source component of ``members``' graph.
+
+    ``members`` is a predecessor-closed mask of the stage-1 graph and
+    ``ancestors[j]`` the ancestor mask of each member ``j`` (``j`` itself
+    included: its complete report closure).  A member lies in a source
+    component exactly when every one of its ancestors is also reachable
+    from it, i.e. has it as an ancestor in turn.  Returns the 0-based
+    index; :func:`repro.graphs.knowledge_graph.decide_from_reports`
+    decides on that process's value.
+    """
+    for v in iter_bits(members):
+        bit = 1 << v
+        for u in iter_bits(ancestors[v]):
+            if not ancestors[u] & bit:
+                break
+        else:
+            return v
+    raise ValueError("an empty mask has no source component")

@@ -11,7 +11,15 @@ scalar run — decisions, flags, counters and error strings alike:
   parameters out of range, a scheduler the kind cannot build) and step
   budgets small enough to truncate;
 * a pinned grid compares the two engines' runs field for field and
-  whole campaigns on every backend, with and without the store.
+  whole campaigns on every backend, with and without the store;
+* the grids the benchmarks run (n=16 and n=24) are compared outcome for
+  outcome, because the loop packs messages into 2n-bit masks and
+  memoises closures per run, so some bugs show only at wider n;
+* the scheduler's RNG must end in the same state on both engines, so a
+  CPython change to ``Random.choice`` fails a test by name;
+* the loop's decision rule, :func:`lowest_source`, is held to the scalar
+  protocol's :func:`decide_from_reports` by a property over random
+  predecessor graphs.
 
 CI reruns the property with many more examples under the
 ``repro-thorough`` profile (``--hypothesis-profile=repro-thorough``).
@@ -30,6 +38,7 @@ from repro.campaign import (
     ScenarioOutcome,
     ScenarioSpec,
     run_scenario,
+    theorem8_solvable_grid,
     theorem8_specs,
 )
 from repro.campaign.scenarios import (
@@ -40,9 +49,11 @@ from repro.campaign.scenarios import (
 from repro.campaign.spec import normalize_crashes, normalize_params
 from repro.exceptions import ConfigurationError
 from repro.failure_detectors.base import FailurePattern
+from repro.graphs.knowledge_graph import decide_from_reports
 from repro.models.initial_crash import initial_crash_model
 from repro.simulation.adversary import PartitioningAdversary
-from repro.simulation.bitmask_kernel import execute_bitmask
+from repro.simulation.bitmask_kernel import execute_bitmask, lowest_source
+from repro.simulation.executor import execute
 from repro.simulation.run import Run
 from repro.telemetry.spans import Tracer, activated
 
@@ -68,16 +79,39 @@ def oracle_outcome(spec: ScenarioSpec) -> ScenarioOutcome:
     return ScenarioOutcome.from_report(spec, report, run)
 
 
-def bitmask_run(spec: ScenarioSpec) -> Run:
-    """The fast path's run of ``spec``, built like the scenario kind does."""
+def engine_run(engine, spec: ScenarioSpec):
+    """``engine``'s run of ``spec``, built like the scenario kind does, and
+    the freshly built scheduler it consumed."""
     model = initial_crash_model(spec.n, spec.f)
-    return execute_bitmask(
+    adversary = build_adversary(spec)
+    run = engine(
         KSetInitialCrash(spec.n, spec.f), model,
         {pid: pid for pid in model.processes},
-        adversary=build_adversary(spec),
+        adversary=adversary,
         failure_pattern=FailurePattern(model.processes, dict(spec.crashes)),
         settings=build_settings(spec),
     )
+    return run, adversary
+
+
+def bitmask_run(spec: ScenarioSpec) -> Run:
+    """The fast path's run of ``spec``."""
+    return engine_run(execute_bitmask, spec)[0]
+
+
+def one_spec_per_point(specs, stride: int = 1):
+    """One spec per (f, k, scheduler) point of every ``stride``-th (f, k)
+    pair, in grid order, so both schedulers stay covered.  The i-th chosen
+    pair contributes the (i mod size)-th spec of each of its points, so
+    the selection rotates through the crash patterns instead of always
+    taking the crash-free one."""
+    pairs = {}
+    for spec in specs:
+        pairs.setdefault((spec.f, spec.k), {}).setdefault(
+            spec.scheduler, []).append(spec)
+    return [point[index % len(point)]
+            for index, pair in enumerate(list(pairs.values())[::stride])
+            for point in pair.values()]
 
 
 def executed_engines(spec: ScenarioSpec):
@@ -264,3 +298,128 @@ class TestPinnedGrid:
             warm = warm_runner.run(specs)
             assert warm_runner.last_stats.executed == 0
             assert warm == cold
+
+
+class TestBenchmarkSizes:
+    """The oracle at the sizes the benchmarks run: E16's t8-cold grid
+    (n=16) and the n=24 grid, beyond the property's n <= 12."""
+
+    @pytest.mark.parametrize("n,stride,expected", [
+        (16, 1, 382),  # every (f, k, scheduler) point
+        (24, 8, 118),  # the points of every 8th (f, k) pair
+    ])
+    def test_outcomes_equal_the_oracle(self, n, stride, expected):
+        grid = theorem8_solvable_grid([n], seeds=(1,), recording="verdict-only")
+        specs = one_spec_per_point(grid.compile(), stride)
+        assert len(specs) == expected
+        assert {spec.scheduler for spec in specs} == {"round-robin", "random"}
+        assert any(spec.crashes for spec in specs)
+        for spec in specs:
+            assert run_scenario(spec) == oracle_outcome(spec), spec.label()
+
+
+def rng_stream_specs():
+    """Random-scheduler specs with non-default ``delivery_bias`` and
+    ``max_delay``, and budgets that truncate as well as ones that
+    complete."""
+    specs = []
+    for n in (4, 5, 7, 8, 12, 16):
+        for f in (0, n // 2, n - 1):
+            for bias, max_delay in ((0.1, 3), (0.9, 0), (0.35, 40)):
+                for max_steps in (7, 60, 20_000):
+                    specs.append(ScenarioSpec(
+                        kind="theorem8-solvable", n=n, f=f,
+                        k=n // (n - f), scheduler="random", seed=len(specs),
+                        crashes=normalize_crashes(range(1, f // 2 + 1), n),
+                        max_steps=max_steps,
+                        params=normalize_params(
+                            {"delivery_bias": bias, "max_delay": max_delay}),
+                        recording="verdict-only"))
+    return specs
+
+
+class TestRngStream:
+    def test_both_engines_leave_the_scheduler_rng_in_the_same_state(self):
+        """Equal outcomes are not enough: the fast path inlines the
+        rejection loop of ``Random.choice``, so it must consume the
+        scheduler's stream draw for draw on every supported CPython."""
+        specs = rng_stream_specs()
+        truncated = 0
+        for spec in specs:
+            fast, fast_scheduler = engine_run(execute_bitmask, spec)
+            scalar, scalar_scheduler = engine_run(execute, spec)
+            assert (fast_scheduler._rng.getstate()
+                    == scalar_scheduler._rng.getstate()), spec.label()
+            assert fast.truncated == scalar.truncated
+            truncated += fast.truncated
+        assert 0 < truncated < len(specs)
+
+
+def ancestor_masks(preds):
+    """Every node's ancestor mask, the node included, by plain search."""
+    masks = []
+    for node in range(len(preds)):
+        mask, stack = 0, [node]
+        while stack:
+            current = stack.pop()
+            if not mask >> current & 1:
+                mask |= 1 << current
+                stack.extend(j for j in range(len(preds))
+                             if preds[current] >> j & 1)
+        masks.append(mask)
+    return masks
+
+
+def reference_decision(owner, preds, values):
+    """``decide_from_reports`` on the same graph, with 1-based pids."""
+    n = len(preds)
+    heard_from = {j + 1: tuple(p + 1 for p in range(n) if preds[j] >> p & 1)
+                  for j in range(n)}
+    return decide_from_reports(
+        owner + 1, heard_from, {j + 1: values[j] for j in range(n)})
+
+
+def loop_decision(owner, preds, values):
+    """The fast path's decision on the owner's complete closure."""
+    ancestors = ancestor_masks(preds)
+    return values[lowest_source(ancestors[owner], ancestors)]
+
+
+@st.composite
+def predecessor_graphs(draw):
+    """Up to 64 nodes, every one with a predecessor mask that excludes
+    itself; sparse graphs have several source components, dense ones few."""
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        preds = [sum(1 << p for p in draw(st.sets(st.integers(0, n - 1),
+                                                  max_size=3)))
+                 for _ in range(n)]
+    else:
+        preds = draw(st.lists(st.integers(0, (1 << n) - 1),
+                              min_size=n, max_size=n))
+    preds = [mask & ~(1 << node) for node, mask in enumerate(preds)]
+    return preds, draw(st.integers(0, n - 1))
+
+
+class TestDecisionRule:
+    """``lowest_source`` against the scalar protocol's rule."""
+
+    @given(predecessor_graphs())
+    def test_equals_decide_from_reports(self, graph):
+        preds, owner = graph
+        values = [f"v{node}" for node in range(len(preds))]  # all distinct
+        assert (loop_decision(owner, preds, values)
+                == reference_decision(owner, preds, values))
+
+    @pytest.mark.parametrize("preds,owner,expected", [
+        # p3 heard from nobody: its closure is itself alone
+        ([0b100, 0b001, 0b000], 2, 2),
+        # sources {p2, p5} and {p3, p4}; the owner p1 is in neither
+        ([0b11000, 0b10000, 0b01000, 0b00100, 0b00010], 0, 1),
+        # one cycle p1 -> p2 -> ... -> p5 -> p1 covers the whole closure
+        ([0b10000, 0b00001, 0b00010, 0b00100, 0b01000], 3, 0),
+    ], ids=["closure-is-the-owner", "lower-source-wins", "one-cycle"])
+    def test_pinned_graphs(self, preds, owner, expected):
+        values = [f"v{node}" for node in range(len(preds))]
+        assert loop_decision(owner, preds, values) == values[expected]
+        assert reference_decision(owner, preds, values) == values[expected]

@@ -9,6 +9,8 @@ obey (part of the store fingerprint, absent from the RNG derivation).
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.analysis.border_sweep import sweep_theorem8
@@ -150,6 +152,17 @@ class TestPinnedSweepAcceptance:
             for p in reference_points
         ]
         assert all(p.agrees for p in points)
+
+    def test_default_sweep_equals_the_full_recording_sweep(self, reference_points):
+        """The default is verdict-only (the bitmask fast path), and it
+        returns the full-recording sweep's points, details included."""
+        default = inspect.signature(sweep_theorem8).parameters["recording"].default
+        assert default == "verdict-only"
+        full = sweep_theorem8(PINNED_GRID, recording="full", **PINNED_KWARGS)
+        assert len(reference_points) == len(full)
+        for point, full_point in zip(reference_points, full):
+            assert point == full_point  # details included
+        assert all(point.details for point in full)
 
     @pytest.mark.parametrize("recording", RECORDING_POLICY_NAMES)
     def test_process_backend_sweep_identical_across_policies(
