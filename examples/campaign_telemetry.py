@@ -16,7 +16,7 @@ Runs the Theorem 8 border campaign three ways under one
    reports a 100% cache hit rate and no executor spans.
 
 It then summarises the trace through the bundled CLI — the same thing
-``python -m repro.telemetry.report trace.jsonl --metrics ... --journal
+``python -m repro.report --trace trace.jsonl --metrics ... --journal
 ...`` prints.  Run with::
 
     PYTHONPATH=src python examples/campaign_telemetry.py
@@ -34,7 +34,7 @@ from pathlib import Path
 from repro.campaign import CampaignRunner, theorem8_specs
 from repro.store import CachingRunner, MemoryResultStore
 from repro.telemetry import TelemetryConfig, TelemetrySession, read_trace
-from repro.telemetry.report import main as report_main
+from repro.report import main as report_main
 
 
 def main() -> None:
@@ -107,7 +107,7 @@ def main() -> None:
         assert {e["args"]["trace_id"] for e in events} == {campaign}
         print(f"\ntrace file: {len(events)} events at {trace_path}")
         rc = report_main([
-            str(trace_path),
+            "--trace", str(trace_path),
             "--metrics", str(metrics_path),
             "--journal", str(journal_path),
             "--top", "3",

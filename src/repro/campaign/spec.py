@@ -175,6 +175,13 @@ class ScenarioSpec:
                 f"unknown recording policy {self.recording!r}; choose one of "
                 f"{RECORDING_POLICY_NAMES}"
             )
+        # A spec built directly must equal, fingerprint and run like its
+        # grid-compiled twin, whose pairs come out of normalize_crashes /
+        # normalize_params sorted.
+        if len(self.crashes) > 1 and self.crashes != tuple(sorted(self.crashes)):
+            object.__setattr__(self, "crashes", tuple(sorted(self.crashes)))
+        if len(self.params) > 1 and self.params != tuple(sorted(self.params)):
+            object.__setattr__(self, "params", tuple(sorted(self.params)))
 
     # -- identity ----------------------------------------------------------
 

@@ -12,9 +12,8 @@ spec-level types):
 - :mod:`repro.provenance.queries` / ``bench_history`` — cross-campaign
   aggregation over result stores and ``BENCH_*.json`` artifacts.
 
-The CLI endpoint ``python -m repro.provenance.report`` is deliberately
-not re-exported here: it joins the store layer lazily and must not be
-imported as a side effect of importing this package.
+``python -m repro.report`` renders the ledger, the store aggregation
+and the bench history.
 """
 
 from repro.provenance.bench_history import (

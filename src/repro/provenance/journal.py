@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro import jsonlog
 from repro.exceptions import ConfigurationError
 from repro.provenance.usage import ResourceUsage
 
@@ -85,8 +86,8 @@ class CampaignJournal:
     def __init__(self, path: Union[str, Path]):
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        if self._path.exists():
-            _scan(self._path.read_bytes(), self._path, heal=True)
+        jsonlog.heal(self._path, _accept,
+                     f"corrupt campaign journal {self._path}: unreadable record")
         self._lock = threading.Lock()
         self._file = self._path.open("a", encoding="utf-8")
         # Monotonic origin for per-record ``elapsed`` stamps.  ``ts`` is
@@ -209,48 +210,26 @@ class CampaignJournal:
 # -- reading -----------------------------------------------------------------
 
 
-def _scan(data: bytes, path: Path, *, heal: bool) -> List[Dict[str, Any]]:
-    """Parse journal bytes: tolerate a torn tail, report real damage.
-
-    Classification matches the JSONL result store: an unreadable *final*
-    line without further data behind it is a kill artefact and is
-    dropped (and truncated away when ``heal`` is set); an unreadable
-    line *followed by more data* is genuine corruption and raises.
-    """
-    records: List[Dict[str, Any]] = []
-    good_until = 0
-    for line_number, raw_line in enumerate(data.split(b"\n"), start=1):
-        stripped = raw_line.strip()
-        if stripped:
-            try:
-                record = json.loads(stripped.decode("utf-8"))
-                if not isinstance(record, dict) or "type" not in record:
-                    raise ConfigurationError(f"not a journal record: {record!r}")
-                if record.get("v") == JOURNAL_SCHEMA_VERSION:
-                    records.append(record)
-            except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
-                if good_until + len(raw_line) + 1 <= len(data):
-                    raise ConfigurationError(
-                        f"corrupt campaign journal {path}: unreadable record "
-                        f"on line {line_number} ({exc})"
-                    ) from exc
-                break  # torn final line: a kill artefact, drop it
-        good_until += len(raw_line) + 1
-    good_until = min(good_until, len(data))
-    if heal and (good_until < len(data) or (data and not data.endswith(b"\n"))):
-        clean = data[:good_until]
-        if clean and not clean.endswith(b"\n"):
-            clean += b"\n"
-        path.write_bytes(clean)
-    return records
+def _accept(record: Any) -> Optional[Dict[str, Any]]:
+    """The journal's shape check, then its version filter."""
+    if not isinstance(record, dict) or "type" not in record:
+        raise ConfigurationError(f"not a journal record: {record!r}")
+    return record if record.get("v") == JOURNAL_SCHEMA_VERSION else None
 
 
 def read_journal(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
-    """All current-version records of a journal file, in append order."""
+    """All current-version records of a journal file, in append order.
+
+    A torn final line is dropped; an unreadable line with data after it
+    raises (:mod:`repro.jsonlog`).
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no campaign journal at {path}")
-    return tuple(_scan(path.read_bytes(), path, heal=False))
+    records, _ = jsonlog.read(
+        path.read_bytes(), _accept,
+        f"corrupt campaign journal {path}: unreadable record")
+    return tuple(records)
 
 
 def record_elapsed(record: Dict[str, Any]) -> Optional[float]:

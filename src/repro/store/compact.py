@@ -17,7 +17,7 @@ exactly the rows a fresh :class:`~repro.store.jsonl.JsonlResultStore` /
 for JSONL (kept lines are copied, never re-encoded), and raises the same
 :class:`~repro.exceptions.ConfigurationError` on mid-file corruption
 instead of silently discarding stored evidence.  The JSONL rewrite is
-atomic (temp file + ``os.replace``), so a kill mid-compaction leaves
+atomic (:func:`repro.jsonlog.rewrite`), so a kill mid-compaction leaves
 either the old file or the new one, never a mix.
 
 ``--dry-run`` reports what *would* happen without touching the file;
@@ -28,18 +28,16 @@ backends are picked from the path suffix exactly as
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sqlite3
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
-from repro.campaign.codec import outcome_from_dict
+from repro import jsonlog
 from repro.exceptions import ConfigurationError
 from repro.store.fingerprint import SCHEMA_VERSION
+from repro.store.jsonl import read_row
 
 __all__ = ["CompactReport", "compact_jsonl", "compact_sqlite", "compact_store", "main"]
 
@@ -94,56 +92,40 @@ class CompactReport:
         )
 
 
+def _row_line(line: bytes) -> Tuple[Any, bytes]:
+    """Decode one store line, keeping its bytes for a verbatim copy."""
+    return jsonlog.loads(line), line
+
+
+def _accept_row_line(decoded: Tuple[Any, bytes]) -> Tuple[Optional[str], bytes]:
+    record, line = decoded
+    row = read_row(record)
+    return (row[0] if row else None), line
+
+
 def compact_jsonl(path: Union[str, Path], *, dry_run: bool = False) -> CompactReport:
     """Compact one JSONL store file.
 
-    Classification mirrors ``JsonlResultStore._load`` exactly: a torn
-    final line (no data after it) is healed away, any other unreadable
-    line raises, other-schema rows are dropped, and of duplicate
-    current-schema rows the *last* wins (the semantics appends already
-    have through the in-memory index).  Kept lines are preserved
-    byte-for-byte, in their original relative order.
+    Classification is ``JsonlResultStore``'s own (:func:`read_row`
+    through :mod:`repro.jsonlog`): a torn final line (no data after it)
+    is healed away, any other unreadable line raises, other-schema rows
+    are dropped, and of duplicate current-schema rows the *last* wins
+    (the semantics appends already have through the in-memory index).
+    Kept lines are preserved byte-for-byte, in their original relative
+    order.
     """
     path = Path(path)
     data = path.read_bytes() if path.exists() else b""
-    lines = data.split(b"\n")
-
-    kept: List[bytes] = []  # raw current-schema lines, file order
-    last_for_fp: Dict[str, int] = {}  # fp -> index into kept (last wins)
-    dropped_schema = 0
-    good_until = 0
-    for line_number, raw_line in enumerate(lines, start=1):
-        stripped = raw_line.strip()
-        if stripped:
-            try:
-                record = json.loads(stripped.decode("utf-8"))
-                if not isinstance(record, dict):
-                    raise ConfigurationError(f"record is not an object: {record!r}")
-                if record.get("v") == SCHEMA_VERSION:
-                    digest = record["fp"]
-                    if not isinstance(digest, str) or not digest:
-                        raise ConfigurationError(
-                            f"record has a non-string fingerprint: {digest!r}"
-                        )
-                    outcome_from_dict(record["outcome"])  # corruption check only
-                    kept.append(stripped)
-                    last_for_fp[digest] = len(kept) - 1
-                else:
-                    dropped_schema += 1
-            except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
-                if good_until + len(raw_line) + 1 <= len(data):
-                    raise ConfigurationError(
-                        f"corrupt result store {path}: unreadable record "
-                        f"on line {line_number} ({exc})"
-                    ) from exc
-                break  # torn final line: healed away below
-        good_until += len(raw_line) + 1
-    good_until = min(good_until, len(data))
-    tail_healed = len(data) - good_until
-
+    rows, good_until = jsonlog.read(
+        data, _accept_row_line,
+        f"corrupt result store {path}: unreadable record", decode=_row_line)
+    last_for_fp = {digest: index for index, (digest, _) in enumerate(rows)
+                   if digest is not None}
     live = set(last_for_fp.values())
-    compacted = [line for index, line in enumerate(kept) if index in live]
-    deduped = len(kept) - len(compacted)
+    compacted = [line for index, (_, line) in enumerate(rows) if index in live]
+    dropped_schema = sum(1 for digest, _ in rows if digest is None)
+    deduped = len(rows) - dropped_schema - len(compacted)
+    tail_healed = len(data) - good_until
 
     new_data = b"".join(line + b"\n" for line in compacted)
     report = CompactReport(
@@ -159,23 +141,7 @@ def compact_jsonl(path: Union[str, Path], *, dry_run: bool = False) -> CompactRe
         dry_run=dry_run,
     )
     if not dry_run and report.changed:
-        # Atomic swap: a kill mid-compaction leaves old bytes or new
-        # bytes, never a mix the next open would classify as corrupt.
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name, suffix=".compact"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(new_data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        jsonlog.rewrite(path, new_data)
     return report
 
 

@@ -6,32 +6,15 @@ mergeable with ``cat`` — and append-only, so a ``put`` is a single
 ``write + flush`` and a campaign killed mid-run loses at most the line
 it was writing.
 
-Crash-safety on open:
-
-* a **torn final line** (the campaign was killed mid-append) is
-  recognised and truncated away, so the next append starts on a clean
-  line instead of corrupting the following record;
-* records from **other schema versions** are skipped — their
-  fingerprints can never be looked up anyway (the schema version is part
-  of the hash), so they are dead weight, not an error;
-* corruption *before* the final line is reported loudly: that is not a
-  kill artefact but real damage, and silently dropping stored evidence
-  would make a resumed campaign silently recompute — or worse, a
-  half-loaded index could shadow a later duplicate record.
-
-The classification is pinned by byte-level fixtures in the test suite:
-
-* torn final line, **no trailing newline** → truncated away (the only
-  artefact a killed single ``write(json + "\\n")`` can leave);
-* unreadable final line **with a trailing newline** → raise — a fully
-  written line of garbage cannot come from a torn append, so it is real
-  corruption even in tail position;
-* a torn line that happens to be a **valid JSON prefix** of a record
-  (e.g. a bare ``{"fp": ...}`` missing its outcome) → truncated away,
-  never half-loaded;
-* **empty file** → loads empty and is left untouched;
-* a file of only **other-schema rows** → loads empty (the rows are
-  unreadable through current-version lookups anyway), file untouched.
+Opening the store reads it through :mod:`repro.jsonlog`: a **torn
+final line** (the campaign was killed mid-append) is truncated away, so
+the next append starts on a clean line; corruption *before* the final
+line raises, because silently dropping stored evidence would make a
+resumed campaign recompute it — or a half-loaded index could shadow a
+later duplicate record.  Rows from **other schema versions** are
+skipped but kept on disk: their fingerprints hash the version in, so no
+lookup can match them.  ``FORMATS.md`` lists the row's fields and the
+byte-level fixtures that pin each case.
 """
 
 from __future__ import annotations
@@ -39,8 +22,9 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
+from repro import jsonlog
 from repro.campaign.codec import outcome_from_dict, outcome_to_dict
 from repro.campaign.spec import ScenarioOutcome
 from repro.exceptions import ConfigurationError
@@ -51,6 +35,26 @@ __all__ = ["JsonlResultStore"]
 
 #: See :data:`repro.store.sqlite._IDLE_FLUSH_SECONDS` — same contract.
 _IDLE_FLUSH_SECONDS = 0.5
+
+
+def read_row(record: Any) -> Optional[Tuple[str, ScenarioOutcome]]:
+    """One decoded store row as ``(fingerprint, outcome)``.
+
+    The :mod:`repro.jsonlog` ``accept`` of the store and of compaction:
+    rows of other schema versions read as ``None`` before anything else
+    is checked; a current-version row must decode whole.
+    """
+    if not isinstance(record, dict):
+        raise ConfigurationError(f"record is not an object: {record!r}")
+    if record.get("v") != SCHEMA_VERSION:
+        return None
+    digest = record["fp"]
+    if not isinstance(digest, str) or not digest:
+        # A record of the right version with a broken key is
+        # corruption, not a schema mismatch.
+        raise ConfigurationError(
+            f"record has a non-string fingerprint: {digest!r}")
+    return digest, outcome_from_dict(record["outcome"])
 
 
 class JsonlResultStore(ResultStore):
@@ -85,52 +89,14 @@ class JsonlResultStore(ResultStore):
         self._idle_timer: Optional[threading.Timer] = None
         self._io = {"puts": 0, "commits": 0, "committed_rows": 0,
                     "max_commit_batch": 0, "flushes": 0}
-        self._index: Dict[str, ScenarioOutcome] = {}
-        self._load()
+        self._index: Dict[str, ScenarioOutcome] = dict(jsonlog.heal(
+            self._path, read_row,
+            f"corrupt result store {self._path}: unreadable record"))
         self._file = self._path.open("a", encoding="utf-8")
 
     @property
     def path(self) -> Path:
         return self._path
-
-    def _load(self) -> None:
-        if not self._path.exists():
-            return
-        data = self._path.read_bytes()
-        good_until = 0
-        for line_number, raw_line in enumerate(data.split(b"\n"), start=1):
-            stripped = raw_line.strip()
-            if stripped:
-                try:
-                    record = json.loads(stripped.decode("utf-8"))
-                    if not isinstance(record, dict):
-                        raise ConfigurationError(f"record is not an object: {record!r}")
-                    if record.get("v") == SCHEMA_VERSION:
-                        digest = record["fp"]
-                        if not isinstance(digest, str) or not digest:
-                            # A record of the right version with a broken
-                            # key is corruption, not a schema mismatch.
-                            raise ConfigurationError(
-                                f"record has a non-string fingerprint: {digest!r}"
-                            )
-                        self._index[digest] = outcome_from_dict(record["outcome"])
-                except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
-                    if good_until + len(raw_line) + 1 <= len(data):
-                        # The bad line is followed by more data: this is
-                        # not a torn final append but real corruption.
-                        raise ConfigurationError(
-                            f"corrupt result store {self._path}: unreadable record "
-                            f"on line {line_number} ({exc})"
-                        ) from exc
-                    break  # torn final line: drop it below
-            good_until += len(raw_line) + 1  # the split-away "\n"
-        good_until = min(good_until, len(data))
-        if good_until < len(data) or (data and not data.endswith(b"\n")):
-            # Truncate the torn tail so the next append starts clean.
-            clean = data[:good_until]
-            if clean and not clean.endswith(b"\n"):
-                clean += b"\n"
-            self._path.write_bytes(clean)
 
     # -- write buffering ---------------------------------------------------
 

@@ -21,10 +21,9 @@ per module and **stdlib-only imports** throughout, so every other layer
   :class:`WorkerTelemetry` slice that crosses into worker processes
   with deterministic scenario sampling.
 
-The CLI endpoint ``python -m repro.telemetry.report`` (trace validation,
-per-phase breakdowns, slowest-scenario tables, journal join) is
-deliberately not re-exported here — it joins the provenance layer
-lazily and must not be imported as a package side effect.
+``python -m repro.report --trace ...`` validates an exported trace and
+prints its per-phase breakdowns, slowest-scenario tables and journal
+join.
 
 Typical use::
 

@@ -10,14 +10,15 @@ and the campaign journal):
   event object per line, comma-terminated.  The format explicitly
   tolerates a missing closing bracket, which is exactly what makes an
   append-only, kill-safe trace file *also* a valid trace file.
-  :func:`read_trace` applies the journal's torn-tail classification:
-  an unreadable final line is dropped, unreadable data mid-file raises.
+  :func:`read_trace` applies :mod:`repro.jsonlog`'s torn-tail
+  classification: an unreadable final line is dropped, unreadable data
+  mid-file raises.
 
 * **Metrics JSONL** — :func:`append_metrics` appends one
   schema-versioned JSON object per snapshot (a whole
   :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` keyed by
-  campaign id); :func:`read_metrics` reads them back with the same
-  torn-tail tolerance.
+  campaign id), healing a torn tail first; :func:`read_metrics` reads
+  them back with the same torn-tail tolerance.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
+from repro import jsonlog
 from repro.exceptions import ConfigurationError
 from repro.telemetry.spans import SpanRecord
 
@@ -120,12 +122,29 @@ def write_trace(path: Union[str, Path], records) -> Path:
         return writer.path
 
 
+_CLOSE = object()  # what a "]" line decodes to
+
+
+def _decode_event(line: bytes) -> Any:
+    """One trace line's JSON without its comma (``]``: :data:`_CLOSE`)."""
+    line = line.rstrip(b",").strip()
+    return _CLOSE if line in (b"", b"]") else jsonlog.loads(line)
+
+
+def _accept_event(event: Any) -> Optional[Dict[str, Any]]:
+    if event is _CLOSE:
+        return None
+    if not isinstance(event, dict) or "ph" not in event or "name" not in event:
+        raise ConfigurationError(f"not a trace event: {event!r}")
+    return event
+
+
 def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
     """Parse a Chrome trace file back into event dicts, validating it.
 
-    Torn-tail classification matches the journal: an unreadable *final*
-    line is a kill artefact and is dropped; unreadable data *followed by
-    more data* is corruption and raises
+    Torn-tail classification is :mod:`repro.jsonlog`'s: an unreadable
+    *final* line is a kill artefact and is dropped; unreadable data
+    *followed by more data* is corruption and raises
     :class:`~repro.exceptions.ConfigurationError`, as does a file that
     is not a trace-event array at all.
     """
@@ -133,35 +152,25 @@ def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
     if not path.exists():
         raise ConfigurationError(f"no trace file at {path}")
     data = path.read_bytes()
-    lines = data.split(b"\n")
-    if not lines or lines[0].strip() not in (b"[", b"[]"):
+    header = data.partition(b"\n")[0]
+    if header.strip() not in (b"[", b"[]"):
         raise ConfigurationError(
             f"{path} is not a Chrome trace-event file (missing '[' header)"
         )
-    events: List[Dict[str, Any]] = []
-    consumed = len(lines[0]) + 1
-    for line_number, raw_line in enumerate(lines[1:], start=2):
-        stripped = raw_line.strip().rstrip(b",").strip()
-        if stripped in (b"", b"]"):
-            consumed += len(raw_line) + 1
-            continue
-        try:
-            event = json.loads(stripped.decode("utf-8"))
-            if not isinstance(event, dict) or "ph" not in event or "name" not in event:
-                raise ConfigurationError(f"not a trace event: {event!r}")
-        except (ValueError, ConfigurationError) as exc:
-            if consumed + len(raw_line) + 1 <= len(data):
-                raise ConfigurationError(
-                    f"corrupt trace file {path}: unreadable event on line "
-                    f"{line_number} ({exc})"
-                ) from exc
-            break  # torn final line: dropped, like the journal's
-        events.append(event)
-        consumed += len(raw_line) + 1
+    events, _ = jsonlog.read(
+        data, _accept_event, f"corrupt trace file {path}: unreadable event",
+        decode=_decode_event, start=len(header) + 1)
     return tuple(events)
 
 
 # -- metrics dump -------------------------------------------------------------
+
+
+def _accept_metrics(record: Any) -> Optional[Dict[str, Any]]:
+    """The dump's shape check, then its version filter."""
+    if not isinstance(record, dict) or "metrics" not in record:
+        raise ConfigurationError(f"not a metrics record: {record!r}")
+    return record if record.get("v") == TELEMETRY_SCHEMA_VERSION else None
 
 
 def append_metrics(
@@ -171,7 +180,11 @@ def append_metrics(
     *,
     extra: Optional[Dict[str, Any]] = None,
 ) -> Path:
-    """Append one metrics snapshot (whole registry) for ``campaign``."""
+    """Append one metrics snapshot (whole registry) for ``campaign``.
+
+    The dump is healed first (:func:`repro.jsonlog.heal`), so a record
+    torn by a killed earlier append cannot glue onto this one.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     record = {
@@ -182,6 +195,8 @@ def append_metrics(
     }
     if extra:
         record.update(extra)
+    jsonlog.heal(path, _accept_metrics,
+                 f"corrupt metrics dump {path}: unreadable record")
     with path.open("a", encoding="utf-8") as handle:
         handle.write(json.dumps(record, sort_keys=True) + "\n")
         handle.flush()
@@ -193,24 +208,7 @@ def read_metrics(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no metrics dump at {path}")
-    data = path.read_bytes()
-    records: List[Dict[str, Any]] = []
-    consumed = 0
-    for line_number, raw_line in enumerate(data.split(b"\n"), start=1):
-        stripped = raw_line.strip()
-        if stripped:
-            try:
-                record = json.loads(stripped.decode("utf-8"))
-                if not isinstance(record, dict) or "metrics" not in record:
-                    raise ConfigurationError(f"not a metrics record: {record!r}")
-                if record.get("v") == TELEMETRY_SCHEMA_VERSION:
-                    records.append(record)
-            except (ValueError, ConfigurationError) as exc:
-                if consumed + len(raw_line) + 1 <= len(data):
-                    raise ConfigurationError(
-                        f"corrupt metrics dump {path}: unreadable record on "
-                        f"line {line_number} ({exc})"
-                    ) from exc
-                break
-        consumed += len(raw_line) + 1
+    records, _ = jsonlog.read(
+        path.read_bytes(), _accept_metrics,
+        f"corrupt metrics dump {path}: unreadable record")
     return tuple(records)

@@ -8,10 +8,12 @@ from repro.campaign import (
     ScenarioGrid,
     ScenarioSpec,
     normalize_crashes,
+    run_scenario,
     theorem8_impossible_grid,
     theorem8_solvable_grid,
 )
 from repro.exceptions import ConfigurationError
+from repro.store import fingerprint_spec
 
 
 class TestCartesianExpansion:
@@ -177,6 +179,25 @@ class TestEarlyValidation:
     def test_normalize_crashes_names_every_duplicated_pid(self):
         with pytest.raises(ConfigurationError, match="p1, p2"):
             normalize_crashes([1, 1, 2, 2, 3], 4)
+
+
+class TestCanonicalOrder:
+    """A spec built directly is the spec a grid compiles (pairs sorted)."""
+
+    @pytest.mark.parametrize("field, pairs", [
+        ("crashes", ((4, 0), (1, 0))),
+        ("params", (("max_delay", 6), ("delivery_bias", 0.25))),
+    ], ids=["crashes", "params"])
+    def test_either_order_gives_one_scenario(self, field, pairs):
+        point = dict(kind="theorem8-solvable", n=5, f=2, k=2,
+                     scheduler="random", seed=1)
+        given = ScenarioSpec(**point, **{field: pairs})
+        ordered = ScenarioSpec(**point, **{field: tuple(sorted(pairs))})
+        assert getattr(given, field) == tuple(sorted(pairs))
+        assert given == ordered
+        assert fingerprint_spec(given) == fingerprint_spec(ordered)
+        assert given.derived_seed() == ordered.derived_seed()
+        assert run_scenario(given) == run_scenario(ordered)
 
 
 class TestTheorem8Grids:

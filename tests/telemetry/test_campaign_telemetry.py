@@ -13,7 +13,7 @@ The acceptance properties of the unified telemetry layer:
 * with **telemetry off** the executor records nothing (and the ambient
   tracer is absent), which is the zero-overhead default;
 * the exported trace validates and summarises through
-  ``python -m repro.telemetry.report``, joining the provenance journal.
+  ``python -m repro.report``, joining the provenance journal.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.telemetry import (
     current_tracer,
     read_trace,
 )
-from repro.telemetry.report import main as report_main
+from repro.report import main as report_main
 
 PINNED_GRID = [4]
 PINNED_KWARGS = {"seeds": (1,), "max_steps": 4_000}
@@ -240,7 +240,7 @@ class TestEndToEndExport:
         assert campaign_ids == {campaign}
 
         assert report_main([
-            str(trace_path),
+            "--trace", str(trace_path),
             "--metrics", str(metrics_path),
             "--journal", str(journal_path),
         ]) == 0

@@ -19,7 +19,7 @@ from repro.telemetry import (
     span_to_trace_event,
     write_trace,
 )
-from repro.telemetry.report import main as report_main, summarize_trace
+from repro.report import main as report_main, summarize_trace
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -165,7 +165,7 @@ class TestSummarize:
 class TestReportCli:
     def test_exits_zero_and_prints_summary(self, tmp_path, capsys):
         path = write_trace(tmp_path / "trace.jsonl", _records())
-        assert report_main([str(path)]) == 0
+        assert report_main(["--trace", str(path)]) == 0
         out = capsys.readouterr().out
         assert "per-phase time breakdown" in out
         assert "slowest traced scenario" in out
@@ -175,7 +175,7 @@ class TestReportCli:
         records = (_records(scenarios=2, engine="bitmask")
                    + _records(scenarios=1, engine="scalar"))
         path = write_trace(tmp_path / "trace.jsonl", records)
-        assert report_main([str(path)]) == 0
+        assert report_main(["--trace", str(path)]) == 0
         out = capsys.readouterr().out
         assert "executions per engine: bitmask 2, scalar 1" in out
 
@@ -184,12 +184,12 @@ class TestReportCli:
         lines = path.read_bytes().split(b"\n")
         lines[1] = b"garbage"
         path.write_bytes(b"\n".join(lines))
-        assert report_main([str(path)]) == 1
+        assert report_main(["--trace", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_exits_nonzero_on_missing_metrics(self, tmp_path, capsys):
         path = write_trace(tmp_path / "trace.jsonl", _records())
-        assert report_main([str(path), "--metrics", str(tmp_path / "no.jsonl")]) == 1
+        assert report_main(["--trace", str(path), "--metrics", str(tmp_path / "no.jsonl")]) == 1
 
     def test_metrics_summary_includes_cache_hit_rate(self, tmp_path, capsys):
         trace = write_trace(tmp_path / "trace.jsonl", _records())
@@ -198,14 +198,14 @@ class TestReportCli:
             "scenarios_completed": {"type": "counter", "timing": False, "value": 4},
             "scenarios_cached": {"type": "counter", "timing": False, "value": 1},
         })
-        assert report_main([str(trace), "--metrics", str(metrics)]) == 0
+        assert report_main(["--trace", str(trace), "--metrics", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "hit rate 25.0%" in out
 
     def test_module_entrypoint_runs(self, tmp_path):
         path = write_trace(tmp_path / "trace.jsonl", _records())
         result = subprocess.run(
-            [sys.executable, "-m", "repro.telemetry.report", str(path)],
+            [sys.executable, "-m", "repro.report", "--trace", str(path)],
             capture_output=True, text=True,
             env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
         )
