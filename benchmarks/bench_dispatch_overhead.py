@@ -1,4 +1,4 @@
-"""E15 — dispatch overhead: compact shipping and bulk store I/O.
+"""E15 — dispatch overhead: pool dispatch and bulk store I/O.
 
 The bitmask fast path made in-worker compute cheap; this benchmark
 measures everything *around* it and gates that the orchestration stays
@@ -7,26 +7,21 @@ cheap too.  One 32-scenario seed sweep at ``n = 32`` runs two ways:
 * **serial** — the reference: bit-identical outcomes and the in-worker
   compute baseline;
 * **process** — the supervised pool (2 workers, one 16-spec chunk per
-  worker), shipping tasks as compact
-  :class:`~repro.campaign.wire.WireChunk` descriptors.
+  worker), shipping tasks as plain pickled spec tuples.
 
 The headline gates, baselined in ``BENCH_E15_dispatch_overhead.json``
 and diffed by ``benchmarks/compare_bench.py`` in CI:
 
-* ``wire_bytes_reduction_speedup_n32`` — raw pickled bytes over wire
-  bytes **at the same task boundaries** (what the pool pipe would carry
-  without the codec vs what it does carry), floor
-  :data:`WIRE_REDUCTION_FLOOR`.  Byte counts are deterministic, so the
-  committed baseline pins them exactly.
 * ``dispatch_overhead_ratio_n32`` — campaign wall-clock over the sum
   of in-worker scenario seconds (the ratio a perfectly overhead-free
   2-worker pool would drive toward 0.5),
-  ceiling :data:`OVERHEAD_CEILING`: pool startup, wire encode/decode,
+  ceiling :data:`OVERHEAD_CEILING`: pool startup, task pickling,
   queue wait and result return together must not eat the parallelism.
   The ratio is machine- and load-dependent, so the committed baseline
   deliberately pins a conservative ``0.9`` rather than one machine's
   measurement — the hard inline ceiling is what gates the claim; the
   baseline only catches runaway regressions on slow shared runners.
+* ``tasks_shipped_n32`` — tasks the pool dispatched (one per chunk).
 * ``store_commits_n32`` — SQLite commits for persisting the campaign
   through a ``commit_batch=16`` store (bulk I/O actually batching).
 
@@ -36,8 +31,6 @@ not reach.
 """
 
 from __future__ import annotations
-
-import pickle
 
 from repro.analysis.reporting import format_table
 from repro.campaign import CampaignRunner, ScenarioSpec
@@ -50,8 +43,6 @@ WAVE_SEEDS = 32
 WORKERS = 2
 #: Even-split chunk size: one chunk per worker.
 WAVE_SIZE = WAVE_SEEDS // WORKERS
-#: Acceptance floor: raw pickled task bytes / wire task bytes.
-WIRE_REDUCTION_FLOOR = 3.0
 #: Acceptance ceiling: wall time / sum of in-worker scenario seconds.
 OVERHEAD_CEILING = 1.15
 #: Store batching for the persistence leg of the measurement.
@@ -70,12 +61,6 @@ def dispatch_specs():
     )
 
 
-def raw_task_bytes(task_specs) -> int:
-    """What the pipe would carry for these tasks without the wire codec."""
-    return sum(len(pickle.dumps(tuple(task), pickle.HIGHEST_PROTOCOL))
-               for task in task_specs)
-
-
 def overhead_ratio(result) -> float:
     worker_seconds = sum(result.scenario_seconds)
     return result.elapsed_seconds / worker_seconds if worker_seconds else 0.0
@@ -92,7 +77,7 @@ def _best_run(runner, specs, reps=2):
 
 
 def test_dispatch_overhead(benchmark, tmp_path):
-    """Wire shipping >= 3x smaller, pool overhead ratio <= 1.15 at n=32."""
+    """Pool overhead ratio <= 1.15 at n=32, batched store commits."""
 
     def measure():
         specs = dispatch_specs()
@@ -115,20 +100,16 @@ def test_dispatch_overhead(benchmark, tmp_path):
         assert io["committed_rows"] == len(specs)
         assert io["commits"] <= -(-len(specs) // COMMIT_BATCH) + 1
 
-        # The raw reference at the exact task boundaries the pool shipped.
-        tasks = [specs[i:i + WAVE_SIZE]
-                 for i in range(0, len(specs), WAVE_SIZE)]
         dispatch = plain.dispatch_stats
-        assert dispatch.tasks_shipped == len(tasks)
-        raw_per = raw_task_bytes(tasks) / len(specs)
-        wire_per = dispatch.wire_bytes / dispatch.scenarios_shipped
+        assert dispatch.tasks_shipped == -(-len(specs) // WAVE_SIZE)
+        assert dispatch.scenarios_shipped == len(specs)
         ratio = overhead_ratio(plain)
         rows = [(
             "process", dispatch.tasks_shipped,
             round(plain.elapsed_seconds * 1e3, 1),
             round(sum(plain.scenario_seconds) * 1e3, 1),
-            round(ratio, 3), round(raw_per, 1), round(wire_per, 1),
-            round(raw_per / wire_per, 2),
+            round(ratio, 3),
+            round(dispatch.wire_bytes / dispatch.scenarios_shipped, 1),
         )]
         payload = {
             f"store_commits_n{SIZE_N}": io["commits"],
@@ -137,30 +118,21 @@ def test_dispatch_overhead(benchmark, tmp_path):
             f"encode_seconds_n{SIZE_N}": round(dispatch.encode_seconds, 6),
             f"queue_seconds_n{SIZE_N}": round(dispatch.queue_seconds, 6),
             f"tasks_shipped_n{SIZE_N}": dispatch.tasks_shipped,
-            f"raw_bytes_per_scenario_n{SIZE_N}": round(raw_per, 1),
-            f"wire_bytes_per_scenario_n{SIZE_N}": round(wire_per, 1),
-            f"wire_bytes_reduction_speedup_n{SIZE_N}": round(
-                raw_per / wire_per, 3),
         }
         return rows, payload
 
     rows, payload = benchmark.pedantic(measure, iterations=1, rounds=1)
     emit(
-        "E15 dispatch overhead (wire-shipped pool vs in-worker compute, "
+        "E15 dispatch overhead (supervised pool vs in-worker compute, "
         f"n={SIZE_N}, {WORKERS} workers)",
         format_table(
             ("config", "tasks", "wall ms", "worker ms", "overhead ratio",
-             "raw B/scenario", "wire B/scenario", "reduction"),
+             "B/scenario"),
             rows,
         ),
     )
     benchmark.extra_info.update(payload)
     emit_json("E15_dispatch_overhead", payload)
-    reduction = payload[f"wire_bytes_reduction_speedup_n{SIZE_N}"]
-    assert reduction >= WIRE_REDUCTION_FLOOR, (
-        f"wire shipping only {reduction:.2f}x smaller than raw task "
-        f"pickles (floor {WIRE_REDUCTION_FLOOR}x)"
-    )
     ratio = payload[f"dispatch_overhead_ratio_n{SIZE_N}"]
     assert ratio <= OVERHEAD_CEILING, (
         f"dispatch overhead at {ratio:.3f}x the in-worker compute "

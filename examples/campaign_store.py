@@ -54,7 +54,7 @@ def main() -> None:
         journal_path = Path(os.environ.get("REPRO_JOURNAL", Path(tmp) / "journal.jsonl"))
 
         # 1. Cold run: outcomes are persisted incrementally, with live
-        #    pool-wide progress from worker-side events, and every
+        #    pool-wide progress from per-scenario events, and every
         #    decision journaled.
         with CachingRunner(
             open_store(jsonl_path),

@@ -51,12 +51,6 @@ from repro.campaign.runner import (
     ScenarioEvent,
     run_scenario,
 )
-from repro.campaign.wire import (
-    WireChunk,
-    decode_chunk,
-    encode_chunk,
-    ensure_specs,
-)
 
 __all__ = [
     "DETERMINISTIC_SCHEDULERS",
@@ -67,10 +61,6 @@ __all__ = [
     "CampaignResult",
     "ScenarioEvent",
     "run_scenario",
-    "WireChunk",
-    "encode_chunk",
-    "decode_chunk",
-    "ensure_specs",
     "spec_to_dict",
     "spec_from_dict",
     "outcome_to_dict",

@@ -29,12 +29,12 @@ run on the **calling** thread, slot by slot, as each task settles:
   lets a store persist results incrementally, so a killed campaign
   resumes from its last settled scenario instead of from scratch.
 * ``progress`` — receives one :class:`ScenarioEvent` per scenario,
-  right after that scenario's ``on_outcome``.  Events are built where
-  the scenario ran (worker-side under the process backend, with the
-  worker's pid) and ride back on the task's result, so a retried or
-  late duplicate task cannot report a scenario twice.  The price is
-  granularity: events arrive per task, so a chunked or pooled campaign
-  reports in bursts of at most one chunk.
+  right after that scenario's ``on_outcome``.  The runner builds each
+  event when its slot settles, from its own spec and the worker pid
+  and spans that came back on the task's result; a slot settles once,
+  so a retried or late duplicate task cannot report a scenario twice.
+  The price is granularity: events arrive per task, so a chunked or
+  pooled campaign reports in bursts of at most one chunk.
 * ``should_skip`` — consulted once per scenario when its task is
   built; a ``True`` return drops the scenario from the campaign.
   Adaptive budgets (:class:`repro.store.EarlyStopPolicy`) use this to
@@ -73,7 +73,6 @@ from repro.campaign import codec
 from repro.campaign.grid import ScenarioGrid
 from repro.campaign.scenarios import get_kind
 from repro.campaign.spec import ScenarioOutcome, ScenarioSpec
-from repro.campaign.wire import encode_chunk, ensure_specs
 from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultPlan, FaultStats, RetryPolicy
 from repro.faults.supervisor import DispatchStats, Supervisor
@@ -97,20 +96,20 @@ SkipHook = Callable[[ScenarioSpec], bool]
 
 @dataclass(frozen=True)
 class ScenarioEvent:
-    """One scenario finished somewhere in the campaign.
+    """One scenario settled somewhere in the campaign.
 
-    Events are produced where the scenario ran (worker-side under the
-    process backend) and are plain picklable data, so they ride back to
-    the calling process on the task's result.  ``cached`` marks events
-    synthesised by :class:`repro.store.CachingRunner` for store hits,
-    which never reach a worker.  ``fingerprint`` is the scenario's store
-    digest and ``usage`` its
+    Events are built once, in the calling process, by :meth:`of`: the
+    runner builds one as each slot settles, and
+    :class:`repro.store.CachingRunner` builds the ``cached`` ones for
+    store hits and duplicate positions, which never reach a worker.
+    ``worker_pid`` is the process that ran the scenario.
+    ``fingerprint`` is the scenario's store digest and ``usage`` its
     :class:`~repro.provenance.usage.ResourceUsage` — both are what the
     campaign journal persists per scenario.  ``spans`` are the telemetry
     spans recorded while the scenario ran (empty unless a
-    :class:`~repro.telemetry.session.WorkerTelemetry` sampled it):
-    worker-side span buffers travel on the event exactly like every
-    other worker-side fact, so pool-wide traces need no extra channel.
+    :class:`~repro.telemetry.session.WorkerTelemetry` sampled it); they
+    come back on the task's result with the worker's pid, so pool-wide
+    traces need no extra channel.
     """
 
     label: str
@@ -123,9 +122,15 @@ class ScenarioEvent:
     spans: Tuple[SpanRecord, ...] = ()
 
     @classmethod
-    def of(cls, spec: ScenarioSpec, outcome: ScenarioOutcome, seconds: float,
-           spans: Tuple[SpanRecord, ...] = ()) -> "ScenarioEvent":
-        """The event of ``spec`` having run to ``outcome`` in this process."""
+    def of(cls, spec: ScenarioSpec, outcome: ScenarioOutcome,
+           seconds: float = 0.0, *, worker_pid: Optional[int] = None,
+           spans: Tuple[SpanRecord, ...] = (),
+           cached: bool = False) -> "ScenarioEvent":
+        """The event of ``spec`` having settled to ``outcome``.
+
+        ``worker_pid`` defaults to this process.  The ``fingerprint`` is
+        the spec's digest, which is memoised on the instance.
+        """
         # Function-level import: repro.store's caching layer imports this
         # module, so the fingerprint helper cannot be imported at the top.
         from repro.store.fingerprint import fingerprint_spec
@@ -134,7 +139,8 @@ class ScenarioEvent:
             label=spec.label(),
             verdict=outcome.verdict,
             seconds=seconds,
-            worker_pid=os.getpid(),
+            worker_pid=os.getpid() if worker_pid is None else worker_pid,
+            cached=cached,
             fingerprint=fingerprint_spec(spec),
             usage=ResourceUsage.of_outcome(outcome, seconds=seconds),
             spans=spans,
@@ -157,12 +163,8 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
 
 _log = get_logger("campaign.runner")
 
-#: Whether pool workers build one event per scenario.  Installed by
-#: :func:`_init_worker`; only campaigns with a ``progress`` sink turn it on.
-_WORKER_EVENTS = False
-
 #: Worker-side telemetry slice (campaign id + sampling stride).  ``None``
-#: unless the campaign runs with telemetry; spans travel on the events.
+#: unless the campaign runs with telemetry; spans travel on task results.
 _WORKER_TELEMETRY: Optional[WorkerTelemetry] = None
 
 #: Worker-side fault plan.  ``None`` in the calling process and on
@@ -175,30 +177,34 @@ _WORKER_FAULTS: Optional[FaultPlan] = None
 _IN_POOL_WORKER = False
 
 
-def _init_worker(events: bool, telemetry: Optional[WorkerTelemetry] = None,
+def _init_worker(telemetry: Optional[WorkerTelemetry] = None,
                  faults: Optional[FaultPlan] = None) -> None:
-    """Pool initializer: install this worker's events flag, slice and chaos."""
-    global _WORKER_EVENTS, _WORKER_TELEMETRY, _WORKER_FAULTS, _IN_POOL_WORKER
-    _WORKER_EVENTS = events
+    """Pool initializer: install this worker's telemetry slice and chaos."""
+    global _WORKER_TELEMETRY, _WORKER_FAULTS, _IN_POOL_WORKER
     _WORKER_TELEMETRY = telemetry
     _WORKER_FAULTS = faults
     _IN_POOL_WORKER = True
 
 
+#: What a task ships back per scenario: the pid of the process that ran
+#: it and the spans it recorded (empty unless sampled).
+Shipped = Tuple[int, Tuple[SpanRecord, ...]]
+
+
 def _run_batch(
     specs: Sequence[ScenarioSpec],
-    events: Optional[bool] = None,
     telemetry: Optional[WorkerTelemetry] = None,
     attempt: int = 1,
     faults: Optional[FaultPlan] = None,
-) -> Tuple[List[ScenarioOutcome], List[float], List[Optional[ScenarioEvent]]]:
+) -> Tuple[List[ScenarioOutcome], List[float], List[Shipped]]:
     """Task entry point: run a chunk of specs, timing each scenario.
 
-    Returns ``(outcomes, timings, events)``, one entry per spec.  With
-    ``events`` on, each scenario's :class:`ScenarioEvent` is built right
-    here, where it ran; with it off no event is built and the list holds
-    ``None``\\ s.  The calling process passes ``events``, ``telemetry``
-    and ``faults`` explicitly; pool workers leave them ``None`` and fall
+    Returns ``(outcomes, timings, shipped)``, one entry per spec, where
+    each ``shipped`` entry is ``(pid, spans)``.  No event is built here:
+    the parent builds each :class:`ScenarioEvent` from its own spec when
+    the slot settles, so only plain data crosses the pool pipe in
+    either direction.  The calling process passes ``telemetry`` and
+    ``faults`` explicitly; pool workers leave them ``None`` and fall
     back to the settings :func:`_init_worker` installed.  ``attempt`` is
     the supervisor's retry count for this submission: planned faults
     fire *before* a scenario executes, so a crashed or raising task
@@ -207,22 +213,16 @@ def _run_batch(
     For each *sampled* scenario a fresh :class:`Tracer` is activated
     around the execution — the scenario root span nests the executor's
     ``execute`` span and any ``decision`` spans the scenario kind opens —
-    and the drained records ride back on the scenario's event.
-    Unsampled scenarios run with no ambient tracer at all, the same
-    zero-overhead path as telemetry-off campaigns.
-
-    ``specs`` may arrive as a compact :class:`repro.campaign.wire.WireChunk`
-    (the pool path ships descriptors, not spec tuples);
-    :func:`~repro.campaign.wire.ensure_specs` expands it — memoised, so a
-    retried descriptor costs nothing — and passes real sequences through.
+    and the drained records ride back in the scenario's ``shipped``
+    entry.  Unsampled scenarios run with no ambient tracer at all, the
+    same zero-overhead path as telemetry-off campaigns.
     """
-    specs = ensure_specs(specs)
-    build_events = events if events is not None else _WORKER_EVENTS
     telem = telemetry if telemetry is not None else _WORKER_TELEMETRY
     plan = faults if faults is not None else _WORKER_FAULTS
+    pid = os.getpid()
     outcomes: List[ScenarioOutcome] = []
     timings: List[float] = []
-    built: List[Optional[ScenarioEvent]] = []
+    shipped: List[Shipped] = []
     for spec in specs:
         if plan is not None:
             plan.perform(spec, attempt, in_worker=_IN_POOL_WORKER)
@@ -240,13 +240,10 @@ def _run_batch(
             spans = tracer.drain()
         else:
             outcome = run_scenario(spec)
-        seconds = time.perf_counter() - started
+        timings.append(time.perf_counter() - started)
         outcomes.append(outcome)
-        timings.append(seconds)
-        built.append(
-            ScenarioEvent.of(spec, outcome, seconds, spans)
-            if build_events else None)
-    return outcomes, timings, built
+        shipped.append((pid, spans))
+    return outcomes, timings, shipped
 
 
 def _tasks(specs: Sequence[ScenarioSpec], size: int,
@@ -266,7 +263,8 @@ def _tasks(specs: Sequence[ScenarioSpec], size: int,
             yield (_run_batch, chunk, positions)
 
 
-def _recorder(outcomes_at: List[Optional[ScenarioOutcome]],
+def _recorder(specs: Sequence[ScenarioSpec],
+              outcomes_at: List[Optional[ScenarioOutcome]],
               seconds_at: List[float],
               on_outcome: Optional[OutcomeHook],
               progress: Optional[ProgressHook]):
@@ -274,22 +272,31 @@ def _recorder(outcomes_at: List[Optional[ScenarioOutcome]],
 
     The supervisor calls it only with newly settled slots, so each slot
     is filled, handed to ``on_outcome`` and reported to ``progress``
-    exactly once — in that order, on the calling thread.
+    exactly once — in that order, on the calling thread.  Events are
+    built here, only when ``progress`` is set, from ``specs[index]``:
+    the caller's own instance, whose memoised fingerprint a pickled copy
+    would not carry.  A quarantined slot settles with no payload (no
+    task ever returned for it), so its event carries this process's pid
+    and no spans.
     """
     def record(indices: Sequence[int], outcomes: Sequence[ScenarioOutcome],
                timings: Sequence[float],
-               events: Sequence[Optional[ScenarioEvent]]) -> None:
-        for index, outcome, seconds, event in zip(
-                indices, outcomes, timings, events):
+               payloads: Sequence[Optional[Shipped]]) -> None:
+        for index, outcome, seconds, payload in zip(
+                indices, outcomes, timings, payloads):
             outcomes_at[index] = outcome
             seconds_at[index] = seconds
             if on_outcome is not None:
                 on_outcome(outcome, seconds)
-            if event is not None:  # built only when progress is set
-                try:
-                    progress(event)
-                except Exception:  # noqa: BLE001 - progress must never break a campaign
-                    pass
+            if progress is None:
+                continue
+            pid, spans = payload if payload is not None else (None, ())
+            event = ScenarioEvent.of(specs[index], outcome, seconds,
+                                     worker_pid=pid, spans=spans)
+            try:
+                progress(event)
+            except Exception:  # noqa: BLE001 - progress must never break a campaign
+                pass
     return record
 
 
@@ -430,7 +437,7 @@ class CampaignResult:
             scenario_seconds=tuple(float(s) for s in payload["scenario_seconds"]),
             # Absent in payloads written before the faults subsystem.
             fault_stats=FaultStats.from_dict(payload.get("fault_stats") or {}),
-            # Absent in payloads written before compact dispatch.
+            # Absent in payloads written before dispatch accounting.
             dispatch_stats=DispatchStats.from_dict(
                 payload.get("dispatch_stats") or {}),
         )
@@ -496,16 +503,16 @@ class CampaignRunner:
 
         ``on_outcome(outcome, seconds)`` fires in the calling thread as
         each outcome settles; ``progress`` then receives that scenario's
-        :class:`ScenarioEvent` (built worker-side under the process
-        backend); ``should_skip(spec)`` is consulted once per scenario
+        :class:`ScenarioEvent` (built in the calling process as the slot
+        settles); ``should_skip(spec)`` is consulted once per scenario
         when its task is built and drops the scenario when ``True``.
         Without hooks the behaviour is exactly the hook-free campaign.
 
         ``telemetry`` (a :class:`~repro.telemetry.session.WorkerTelemetry`)
-        turns on span tracing for sampled scenarios.  Spans ride back on
-        :class:`ScenarioEvent`\\ s, so tracing requires a ``progress``
-        sink — with ``progress=None`` no event is built, the spans would
-        have nowhere to go and ``telemetry`` is ignored.
+        turns on span tracing for sampled scenarios.  Spans reach the
+        caller on :class:`ScenarioEvent`\\ s, so tracing requires a
+        ``progress`` sink — with ``progress=None`` no event is built, the
+        spans would have nowhere to go and ``telemetry`` is ignored.
         """
         if isinstance(scenarios, ScenarioGrid):
             specs: Tuple[ScenarioSpec, ...] = scenarios.compile()
@@ -534,16 +541,16 @@ class CampaignRunner:
         seconds_at = [0.0] * len(specs)
         supervisor = Supervisor(
             retry=self._retry_policy(), faults=self.faults, stats=stats,
-            record=_recorder(outcomes_at, seconds_at, on_outcome, progress),
-            events=progress is not None, telemetry=telemetry,
-            max_outstanding=max(2, workers * 2), pack=encode_chunk,
+            record=_recorder(specs, outcomes_at, seconds_at, on_outcome,
+                             progress),
+            telemetry=telemetry, max_outstanding=max(2, workers * 2),
             dispatch=dispatch)
         tasks = _tasks(specs, size, should_skip)
         started = time.perf_counter()
         if workers > 1 and specs:
             workers = self._run_on_pool(
                 supervisor, tasks, min(workers, -(-len(specs) // size)),
-                progress is not None, telemetry)
+                telemetry)
         else:
             supervisor.run_inline(tasks)
         elapsed = time.perf_counter() - started
@@ -581,7 +588,6 @@ class CampaignRunner:
         supervisor: Supervisor,
         tasks: Iterator[Tuple],
         processes: int,
-        events: bool,
         telemetry: Optional[WorkerTelemetry],
     ) -> int:
         """Run ``tasks`` on a pool of ``processes`` workers; return the
@@ -591,10 +597,9 @@ class CampaignRunner:
         deadlines, retry/bisection/quarantine, worker-death re-queueing,
         in-process degradation when the pool breaks — while this method
         owns the pool's lifecycle: fork context, worker initializer
-        (events flag + telemetry slice + fault plan) and uniform,
-        deadlock-free teardown.  Tasks cross the pipe as compact wire
-        descriptors (the supervisor's ``pack=encode_chunk``); the worker
-        entry point expands them via :func:`ensure_specs`.
+        (telemetry slice + fault plan) and uniform, deadlock-free
+        teardown.  Tasks cross the pipe as plain pickled spec tuples and
+        come back as plain ``(outcomes, timings, shipped)`` data.
         """
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
@@ -604,7 +609,7 @@ class CampaignRunner:
             pool = context.Pool(
                 processes=processes,
                 initializer=_init_worker,
-                initargs=(events, telemetry, self.faults),
+                initargs=(telemetry, self.faults),
             )
         except (OSError, PermissionError):  # pragma: no cover - locked-down hosts
             # Environments that forbid forking still get a correct (if

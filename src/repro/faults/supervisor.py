@@ -24,17 +24,18 @@ matter how many times its task crashes, hangs, raises or is re-queued:
 * if the pool itself breaks (``apply_async`` starts raising), the
   supervisor degrades to in-process execution and finishes the campaign.
 
-Task functions return ``(outcomes, timings, events)``, one entry per
-spec, and a slot's event settles with its outcome: the first result
-wins, so the event of a retried or late duplicate task is dropped with
-its outcome.  When the campaign wants events (``events=True``), a
-quarantined slot settles with an event built here, so the journal
-ledger stays exact without any other emitter.
+Task functions return ``(outcomes, timings, payloads)``, one entry per
+spec.  A slot's payload is opaque here — the campaign runner ships each
+scenario's worker pid and spans in it and builds the progress event
+from it — and settles with its outcome: the first result wins, so the
+payload of a retried or late duplicate task is dropped with its
+outcome.  A quarantined slot settles with no payload (``None``), since
+no task ever returned for it.
 
 The module deliberately imports nothing from :mod:`repro.campaign` at
-the top level — the campaign runner imports *it* — so the campaign
-types it needs (outcomes, events) are imported inside the functions
-that build them.
+the top level — the campaign runner imports *it* — so the one campaign
+type it builds (the quarantine outcome) is imported inside the function
+that builds it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ __all__ = ["DispatchStats", "QuarantineError", "SupervisedTask", "Supervisor"]
 #: A unit of supervised work: ``fn(specs, ...)`` filling ``indices``.
 TaskSpec = Tuple[Callable, Tuple, Tuple[int, ...]]
 
-#: ``record(indices, outcomes, timings, events)`` — the runner's slot
+#: ``record(indices, outcomes, timings, payloads)`` — the runner's slot
 #: writer, called with newly settled slots only.
 RecordHook = Callable[[Sequence[int], Sequence, Sequence[float], Sequence], None]
 
@@ -69,10 +70,11 @@ class DispatchStats:
 
     ``queue_seconds`` is the summed per-task dispatch latency: time from
     submission to result callback minus the in-worker scenario seconds —
-    queue wait, (un)pickling, descriptor expansion and callback delivery
-    together.  ``wire_bytes`` is what the compact descriptors actually
-    cost on the pipe; ``encode_seconds`` what encoding them cost the
-    parent.
+    queue wait, (un)pickling and callback delivery together.
+    ``wire_bytes`` is the pickled size of each shipped spec tuple, and
+    ``encode_seconds`` the time of that one ``pickle.dumps`` — the same
+    encoding the pool's task-handler thread does in the parent before a
+    task crosses the pipe.
     """
 
     tasks_shipped: int = 0
@@ -137,11 +139,10 @@ class Supervisor:
     One instance supervises one campaign run: it accumulates the
     :class:`~repro.faults.plan.FaultStats` for the run and remembers
     which slots already settled (so retries, zombies and the in-process
-    fallback can never double-deliver an outcome or its event).
+    fallback can never double-deliver an outcome or its payload).
 
-    ``events``, ``telemetry`` and ``faults`` are what tasks run inline
-    are called with; pool workers get the same settings from the pool
-    initializer.
+    ``telemetry`` and ``faults`` are what tasks run inline are called
+    with; pool workers get the same settings from the pool initializer.
     """
 
     def __init__(
@@ -151,25 +152,16 @@ class Supervisor:
         faults: Optional[FaultPlan] = None,
         stats: Optional[FaultStats] = None,
         record: RecordHook,
-        events: bool = False,
         telemetry=None,
         max_outstanding: int = 4,
-        pack: Optional[Callable[[Tuple], Any]] = None,
         dispatch: Optional[DispatchStats] = None,
     ) -> None:
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
         self.stats = stats if stats is not None else FaultStats()
         self._record = record
-        self._events = events
         self._telemetry = telemetry
         self._max_outstanding = max(1, max_outstanding)
-        # ``pack`` compresses a task's spec tuple into the descriptor that
-        # actually crosses the pool pipe (the runner passes the wire
-        # codec's ``encode_chunk``); tasks keep their *real* specs
-        # parent-side so retry and bisection work on specs and re-encode
-        # on resubmission.  Inline execution never packs.
-        self._pack = pack
         self.dispatch = dispatch if dispatch is not None else DispatchStats()
         self._log = get_logger("faults.supervisor")
         self._settled: Set[int] = set()
@@ -184,13 +176,13 @@ class Supervisor:
 
     def _settle(self, indices: Sequence[int], outcomes: Sequence,
                 timings: Sequence[float],
-                events: Optional[Sequence] = None) -> None:
-        """Record slots not yet settled with their outcomes and events
-        (first result wins; ``events=None`` settles without events)."""
-        if events is None:
-            events = [None] * len(indices)
+                payloads: Optional[Sequence] = None) -> None:
+        """Record slots not yet settled with their outcomes and payloads
+        (first result wins; ``payloads=None`` settles without any)."""
+        if payloads is None:
+            payloads = [None] * len(indices)
         fresh = [
-            slot for slot in zip(indices, outcomes, timings, events)
+            slot for slot in zip(indices, outcomes, timings, payloads)
             if slot[0] not in self._settled
         ]
         if not fresh:
@@ -210,14 +202,7 @@ class Supervisor:
             f"quarantined after {task.attempt} attempt(s); "
             f"last failure: {type(exc).__name__}: {exc}"
         ))
-        event = None
-        if self._events:
-            # No task ever returned for this spec (the failure fired
-            # first), but the journal ledger still needs its record.
-            from repro.campaign.runner import ScenarioEvent
-
-            event = ScenarioEvent.of(spec, outcome, 0.0)
-        self._settle(task.indices, [outcome], [0.0], [event])
+        self._settle(task.indices, [outcome], [0.0])
 
     def _after_failure(self, task: SupervisedTask,
                        exc: BaseException) -> List[SupervisedTask]:
@@ -266,15 +251,15 @@ class Supervisor:
         while stack:
             current = stack.pop(0)
             try:
-                outcomes, timings, events = current.fn(
-                    current.specs, self._events, self._telemetry,
+                outcomes, timings, payloads = current.fn(
+                    current.specs, self._telemetry,
                     attempt=current.attempt, faults=self.faults)
             except Exception as exc:  # noqa: BLE001 - that's the job
                 # No backoff sleeps inline: injected faults are
                 # deterministic per attempt, waiting buys nothing.
                 stack[:0] = self._after_failure(current, exc)
             else:
-                self._settle(current.indices, outcomes, timings, events)
+                self._settle(current.indices, outcomes, timings, payloads)
 
     # -- pool execution ----------------------------------------------------
 
@@ -309,14 +294,9 @@ class Supervisor:
             nonlocal last_callback
             task.deadline = time.monotonic() + self.retry.task_timeout_seconds
             task_id = task.task_id
-            payload: Any = task.specs
-            if self._pack is not None:
-                encode_started = time.perf_counter()
-                payload = self._pack(task.specs)
-                self.dispatch.encode_seconds += time.perf_counter() - encode_started
             try:
                 pool.apply_async(
-                    task.fn, (payload,), {"attempt": task.attempt},
+                    task.fn, (task.specs,), {"attempt": task.attempt},
                     callback=lambda result, t=task_id: done.put((t, result, None)),
                     error_callback=lambda exc, t=task_id: done.put((t, None, exc)),
                 )
@@ -325,8 +305,10 @@ class Supervisor:
                 raise _PoolBroken from exc
             self.dispatch.tasks_shipped += 1
             self.dispatch.scenarios_shipped += len(task.specs)
+            encode_started = time.perf_counter()
             self.dispatch.wire_bytes += len(
-                pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+                pickle.dumps(task.specs, pickle.HIGHEST_PROTOCOL))
+            self.dispatch.encode_seconds += time.perf_counter() - encode_started
             task.submitted_at = time.monotonic()
             if not inflight and not zombies:
                 last_callback = task.submitted_at
@@ -381,11 +363,11 @@ class Supervisor:
                 task = inflight.pop(task_id, None)
                 if task is not None:
                     if exc is None:
-                        outcomes, timings, events = result
+                        outcomes, timings, payloads = result
                         self.dispatch.queue_seconds += max(
                             0.0,
                             last_callback - task.submitted_at - sum(timings))
-                        self._settle(task.indices, outcomes, timings, events)
+                        self._settle(task.indices, outcomes, timings, payloads)
                     else:
                         waiting.extend(self._after_failure(task, exc))
                     continue
@@ -393,9 +375,8 @@ class Supervisor:
                 if zombie_indices is not None and exc is None:
                     # A presumed-lost task completed after all: accept
                     # the late result; already-settled slots (and their
-                    # events) are no-ops.
-                    outcomes, timings, events = result
-                    self._settle(zombie_indices, outcomes, timings, events)
+                    # payloads) are no-ops.
+                    self._settle(zombie_indices, *result)
                 # A zombie *failure* needs nothing: its replacement was
                 # queued when the deadline expired.
         except _PoolBroken:

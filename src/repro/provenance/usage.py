@@ -13,8 +13,8 @@ equality**, so usage records can be asserted equal across backends and
 replays while still carrying the cost ledger a journal aggregates.
 
 This module deliberately imports nothing from the campaign or store
-layers: usage records ride on worker-side scenario events and inside
-journal rows, both of which sit below those packages.
+layers: usage records ride on scenario events and inside journal
+rows, both of which sit below those packages.
 """
 
 from __future__ import annotations

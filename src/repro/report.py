@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter, defaultdict
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
@@ -166,6 +167,8 @@ def _print_ledger(path: str, records, replay) -> None:
 
 def _store_lines(path: str, by_text: str, replay) -> List[str]:
     """The store's lines, built while the store is open (it may raise)."""
+    if not Path(path).exists():  # open_store would create an empty one
+        raise ConfigurationError(f"no result store at {path}")
     by = tuple(dim.strip() for dim in by_text.split(",") if dim.strip())
     with open_store(path) as store:
         outcome_groups = aggregate_outcomes(store, by)

@@ -15,8 +15,8 @@ JSONL, SQLite, or in-memory — :func:`open_store` picks from a path), and
   uninterrupted run's;
 * an :class:`EarlyStopPolicy` stops sampling a sweep point once its
   outcome is certified (recording what was skipped);
-* a :class:`ProgressReporter` consumes worker-side events for pool-wide
-  live visibility.
+* a :class:`ProgressReporter` consumes the per-scenario events for
+  pool-wide live visibility.
 
 Typical use::
 

@@ -26,14 +26,13 @@ one per-scenario ``ran``/``cached``/``skipped`` decision with its
 :class:`~repro.provenance.usage.ResourceUsage`, and the early-stop
 triggers.  Journal records for executed scenarios are appended on the
 calling thread, right after the wrapped runner hands over each outcome
-for persistence: every event rides on its task's result, so each
-executed position yields exactly one ``ran`` record, whatever retries
-or worker deaths the campaign survived.
+for persistence: the runner builds each event once, when its slot
+settles, so each executed position yields exactly one ``ran`` record,
+whatever retries or worker deaths the campaign survived.
 """
 
 from __future__ import annotations
 
-import os
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +44,6 @@ from repro.campaign.scenarios import get_kind
 from repro.campaign.spec import ScenarioOutcome, ScenarioSpec
 from repro.exceptions import ConfigurationError
 from repro.provenance.journal import CampaignJournal
-from repro.provenance.usage import ResourceUsage
 from repro.store.base import ResultStore
 from repro.store.fingerprint import fingerprint_spec
 from repro.store.policy import EarlyStopPolicy
@@ -215,12 +213,7 @@ class CachingRunner:
             if self.policy is not None:
                 self.policy.observe(outcome)
             if inner_progress is not None:
-                emit(ScenarioEvent(
-                    label=spec.label(), verdict=outcome.verdict,
-                    seconds=0.0, worker_pid=os.getpid(), cached=True,
-                    fingerprint=fingerprint,
-                    usage=ResourceUsage.of_outcome(outcome),
-                ))
+                emit(ScenarioEvent.of(spec, outcome, cached=True))
 
         cached_fps = frozenset(outcomes_by_fp)
         pending: List[ScenarioSpec] = []
@@ -297,12 +290,7 @@ class CachingRunner:
             for spec, fingerprint in duplicates:
                 outcome = outcomes_by_fp.get(fingerprint)
                 if outcome is not None:
-                    emit(ScenarioEvent(
-                        label=spec.label(), verdict=outcome.verdict,
-                        seconds=0.0, worker_pid=os.getpid(), cached=True,
-                        fingerprint=fingerprint,
-                        usage=ResourceUsage.of_outcome(outcome),
-                    ))
+                    emit(ScenarioEvent.of(spec, outcome, cached=True))
 
         merged = tuple(
             outcomes_by_fp[fingerprint]

@@ -73,8 +73,8 @@ def fingerprint_spec(spec: ScenarioSpec) -> str:
     The sha256 is computed **once per spec instance** and memoised on
     the spec (a non-field attribute, excluded from pickling by
     ``ScenarioSpec.__getstate__``): the caching runner's skip pass, the
-    store puts, the journal records and the worker-side event emitter
-    all ask for the same digest, and hashing the canonical ``repr`` is
+    store puts, the journal records and the runner's settle-time event
+    builder all ask for the same digest, and hashing the canonical ``repr`` is
     the single most repeated piece of work in a warm campaign.  The
     memo key is the instance, not the identity — equal specs decoded in
     different processes each hash once, which is exactly the "no spec

@@ -2,10 +2,11 @@
 
 A :class:`ProgressReporter` is a callable that consumes the
 :class:`~repro.campaign.runner.ScenarioEvent` stream a campaign emits —
-one event per finished scenario, produced *where the scenario ran*.
-Under the process backend the events ride back on each task's result
-and are delivered on the calling thread as the task settles, so a long
-multiprocess campaign can be watched live, one chunk at a time:
+one event per finished scenario, built by the runner as the scenario's
+slot settles, with the pid of the worker that ran it.  Under the
+process backend the events are delivered on the calling thread as
+each task's result arrives, so a long multiprocess campaign can be
+watched live, one chunk at a time:
 scenarios completed out of how many, verdict counts, which worker pids
 are alive, throughput.  The reporter keeps its counters under a lock,
 so another thread may call :meth:`~ProgressReporter.snapshot` while the

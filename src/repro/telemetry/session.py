@@ -7,9 +7,9 @@ owning the :class:`~repro.telemetry.metrics.MetricsRegistry`, the
 collected :class:`~repro.telemetry.spans.SpanRecord`\\ s and the
 exporters; :class:`WorkerTelemetry` is the small frozen picklable slice
 of it that crosses into worker processes — campaign correlation id,
-sampling stride, phase-capture flag — mirroring how
-:class:`~repro.campaign.runner.ScenarioEvent`\\ s already carry
-worker-side facts back.
+sampling stride, phase-capture flag — while the spans a worker records
+come back on its task results and reach the session on
+:class:`~repro.campaign.runner.ScenarioEvent`\\ s.
 
 **Sampling.**  Tracing every scenario of a 100k-scenario sweep would
 produce a trace nobody can open; the session derives a stride from
@@ -224,17 +224,21 @@ class TelemetrySession:
 
     def record_dispatch(self, dispatch_stats: Dict[str, Any], *,
                         store_io: Optional[Dict[str, int]] = None) -> None:
-        """Record what shipping the campaign cost (wire bytes, queue wait).
+        """Record what shipping the campaign and storing its outcomes cost.
 
         ``dispatch_stats`` is a
         :meth:`~repro.faults.supervisor.DispatchStats.as_dict` payload;
         ``store_io`` the store's :meth:`~repro.store.base.ResultStore.io_stats`.
-        Everything lands as ``timing=True`` ``dispatch:*`` counters —
+        Every non-zero value lands as a ``timing=True`` ``dispatch:*``
+        counter (``*_seconds`` become ``*_micros``), plus a
+        ``dispatch:bytes_per_task`` histogram when tasks were shipped —
         dispatch cost is orchestration measurement, not outcome, so it
         stays out of :meth:`deterministic_snapshot` exactly like the
         fault counters.  A ``dispatch:summary`` span carries the same
-        numbers into the exported trace; in-process campaigns (nothing
-        shipped) record nothing at all.
+        numbers into the exported trace.  An in-process campaign ships
+        nothing: on a JSONL or SQLite store it records only its non-zero
+        ``dispatch:store_*`` counters and the summary span, and on the
+        in-memory store (no I/O stats) nothing at all.
         """
         shipped = int(dispatch_stats.get("tasks_shipped", 0) or 0)
         scaled = {

@@ -4,18 +4,32 @@ Every backend builds ``(fn, specs, positions)`` tasks — one spec per task
 for serial and single-worker runs, an even split otherwise — and settles
 them through the supervisor.  These tests pin the split (every position
 exactly once, in order, a pure function of its inputs), the lazy
-``should_skip`` semantics it gives adaptive budgets, and the contract the
-settle path gives progress sinks: exactly one event per position, whatever
-retries, quarantines or chunk sizes happen on the way.
+``should_skip`` semantics it gives adaptive budgets, the plain data that
+crosses the pool pipe in both directions, and the contract the settle
+path gives progress sinks: exactly one event per position, built in the
+calling process, whatever retries, quarantines or chunk sizes happen on
+the way.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+
 import pytest
 
-from repro.campaign import CampaignRunner, ScenarioEvent, theorem8_specs
+from repro.campaign import (
+    CampaignResult,
+    CampaignRunner,
+    ScenarioEvent,
+    ScenarioSpec,
+    theorem8_specs,
+)
 from repro.campaign.runner import _run_batch, _tasks
 from repro.faults import FaultPlan, RetryPolicy
+from repro.provenance.usage import ResourceUsage
+from repro.store.fingerprint import fingerprint_spec
+from repro.telemetry.session import WorkerTelemetry
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)
 HAMMER_SPECS = theorem8_specs([4, 5], seeds=(1,), max_steps=4_000)
@@ -34,6 +48,28 @@ BACKENDS = pytest.mark.parametrize("kwargs", [
 
 def _positions(tasks):
     return [list(positions) for _, _, positions in tasks]
+
+
+def mixed_specs():
+    """A deliberately heterogeneous spec set: every recording policy,
+    crash schedules, params, several kinds."""
+    specs = list(theorem8_specs([4, 5], seeds=(1, 2), max_steps=4_000))[:12]
+    specs += [
+        ScenarioSpec(kind="theorem8-solvable", n=4, f=1, k=1,
+                     recording="full"),
+        ScenarioSpec(kind="theorem8-solvable", n=4, f=1, k=1,
+                     recording="decisions-only"),
+        ScenarioSpec(kind="theorem8-solvable", n=4, f=1, k=1,
+                     recording="verdict-only"),
+        ScenarioSpec(kind="theorem8-solvable", n=5, f=2, k=2,
+                     scheduler="random", seed=77,
+                     crashes=((1, 0), (3, 5)), max_steps=2_000,
+                     params=(("alpha", 3), ("beta", (1, 2))),
+                     recording="verdict-only"),
+        ScenarioSpec(kind="corollary13-middle", n=6, f=3, k=2, seed=5,
+                     recording="verdict-only"),
+    ]
+    return tuple(specs)
 
 
 class TestTaskSplit:
@@ -103,6 +139,59 @@ class TestTaskSplit:
         assert calls == ["skip"] * 3 + ["outcome"] * 3 + ["skip"] * 2 + ["outcome"] * 2
 
 
+class TestPlainPipe:
+    """Tasks ship plain pickled spec tuples; results come back as plain
+    outcomes, timings and ``(pid, spans)`` pairs."""
+
+    def test_pickled_specs_equal_the_originals(self):
+        specs = mixed_specs()
+        assert pickle.loads(pickle.dumps(specs, pickle.HIGHEST_PROTOCOL)) == specs
+
+    def test_pickled_specs_carry_no_memo_keys(self):
+        specs = mixed_specs()
+        for spec in specs:  # fill the per-instance memos first
+            spec.derived_seed()
+            fingerprint_spec(spec)
+        for clone in pickle.loads(pickle.dumps(specs, pickle.HIGHEST_PROTOCOL)):
+            assert not [key for key in vars(clone) if key.startswith("_")]
+
+    def test_pickled_specs_share_fingerprint_and_seed(self):
+        specs = mixed_specs()
+        clones = pickle.loads(pickle.dumps(specs, pickle.HIGHEST_PROTOCOL))
+        for original, clone in zip(specs, clones):
+            assert clone.derived_seed() == original.derived_seed()
+            assert fingerprint_spec(clone) == fingerprint_spec(original)
+
+    def test_run_batch_returns_no_event_and_this_pid(self):
+        outcomes, timings, shipped = _run_batch(SPECS[:3])
+        assert len(outcomes) == len(timings) == len(shipped) == 3
+        assert shipped == [(os.getpid(), ())] * 3
+        assert not any(isinstance(item, ScenarioEvent)
+                       for item in (*outcomes, *shipped))
+
+    def test_process_campaign_counts_what_it_ships(self):
+        specs = theorem8_specs([4], seeds=(1,), max_steps=4_000)
+        serial = CampaignRunner(backend="serial").run(specs)
+        proc = CampaignRunner(backend="process", workers=2, chunk_size=5).run(specs)
+        assert proc == serial
+        dispatch = proc.dispatch_stats
+        assert dispatch.tasks_shipped == -(-len(specs) // 5)
+        assert dispatch.scenarios_shipped == len(specs)
+        assert dispatch.wire_bytes > 0
+        # The in-process reference run ships nothing.
+        assert not serial.dispatch_stats.any()
+        assert serial.dispatch_stats.as_dict() == {
+            "tasks_shipped": 0, "scenarios_shipped": 0, "wire_bytes": 0,
+            "encode_seconds": 0.0, "queue_seconds": 0.0}
+
+    def test_dispatch_stats_survive_json_round_trip(self):
+        specs = theorem8_specs([4], seeds=(1,), max_steps=4_000)
+        proc = CampaignRunner(backend="process", workers=2).run(specs)
+        restored = CampaignResult.from_json(proc.to_json())
+        assert restored == proc
+        assert restored.dispatch_stats.as_dict() == proc.dispatch_stats.as_dict()
+
+
 class TestEventsPerPosition:
     @BACKENDS
     def test_retried_tasks_yield_one_event_per_position(self, kwargs):
@@ -112,8 +201,33 @@ class TestEventsPerPosition:
             SPECS, progress=events.append)
         assert result.fault_stats.task_retries > 0
         assert sorted(e.label for e in events) == sorted(s.label() for s in SPECS)
-        by_label = {o.spec.label(): o.verdict for o in result.outcomes}
-        assert all(e.verdict == by_label[e.label] for e in events)
+        spec_by_label = {s.label(): s for s in SPECS}
+        by_label = {o.spec.label(): o for o in result.outcomes}
+        for event in events:
+            outcome = by_label[event.label]
+            assert event.verdict == outcome.verdict
+            assert event.fingerprint == fingerprint_spec(spec_by_label[event.label])
+            assert event.usage == ResourceUsage.of_outcome(outcome)
+
+    @BACKENDS
+    def test_events_are_built_by_the_caller_only_for_a_progress_sink(
+            self, kwargs, monkeypatch):
+        built = []
+        of = ScenarioEvent.of.__func__
+        monkeypatch.setattr(ScenarioEvent, "of", classmethod(
+            lambda cls, spec, *args, **kw:
+                built.append(spec) or of(cls, spec, *args, **kw)))
+        CampaignRunner(**kwargs).run(SPECS)
+        assert built == []
+        events = []
+        result = CampaignRunner(**kwargs).run(SPECS, progress=events.append)
+        # Built in this process, from the caller's own spec instances.
+        assert sorted(map(id, built)) == sorted(map(id, SPECS))
+        seconds = {o.spec.label(): s
+                   for o, s in zip(result.outcomes, result.scenario_seconds)}
+        assert all(e.seconds == seconds[e.label] for e in events)
+        in_pool = kwargs["backend"] == "process"
+        assert all((e.worker_pid != os.getpid()) == in_pool for e in events)
 
     @BACKENDS
     def test_quarantined_slot_yields_one_error_event(self, kwargs):
@@ -129,15 +243,22 @@ class TestEventsPerPosition:
         assert bad.seconds == 0.0
         assert bad.fingerprint
 
-    def test_no_event_is_built_without_progress(self):
-        outcomes, timings, events = _run_batch(SPECS[:3], events=False)
-        assert len(outcomes) == len(timings) == 3
-        assert events == [None, None, None]
-        outcomes, timings, events = _run_batch(SPECS[:3], events=True)
-        assert all(isinstance(e, ScenarioEvent) for e in events)
-        assert [e.label for e in events] == [s.label() for s in SPECS[:3]]
-        assert [e.verdict for e in events] == [o.verdict for o in outcomes]
-        assert [e.seconds for e in events] == timings
+    @BACKENDS
+    def test_quarantined_event_carries_this_pid_and_no_spans(self, kwargs):
+        # The slot settles with no payload, so the caller's recorder fills
+        # in its own pid; every executed scenario is sampled and has spans.
+        poisoned = SPECS[5]
+        plan = FaultPlan(poison_labels=(poisoned.label(),))
+        events = []
+        result = CampaignRunner(faults=plan, retry=FAST_RETRY, **kwargs).run(
+            SPECS, progress=events.append,
+            telemetry=WorkerTelemetry(campaign="quarantine"))
+        (bad,) = [e for e in events if e.label == poisoned.label()]
+        (outcome,) = [o for o in result.outcomes if o.spec == poisoned]
+        assert bad.worker_pid == os.getpid()
+        assert bad.spans == ()
+        assert bad.usage == ResourceUsage.of_outcome(outcome, seconds=0.0)
+        assert all(e.spans for e in events if e is not bad)
 
 
 class TestDeterminismHammer:

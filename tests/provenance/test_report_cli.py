@@ -55,6 +55,14 @@ def test_missing_journal_fails_loudly(tmp_path):
     assert "no campaign journal" in result.stderr
 
 
+def test_missing_store_fails_loudly(tmp_path):
+    missing = tmp_path / "nowhere" / "typo.sqlite"
+    result = _report("--store", str(missing))
+    assert result.returncode == 1
+    assert f"no result store at {missing}" in result.stderr
+    assert list(tmp_path.iterdir()) == []  # nothing created on the way
+
+
 def test_incomplete_finished_campaign_fails(tmp_path):
     journal_path = tmp_path / "journal.jsonl"
     with CampaignJournal(journal_path) as journal:

@@ -5,15 +5,27 @@ from __future__ import annotations
 import io
 import os
 
-from repro.campaign import CampaignRunner, theorem8_specs
+from repro.campaign import CampaignRunner, ScenarioEvent, theorem8_specs
+from repro.provenance.usage import ResourceUsage
 from repro.store import (
     CachingRunner,
     CollectingProgressReporter,
     LogProgressReporter,
     MemoryResultStore,
 )
+from repro.store.fingerprint import fingerprint_spec
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)
+
+
+def _cached_event(spec, outcome):
+    """The event of a scenario served without running, field by field."""
+    return ScenarioEvent(
+        label=spec.label(), verdict=outcome.verdict, seconds=0.0,
+        worker_pid=os.getpid(), cached=True,
+        fingerprint=fingerprint_spec(spec),
+        usage=ResourceUsage.of_outcome(outcome),
+    )
 
 
 class TestEventStream:
@@ -71,6 +83,26 @@ class TestEventStream:
         assert snap["total"] == 4
         assert snap["completed"] == 4
         assert snap["cached"] == 2  # the two replayed duplicate positions
+
+    def test_store_hit_events_carry_the_scenario_identity_and_usage(self):
+        store = MemoryResultStore()
+        CachingRunner(store).run(SPECS[:10])
+        reporter = CollectingProgressReporter()
+        result = CachingRunner(store, progress=reporter).run(SPECS)
+        cached_events = [event for event in reporter.events if event.cached]
+        assert len(cached_events) == 10
+        by_label = {o.spec.label(): o for o in result.outcomes}
+        for event in cached_events:
+            outcome = by_label[event.label]
+            assert event == _cached_event(outcome.spec, outcome)
+
+    def test_duplicate_position_events_carry_the_scenario_identity_and_usage(self):
+        reporter = CollectingProgressReporter()
+        duplicated = [SPECS[0], SPECS[0], SPECS[1], SPECS[0]]
+        result = CachingRunner(MemoryResultStore(), progress=reporter).run(duplicated)
+        cached_events = [event for event in reporter.events if event.cached]
+        assert len(cached_events) == 2
+        assert cached_events == [_cached_event(SPECS[0], result.outcomes[0])] * 2
 
     def test_progress_exceptions_never_break_the_campaign(self):
         class ExplodingReporter(CollectingProgressReporter):
