@@ -7,7 +7,10 @@ deterministically per fingerprint digest, and *transiently*: the store
 counts attempts per digest, so a retried write (same campaign or a
 resume) goes through.  Reads are never perturbed; a store that lies on
 reads would break the caching contract rather than test resilience to
-flaky persistence.
+flaky persistence.  Everything else — ``get_many``, ``flush`` (the
+campaign's durability point) and ``io_stats`` (the telemetry
+``dispatch:store_*`` counters) — goes straight to the inner store, so
+wrapping a batching store hides none of its write path.
 
 Used by the chaos tests to pin down that
 :class:`~repro.store.CachingRunner` treats the store as a cache, not a
@@ -17,10 +20,10 @@ outcome.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Iterable
 
 from repro.faults.plan import FaultPlan, InjectedFaultError
-from repro.store.base import Fingerprintish, ResultStore, _digest
+from repro.store.base import ResultStore
 
 __all__ = ["FaultyStore"]
 
@@ -35,23 +38,31 @@ class FaultyStore(ResultStore):
         #: Digests whose first write was dropped (observable by tests).
         self.failed_writes: int = 0
 
-    def get(self, fingerprint: Fingerprintish):
+    def get(self, fingerprint: str):
         return self._inner.get(fingerprint)
 
-    def put(self, fingerprint: Fingerprintish, outcome) -> None:
-        digest = _digest(fingerprint)
-        attempt = self._write_attempts.get(digest, 0) + 1
-        self._write_attempts[digest] = attempt
-        if self._plan.store_write_fails(digest, attempt):
+    def get_many(self, fingerprints: Iterable[str]):
+        return self._inner.get_many(fingerprints)
+
+    def put(self, fingerprint: str, outcome) -> None:
+        attempt = self._write_attempts.get(fingerprint, 0) + 1
+        self._write_attempts[fingerprint] = attempt
+        if self._plan.store_write_fails(fingerprint, attempt):
             self.failed_writes += 1
             raise InjectedFaultError(
-                f"injected store-write failure for {digest[:12]} "
+                f"injected store-write failure for {fingerprint[:12]} "
                 f"(attempt {attempt})"
             )
         self._inner.put(fingerprint, outcome)
 
     def fingerprints(self) -> FrozenSet[str]:
         return self._inner.fingerprints()
+
+    def flush(self) -> None:
+        self._inner.flush()
+
+    def io_stats(self) -> Dict[str, int]:
+        return self._inner.io_stats()
 
     def close(self) -> None:
         self._inner.close()

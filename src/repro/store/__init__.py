@@ -2,10 +2,10 @@
 
 The campaign engine (:mod:`repro.campaign`) makes every scenario's
 outcome a pure function of its spec; this package makes that function
-*persistent*.  Outcomes are filed under a content-addressed
-:class:`ScenarioFingerprint` in a :class:`ResultStore` (append-only
-JSONL, SQLite, or in-memory — :func:`open_store` picks from a path), and
-:class:`CachingRunner` wires a store into any
+*persistent*.  Outcomes are filed under the content-addressed digest
+string :func:`fingerprint_spec` returns in a :class:`ResultStore`
+(append-only JSONL, SQLite, or in-memory — :func:`open_store` picks from
+a path), and :class:`CachingRunner` wires a store into any
 :class:`~repro.campaign.runner.CampaignRunner` backend:
 
 * scenarios already in the store are served from cache;

@@ -1,7 +1,7 @@
-"""The result-store interface and the backend factory.
+"""The result-store interface, the shared write buffer and the backend factory.
 
-A :class:`ResultStore` maps scenario fingerprints
-(:mod:`repro.store.fingerprint`) to the
+A :class:`ResultStore` maps scenario fingerprints — the digest strings
+:func:`~repro.store.fingerprint.fingerprint_spec` returns — to the
 :class:`~repro.campaign.spec.ScenarioOutcome` the scenario produced.
 Stores are written to incrementally — one ``put`` per completed scenario,
 durable immediately — so that a killed campaign leaves behind every
@@ -12,27 +12,30 @@ Two persistent backends ship (:class:`~repro.store.jsonl.JsonlResultStore`
 for portability and append-only simplicity,
 :class:`~repro.store.sqlite.SqliteResultStore` for large grids with
 indexed lookups) plus an in-memory backend for tests and ephemeral
-campaigns; :func:`open_store` picks one from a path.
+campaigns; :func:`open_store` picks one from a path.  Both persistent
+backends write through one :class:`_CommitBuffer`, which owns the
+``commit_batch`` policy — pending rows, idle timer, write counters,
+``flush`` and the drain on close — so a backend supplies only its
+``commit(rows)`` and its reads.
 """
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple, Union
+from pathlib import Path
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Tuple, Union)
 
 from repro.campaign.spec import ScenarioOutcome
-from repro.store.fingerprint import ScenarioFingerprint
+from repro.exceptions import ConfigurationError
 
-__all__ = ["ResultStore", "Fingerprintish", "open_store"]
+__all__ = ["ResultStore", "backend_for", "open_store"]
 
-#: Anything accepted as a store key.
-Fingerprintish = Union[str, ScenarioFingerprint]
-
-
-def _digest(fingerprint: Fingerprintish) -> str:
-    if isinstance(fingerprint, ScenarioFingerprint):
-        return fingerprint.digest
-    return str(fingerprint)
+#: How long a partially filled commit buffer may sit before it is
+#: committed anyway.  Bounds the durability window in wall time the way
+#: ``commit_batch`` bounds it in rows.
+_IDLE_FLUSH_SECONDS = 0.5
 
 
 class ResultStore(ABC):
@@ -47,11 +50,11 @@ class ResultStore(ABC):
     # -- required ----------------------------------------------------------
 
     @abstractmethod
-    def get(self, fingerprint: Fingerprintish) -> Optional[ScenarioOutcome]:
+    def get(self, fingerprint: str) -> Optional[ScenarioOutcome]:
         """The stored outcome for this fingerprint, or ``None``."""
 
     @abstractmethod
-    def put(self, fingerprint: Fingerprintish, outcome: ScenarioOutcome) -> None:
+    def put(self, fingerprint: str, outcome: ScenarioOutcome) -> None:
         """Store an outcome durably (last write wins on re-put)."""
 
     @abstractmethod
@@ -64,32 +67,23 @@ class ResultStore(ABC):
 
         ``close`` is **idempotent** — closing twice is a no-op, which is
         what lets stores be used both as context managers and with an
-        explicit ``close()`` in ``finally`` blocks.  Reads and writes
-        after close are undefined (backends may raise).
+        explicit ``close()`` in ``finally`` blocks.  A ``put`` on a
+        closed persistent store raises ``ConfigurationError``; other
+        reads and writes after close are undefined (backends may raise).
         """
 
     # -- conveniences ------------------------------------------------------
 
-    def get_many(
-        self, fingerprints: Iterable[Fingerprintish]
-    ) -> Dict[str, ScenarioOutcome]:
+    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioOutcome]:
         """Bulk lookup: only hits appear in the returned mapping."""
         hits: Dict[str, ScenarioOutcome] = {}
-        for fingerprint in fingerprints:
-            digest = _digest(fingerprint)
+        for digest in fingerprints:
             if digest in hits:
                 continue
             outcome = self.get(digest)
             if outcome is not None:
                 hits[digest] = outcome
         return hits
-
-    def put_many(
-        self, items: Iterable[Tuple[Fingerprintish, ScenarioOutcome]]
-    ) -> None:
-        """Bulk store (backends may override with a single transaction)."""
-        for fingerprint, outcome in items:
-            self.put(fingerprint, outcome)
 
     def items(self) -> Iterator[Tuple[str, ScenarioOutcome]]:
         """Every ``(fingerprint, outcome)`` pair, sorted by fingerprint.
@@ -109,24 +103,26 @@ class ResultStore(ABC):
         The default is a no-op because the base contract already makes
         each :meth:`put` durable before returning.  Backends opened with
         a ``commit_batch > 1`` buffer writes and *relax* that contract to
-        "durable within one batch or one flush, whichever comes first";
-        for them this is the durability point.  Reads on such a backend
-        flush implicitly first — a store never hides rows from itself.
+        "durable within one batch, one flush or one idle period,
+        whichever comes first"; for them this is the durability point.
+        Such a backend never hides rows from itself: SQLite commits the
+        buffer before every read, JSONL serves its in-memory index.
         """
 
     def io_stats(self) -> Dict[str, int]:
         """Write-path accounting: puts, flushes, rows per commit.
 
-        Base stores commit per put, so the default reports nothing;
-        batching backends override with real counters (``puts``,
-        ``commits``, ``committed_rows``, ``max_commit_batch``).  Numbers
-        feed the telemetry layer's ``dispatch:store_*`` counters; they
-        never affect stored data.
+        Base stores commit per put, so the default reports nothing; the
+        persistent backends report their :class:`_CommitBuffer`'s
+        counters (``puts``, ``commits``, ``committed_rows``,
+        ``max_commit_batch``, ``flushes``, ``buffered``,
+        ``commit_batch``).  Numbers feed the telemetry layer's
+        ``dispatch:store_*`` counters; they never affect stored data.
         """
         return {}
 
     def __contains__(self, fingerprint: object) -> bool:
-        if not isinstance(fingerprint, (str, ScenarioFingerprint)):
+        if not isinstance(fingerprint, str):
             return False
         return self.get(fingerprint) is not None
 
@@ -140,28 +136,124 @@ class ResultStore(ABC):
         self.close()
 
 
-def open_store(path: Union[str, "object"], *, commit_batch: int = 1) -> ResultStore:
-    """Open a result store, picking the backend from the path.
+class _CommitBuffer:
+    """The write path of a persistent store: ``commit_batch`` rows per commit.
 
-    ``":memory:"`` opens the in-memory backend; a ``.sqlite`` / ``.db`` /
-    ``.sqlite3`` suffix opens SQLite; anything else opens the append-only
-    JSONL backend.  The file (and its parent directory) is created on
-    first use.
+    :meth:`add` queues one encoded row; once ``commit_batch`` rows are
+    pending, the whole batch goes to the backend's ``commit(rows)`` —
+    one appended write, or one transaction — in submission order, so a
+    fingerprint written twice keeps its last write.  A partial batch is
+    committed by :meth:`flush`, by :meth:`close`, or by an idle timer
+    :data:`_IDLE_FLUSH_SECONDS` after its first row, whichever comes
+    first.  At ``commit_batch=1`` every row is committed before
+    :meth:`add` returns.
+
+    Everything runs under the *store's* lock, never a second one: a
+    commit shares the store's file or connection with its reads, and
+    with two locks a reader (store, then buffer) and the timer (buffer,
+    then store) would deadlock.  The timer calls this object's
+    :meth:`flush`, never the store's public methods, which a tracer may
+    have wrapped for the calling thread alone.
+    """
+
+    def __init__(self, path: Path, lock: threading.RLock,
+                 commit: Callable[[List[Any]], None], commit_batch: int):
+        if commit_batch < 1:
+            raise ConfigurationError(
+                f"commit_batch must be >= 1, got {commit_batch}")
+        self._path = path
+        self._lock = lock
+        self._commit = commit
+        self._commit_batch = commit_batch
+        self._rows: List[Any] = []
+        self._timer: Optional[threading.Timer] = None
+        self._closed = False
+        self._io = {"puts": 0, "commits": 0, "committed_rows": 0,
+                    "max_commit_batch": 0, "flushes": 0}
+
+    def add(self, row: Any) -> None:
+        """Queue one row; commit the batch once it is full."""
+        with self._lock:
+            if self._closed:
+                raise ConfigurationError(f"result store {self._path} is closed")
+            self._io["puts"] += 1
+            self._rows.append(row)
+            if len(self._rows) >= self._commit_batch:
+                self.drain()
+            elif self._timer is None:
+                self._timer = threading.Timer(_IDLE_FLUSH_SECONDS, self.flush)
+                self._timer.daemon = True
+                self._timer.start()
+
+    def drain(self) -> None:
+        """Commit every pending row now (SQLite's reads call this first)."""
+        with self._lock:
+            if self._timer is not None:
+                self._timer.cancel()
+                self._timer = None
+            if not self._rows:
+                return
+            rows, self._rows = self._rows, []
+            self._commit(rows)
+            self._io["commits"] += 1
+            self._io["committed_rows"] += len(rows)
+            self._io["max_commit_batch"] = max(
+                self._io["max_commit_batch"], len(rows))
+
+    def flush(self) -> None:
+        """:meth:`drain`, counted as a flush when rows were pending."""
+        with self._lock:
+            if self._rows:
+                self._io["flushes"] += 1
+            self.drain()
+
+    def close(self) -> None:
+        """Drain, then refuse every later row (idempotent)."""
+        with self._lock:
+            self.drain()
+            self._closed = True
+
+    def io_stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {**self._io, "buffered": len(self._rows),
+                    "commit_batch": self._commit_batch}
+
+
+def backend_for(path: Union[str, Path]) -> str:
+    """The backend a store path names: ``"memory"``, ``"sqlite"`` or ``"jsonl"``.
+
+    ``":memory:"`` is the in-memory store, a ``.sqlite`` / ``.sqlite3`` /
+    ``.db`` suffix is SQLite, and anything else is the append-only JSONL
+    backend.  :func:`open_store` and :mod:`repro.store.compact` both
+    dispatch on it.
+    """
+    text = str(path)
+    if text == ":memory:":
+        return "memory"
+    if text.endswith((".sqlite", ".sqlite3", ".db")):
+        return "sqlite"
+    return "jsonl"
+
+
+def open_store(path: Union[str, Path], *, commit_batch: int = 1) -> ResultStore:
+    """Open a result store, picking the backend with :func:`backend_for`.
+
+    The file (and its parent directory) is created on first use.
 
     ``commit_batch`` > 1 turns on buffered writes for the persistent
     backends: up to that many outcomes are committed in one transaction
     (SQLite) or one appended write (JSONL), trading the per-put fsync
     for bulk throughput while moving the durability point by at most one
-    batch (an idle timer and every read flush early).  The in-memory
-    backend ignores it.
+    batch (an idle timer and every SQLite read commit early).  The
+    in-memory backend ignores it.
     """
     from repro.store.jsonl import JsonlResultStore
     from repro.store.memory import MemoryResultStore
     from repro.store.sqlite import SqliteResultStore
 
-    text = str(path)
-    if text == ":memory:":
+    backend = backend_for(path)
+    if backend == "memory":
         return MemoryResultStore()
-    if text.endswith((".sqlite", ".sqlite3", ".db")):
-        return SqliteResultStore(text, commit_batch=commit_batch)
-    return JsonlResultStore(text, commit_batch=commit_batch)
+    if backend == "sqlite":
+        return SqliteResultStore(path, commit_batch=commit_batch)
+    return JsonlResultStore(path, commit_batch=commit_batch)

@@ -21,8 +21,8 @@ atomic (:func:`repro.jsonlog.rewrite`), so a kill mid-compaction leaves
 either the old file or the new one, never a mix.
 
 ``--dry-run`` reports what *would* happen without touching the file;
-backends are picked from the path suffix exactly as
-:func:`repro.store.base.open_store` does.
+backends are picked from the path by :func:`repro.store.base.backend_for`,
+the rule :func:`repro.store.base.open_store` uses.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro import jsonlog
 from repro.exceptions import ConfigurationError
+from repro.store.base import backend_for
 from repro.store.fingerprint import SCHEMA_VERSION
 from repro.store.jsonl import read_row
 
@@ -191,20 +192,21 @@ def compact_sqlite(path: Union[str, Path], *, dry_run: bool = False) -> CompactR
 
 
 def compact_store(path: Union[str, Path], *, dry_run: bool = False) -> CompactReport:
-    """Compact one store, picking the backend from the path suffix.
+    """Compact one store, picking the backend from the path.
 
-    The dispatch matches :func:`repro.store.base.open_store`:
-    ``.sqlite`` / ``.sqlite3`` / ``.db`` is SQLite, anything else JSONL
-    (``:memory:`` has nothing on disk to compact and is rejected).
+    :func:`~repro.store.base.backend_for` decides, as it does for
+    :func:`~repro.store.base.open_store`: ``.sqlite`` / ``.sqlite3`` /
+    ``.db`` is SQLite, anything else JSONL (``:memory:`` has nothing on
+    disk to compact and is rejected).
     """
-    text = str(path)
-    if text == ":memory:":
+    backend = backend_for(path)
+    if backend == "memory":
         raise ConfigurationError("the in-memory store has no file to compact")
-    if not Path(text).exists():
-        raise ConfigurationError(f"no such store: {text}")
-    if text.endswith((".sqlite", ".sqlite3", ".db")):
-        return compact_sqlite(text, dry_run=dry_run)
-    return compact_jsonl(text, dry_run=dry_run)
+    if not Path(path).exists():
+        raise ConfigurationError(f"no such store: {path}")
+    if backend == "sqlite":
+        return compact_sqlite(path, dry_run=dry_run)
+    return compact_jsonl(path, dry_run=dry_run)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

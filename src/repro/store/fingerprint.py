@@ -3,9 +3,10 @@
 A :class:`ScenarioFingerprint` is the stable sha256 of a scenario's full
 canonical identity (:meth:`repro.campaign.spec.ScenarioSpec.identity`),
 using the same ``repr``-of-a-canonical-tuple blob construction as
-:meth:`~repro.campaign.spec.ScenarioSpec.derived_seed`.  It is the key
-under which the persistent store files outcomes, which gives the cache
-its correctness argument for free:
+:meth:`~repro.campaign.spec.ScenarioSpec.derived_seed`.  Its digest
+string, which :func:`fingerprint_spec` returns, is the key under which
+the persistent store files outcomes, which gives the cache its
+correctness argument for free:
 
 * **Stability.**  The identity tuple contains only canonicalised plain
   data (sorted crash pairs, sorted params), so the fingerprint does not

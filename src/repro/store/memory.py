@@ -13,7 +13,7 @@ from typing import Any, Dict, FrozenSet, Optional
 
 from repro.campaign.codec import outcome_from_dict, outcome_to_dict
 from repro.campaign.spec import ScenarioOutcome
-from repro.store.base import Fingerprintish, ResultStore, _digest
+from repro.store.base import ResultStore
 
 __all__ = ["MemoryResultStore"]
 
@@ -24,14 +24,14 @@ class MemoryResultStore(ResultStore):
     def __init__(self) -> None:
         self._records: Dict[str, Dict[str, Any]] = {}
 
-    def get(self, fingerprint: Fingerprintish) -> Optional[ScenarioOutcome]:
-        record = self._records.get(_digest(fingerprint))
+    def get(self, fingerprint: str) -> Optional[ScenarioOutcome]:
+        record = self._records.get(fingerprint)
         if record is None:
             return None
         return outcome_from_dict(record)
 
-    def put(self, fingerprint: Fingerprintish, outcome: ScenarioOutcome) -> None:
-        self._records[_digest(fingerprint)] = outcome_to_dict(outcome)
+    def put(self, fingerprint: str, outcome: ScenarioOutcome) -> None:
+        self._records[fingerprint] = outcome_to_dict(outcome)
 
     def fingerprints(self) -> FrozenSet[str]:
         return frozenset(self._records)

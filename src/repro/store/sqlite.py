@@ -7,10 +7,10 @@ better trade.  One table, primary-keyed by fingerprint, one commit per
 on), batched ``IN (...)`` lookups for ``get_many``.
 
 Thread-safety: the connection is opened with ``check_same_thread=False``
-and every operation runs under an internal lock.  This is load-bearing,
+and every operation runs under the store's lock.  This is load-bearing,
 not cosmetic — campaigns persist from their calling thread, but the
-idle-commit timer of a batching store flushes from its own thread, and
-one store may be shared by several threads; sqlite3's default thread
+idle timer of a batching store commits from its own thread, and one
+store may be shared by several threads; sqlite3's default thread
 affinity would raise ``ProgrammingError`` on the first cross-thread
 call.  The store is safe to share between threads of one process; it is
 *not* a multi-process store (each process opens its own).
@@ -21,17 +21,17 @@ keeps readers unblocked during commits and survives process kills; with
 guarantee) though the very last commits may roll back if the *host*
 dies — the same trade the JSONL backend's per-record flush makes.
 
-Batched commits: ``commit_batch > 1`` buffers puts and commits up to
-that many rows in one transaction (``executemany`` + one ``COMMIT``),
-which is the difference between one fsync per scenario and one per
-batch on write-heavy campaigns.  The durability point then moves by **at
-most one batch**: a SIGKILL loses only the buffered tail, and a resumed
-campaign re-runs exactly those scenarios (pinned by
-``tests/store/test_bulk_io.py``).  Three things keep the relaxation
-honest — every read flushes first (the store never hides rows from
-itself), an idle timer flushes a partially filled buffer without
-waiting for the batch to fill, and :meth:`close` flushes before
-closing.
+Batched commits: ``commit_batch > 1`` buffers puts in the shared write
+buffer (:class:`repro.store.base._CommitBuffer`, which also owns the
+idle timer and the counters) and commits up to that many rows in one
+transaction (``executemany`` + one ``COMMIT``), which is the difference
+between one fsync per scenario and one per batch on write-heavy
+campaigns.  ``INSERT OR REPLACE`` applied in submission order keeps a
+re-put fingerprint last-write-wins inside a batch.  The durability point
+moves by **at most one batch**: a SIGKILL loses only the buffered tail,
+and a resumed campaign re-runs exactly those scenarios (pinned by
+``tests/store/test_bulk_io.py``).  Every read commits the buffer first,
+so the store never hides rows from itself.
 
 The schema version is stored per row: rows written under an older
 schema are invisible to lookups (their fingerprints would not match
@@ -53,18 +53,13 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, U
 from repro.campaign.codec import outcome_from_dict, outcome_to_dict
 from repro.campaign.spec import ScenarioOutcome
 from repro.exceptions import ConfigurationError
-from repro.store.base import Fingerprintish, ResultStore, _digest
+from repro.store.base import ResultStore, _CommitBuffer
 from repro.store.fingerprint import SCHEMA_VERSION
 
 __all__ = ["SqliteResultStore"]
 
 #: SQLite limits the number of bound variables; stay well under it.
 _IN_BATCH = 500
-
-#: How long a partially filled commit buffer may sit before it is
-#: flushed anyway.  Bounds the durability window in wall time the same
-#: way ``commit_batch`` bounds it in rows.
-_IDLE_FLUSH_SECONDS = 0.5
 
 _INSERT = (
     "INSERT OR REPLACE INTO results (fingerprint, schema_version, outcome) "
@@ -82,26 +77,13 @@ class SqliteResultStore(ResultStore):
     docstring for the thread-safety and WAL guarantees.
     """
 
-    def __init__(self, path: Union[str, Path], *, commit_batch: int = 1,
-                 idle_flush_seconds: float = _IDLE_FLUSH_SECONDS):
-        if commit_batch < 1:
-            raise ConfigurationError(
-                f"commit_batch must be >= 1, got {commit_batch}")
-        if idle_flush_seconds <= 0:
-            raise ConfigurationError(
-                f"idle_flush_seconds must be > 0, got {idle_flush_seconds}")
+    def __init__(self, path: Union[str, Path], *, commit_batch: int = 1):
         self._path = Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
+        self._writes = _CommitBuffer(self._path, self._lock, self._commit,
+                                     commit_batch)
+        self._path.parent.mkdir(parents=True, exist_ok=True)
         self._conn: Optional[sqlite3.Connection] = None
-        self._commit_batch = commit_batch
-        self._idle_flush_seconds = idle_flush_seconds
-        # Pending rows, digest-keyed so a re-put of a buffered fingerprint
-        # stays last-write-wins without writing the loser at all.
-        self._buffer: Dict[str, str] = {}
-        self._idle_timer: Optional[threading.Timer] = None
-        self._io = {"puts": 0, "commits": 0, "committed_rows": 0,
-                    "max_commit_batch": 0, "flushes": 0}
         try:
             # check_same_thread=False + self._lock: the idle-commit timer
             # and threads sharing the store use the connection off its
@@ -143,83 +125,36 @@ class SqliteResultStore(ResultStore):
             )
         return self._conn
 
-    # -- write buffering ---------------------------------------------------
-
-    def _commit_rows(self, rows: List[Tuple[str, int, str]]) -> None:
-        """One transaction for ``rows`` (caller holds the lock)."""
-        if not rows:
-            return
+    def _commit(self, rows: List[Tuple[str, int, str]]) -> None:
+        """One transaction for ``rows`` (the buffer holds the lock)."""
         conn = self._connection()
         conn.executemany(_INSERT, rows)
         conn.commit()
-        self._io["commits"] += 1
-        self._io["committed_rows"] += len(rows)
-        self._io["max_commit_batch"] = max(
-            self._io["max_commit_batch"], len(rows))
-
-    def _drain_buffer_locked(self) -> None:
-        """Commit and clear the pending buffer (caller holds the lock)."""
-        if self._idle_timer is not None:
-            self._idle_timer.cancel()
-            self._idle_timer = None
-        if not self._buffer:
-            return
-        rows = [(digest, SCHEMA_VERSION, payload)
-                for digest, payload in self._buffer.items()]
-        self._buffer.clear()
-        self._commit_rows(rows)
-
-    def _arm_idle_timer_locked(self) -> None:
-        if self._idle_timer is not None:
-            return
-        timer = threading.Timer(self._idle_flush_seconds, self._idle_flush)
-        timer.daemon = True
-        self._idle_timer = timer
-        timer.start()
-
-    def _idle_flush(self) -> None:
-        with self._lock:
-            self._idle_timer = None
-            if self._conn is None:
-                return  # closed (and therefore flushed) under the timer
-            if self._buffer:
-                self._io["flushes"] += 1
-                self._drain_buffer_locked()
 
     def flush(self) -> None:
         """Commit any buffered rows now (the explicit durability point)."""
-        with self._lock:
-            if self._conn is None:
-                return
-            if self._buffer:
-                self._io["flushes"] += 1
-            self._drain_buffer_locked()
+        self._writes.flush()
 
     def io_stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {**self._io, "buffered": len(self._buffer),
-                    "commit_batch": self._commit_batch}
+        return self._writes.io_stats()
 
     # -- ResultStore -------------------------------------------------------
 
-    def get(self, fingerprint: Fingerprintish) -> Optional[ScenarioOutcome]:
+    def get(self, fingerprint: str) -> Optional[ScenarioOutcome]:
         with self._lock:
-            self._drain_buffer_locked()
+            self._writes.drain()
             row = self._connection().execute(
                 "SELECT outcome FROM results WHERE fingerprint = ? AND schema_version = ?",
-                (_digest(fingerprint), SCHEMA_VERSION),
+                (fingerprint, SCHEMA_VERSION),
             ).fetchone()
         if row is None:
             return None
         return outcome_from_dict(json.loads(row[0]))
 
-    def get_many(
-        self, fingerprints: Iterable[Fingerprintish]
-    ) -> Dict[str, ScenarioOutcome]:
-        digests = list({_digest(fp) for fp in fingerprints})
+    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioOutcome]:
+        digests = list(set(fingerprints))
         hits: Dict[str, ScenarioOutcome] = {}
-        with self._lock:
-            self._drain_buffer_locked()
+        self._writes.drain()
         for start in range(0, len(digests), _IN_BATCH):
             batch = digests[start:start + _IN_BATCH]
             placeholders = ",".join("?" for _ in batch)
@@ -233,44 +168,13 @@ class SqliteResultStore(ResultStore):
                 hits[digest] = outcome_from_dict(json.loads(payload))
         return hits
 
-    def put(self, fingerprint: Fingerprintish, outcome: ScenarioOutcome) -> None:
+    def put(self, fingerprint: str, outcome: ScenarioOutcome) -> None:
         payload = json.dumps(outcome_to_dict(outcome), sort_keys=True)
-        digest = _digest(fingerprint)
-        with self._lock:
-            self._connection()  # closed-store check before buffering
-            self._io["puts"] += 1
-            if self._commit_batch == 1:
-                self._commit_rows([(digest, SCHEMA_VERSION, payload)])
-                return
-            self._buffer[digest] = payload
-            if len(self._buffer) >= self._commit_batch:
-                self._drain_buffer_locked()
-            else:
-                self._arm_idle_timer_locked()
-
-    def put_many(
-        self, items: Iterable[Tuple[Fingerprintish, ScenarioOutcome]]
-    ) -> None:
-        rows = [
-            (_digest(fp), SCHEMA_VERSION, json.dumps(outcome_to_dict(o), sort_keys=True))
-            for fp, o in items
-        ]
-        with self._lock:
-            # Buffered puts precede these rows in submission order; drain
-            # them into the same transaction so last-write-wins ordering
-            # is preserved across the buffering boundary.
-            if self._idle_timer is not None:
-                self._idle_timer.cancel()
-                self._idle_timer = None
-            buffered = [(digest, SCHEMA_VERSION, payload)
-                        for digest, payload in self._buffer.items()]
-            self._buffer.clear()
-            self._io["puts"] += len(rows)
-            self._commit_rows(buffered + rows)
+        self._writes.add((fingerprint, SCHEMA_VERSION, payload))
 
     def fingerprints(self) -> FrozenSet[str]:
         with self._lock:
-            self._drain_buffer_locked()
+            self._writes.drain()
             rows = self._connection().execute(
                 "SELECT fingerprint FROM results WHERE schema_version = ?",
                 (SCHEMA_VERSION,),
@@ -279,7 +183,7 @@ class SqliteResultStore(ResultStore):
 
     def items(self) -> Iterator[Tuple[str, ScenarioOutcome]]:
         with self._lock:
-            self._drain_buffer_locked()
+            self._writes.drain()
             rows = self._connection().execute(
                 "SELECT fingerprint, outcome FROM results WHERE schema_version = ? "
                 "ORDER BY fingerprint",
@@ -290,10 +194,7 @@ class SqliteResultStore(ResultStore):
 
     def close(self) -> None:
         with self._lock:
-            if self._idle_timer is not None:
-                self._idle_timer.cancel()
-                self._idle_timer = None
+            self._writes.close()
             if self._conn is not None:
-                self._drain_buffer_locked()
                 self._conn.close()
                 self._conn = None

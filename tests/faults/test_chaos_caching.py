@@ -12,8 +12,11 @@ accident as if it were a property of the scenario.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
+import repro.store.base as store_base
 from repro.campaign import CampaignRunner, theorem8_specs
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan, FaultyStore, InjectedFaultError, RetryPolicy
@@ -117,6 +120,32 @@ class TestFaultyStoreTolerance:
         assert replay_runner.run(SPECS) == BASELINE
         assert replay_runner.last_stats.cached == len(SPECS)
         inner.close()
+
+    @pytest.mark.parametrize("name", ["store.jsonl", "store.sqlite"])
+    def test_run_flushes_and_reports_through_the_wrapper(
+            self, tmp_path, monkeypatch, name):
+        # No idle flush during the test: only the campaign's closing
+        # flush can put the batched outcomes on disk.
+        monkeypatch.setattr(store_base, "_IDLE_FLUSH_SECONDS", 3600.0)
+        path = tmp_path / name
+        inner = open_store(path, commit_batch=1000)
+        faulty = FaultyStore(inner, FaultPlan(store_failure_rate=0.0))
+        try:
+            CachingRunner(faulty, CampaignRunner()).run(SPECS)
+            if path.suffix == ".jsonl":
+                on_disk = path.read_bytes().count(b"\n")
+            else:
+                connection = sqlite3.connect(str(path))
+                try:
+                    (on_disk,) = connection.execute(
+                        "SELECT COUNT(*) FROM results").fetchone()
+                finally:
+                    connection.close()
+            assert on_disk == len(SPECS)
+            assert faulty.io_stats() == inner.io_stats()
+            assert faulty.io_stats()["puts"] == len(SPECS)
+        finally:
+            inner.close()
 
     def test_store_write_failures_are_counted_in_journal_stats(self, tmp_path):
         faulty = FaultyStore(MemoryResultStore(),

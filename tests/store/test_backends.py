@@ -13,7 +13,9 @@ from repro.store import (
     ScenarioFingerprint,
     SqliteResultStore,
     fingerprint_spec,
+    open_store,
 )
+from repro.store.compact import compact_store
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)
 OUTCOMES = CampaignRunner().run(SPECS).outcomes
@@ -26,14 +28,14 @@ class TestRoundTrip:
             store.put(fingerprint, outcome)
             assert store.get(fingerprint) == outcome
 
-    def test_get_accepts_fingerprint_objects_and_strings(self, store):
+    def test_keys_are_digest_strings(self, store):
         outcome = OUTCOMES[0]
         fingerprint = ScenarioFingerprint.of(outcome.spec)
-        store.put(fingerprint, outcome)
-        assert store.get(fingerprint) == outcome
+        assert fingerprint.digest == fingerprint_spec(outcome.spec)
+        store.put(fingerprint.digest, outcome)
         assert store.get(fingerprint.digest) == outcome
-        assert fingerprint in store
         assert fingerprint.digest in store
+        assert fingerprint not in store  # the object is not a key
 
     def test_miss_returns_none(self, store):
         assert store.get("0" * 64) is None
@@ -48,8 +50,9 @@ class TestRoundTrip:
         assert set(hits) == set(wanted[:3])
         assert all(hits[fingerprint_spec(o.spec)] == o for o in stored)
 
-    def test_put_many_and_len(self, store):
-        store.put_many((fingerprint_spec(o.spec), o) for o in OUTCOMES)
+    def test_puts_and_len(self, store):
+        for outcome in OUTCOMES:
+            store.put(fingerprint_spec(outcome.spec), outcome)
         assert len(store) == len(OUTCOMES)
         assert store.fingerprints() == frozenset(fingerprint_spec(o.spec) for o in OUTCOMES)
 
@@ -89,6 +92,22 @@ class TestPersistence:
         with backend_cls(path) as store:
             store.put(fingerprint_spec(OUTCOMES[0].spec), OUTCOMES[0])
         assert path.exists()
+
+
+@pytest.mark.parametrize("name,backend", [
+    ("store.sqlite", "sqlite"),
+    ("store.sqlite3", "sqlite"),
+    ("store.db", "sqlite"),
+    ("store.jsonl", "jsonl"),
+    ("store.results", "jsonl"),  # an unknown suffix is JSONL
+])
+def test_open_and_compact_pick_the_same_backend(tmp_path, name, backend):
+    path = tmp_path / name
+    with open_store(path) as store:
+        store.put(fingerprint_spec(OUTCOMES[0].spec), OUTCOMES[0])
+    opened = {JsonlResultStore: "jsonl", SqliteResultStore: "sqlite"}[type(store)]
+    assert opened == backend
+    assert compact_store(path).backend == backend
 
 
 class TestJsonlCrashRepair:

@@ -3,7 +3,7 @@
 ``commit_batch > 1`` relaxes the per-put durability point to "within one
 batch or one flush".  These tests pin everything that relaxation is
 *not* allowed to change: read-your-writes, last-write-wins ordering
-across the buffering boundary, the JSONL torn-tail classification, and
+inside a batch, the JSONL torn-tail classification, and
 — via a SIGKILL mid-campaign — the at-most-one-batch loss bound a
 resumed campaign relies on.  They also pin the two pure perf claims:
 commit counts actually drop, and the bulk skip query is answered from
@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.store.base as store_base
 from repro.campaign import CampaignRunner, theorem8_specs
 from repro.campaign.spec import ScenarioOutcome, ScenarioSpec
 from repro.exceptions import ConfigurationError
@@ -46,10 +47,9 @@ def outcome_for(seed: int, *, steps: int = 1) -> ScenarioOutcome:
                            decided=3, steps=steps)
 
 
-def batching_store(tmp_path, backend: str, commit_batch: int = 8, **kwargs):
+def batching_store(tmp_path, backend: str, commit_batch: int = 8):
     cls = {"jsonl": JsonlResultStore, "sqlite": SqliteResultStore}[backend]
-    return cls(tmp_path / f"store.{backend}", commit_batch=commit_batch,
-               **kwargs)
+    return cls(tmp_path / f"store.{backend}", commit_batch=commit_batch)
 
 
 class TestBatchedCommits:
@@ -118,9 +118,10 @@ class TestBatchedCommits:
             assert len(reopened) == 7
 
     @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_idle_timer_flushes_partial_batch(self, tmp_path, backend):
-        store = batching_store(tmp_path, backend, commit_batch=100,
-                               idle_flush_seconds=0.05)
+    def test_idle_timer_flushes_partial_batch(self, tmp_path, backend,
+                                              monkeypatch):
+        monkeypatch.setattr(store_base, "_IDLE_FLUSH_SECONDS", 0.05)
+        store = batching_store(tmp_path, backend, commit_batch=100)
         try:
             outcome = outcome_for(1)
             store.put(fingerprint_spec(outcome.spec), outcome)
@@ -138,18 +139,21 @@ class TestBatchedCommits:
         with open_store(tmp_path / f"store.{backend}") as reopened:
             assert len(reopened) == 1
 
-    def test_sqlite_put_many_drains_buffer_in_order(self, tmp_path):
-        store = batching_store(tmp_path, "sqlite", commit_batch=100)
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_last_write_wins_inside_one_batch(self, tmp_path, backend):
+        old = outcome_for(1, steps=1)
+        new = outcome_for(1, steps=2)  # same fingerprint, later write
+        digest = fingerprint_spec(old.spec)
+        store = batching_store(tmp_path, backend, commit_batch=100)
         try:
-            old = outcome_for(1, steps=1)
-            new = outcome_for(1, steps=2)  # same fingerprint, later write
-            digest = fingerprint_spec(old.spec)
             store.put(digest, old)
-            store.put_many([(digest, new)])
-            assert store.get(digest) == new  # last write won across the boundary
-            assert store.io_stats()["buffered"] == 0
+            store.put(digest, new)  # both rows pending in one batch
+            assert store.get(digest) == new
         finally:
             store.close()
+        with open_store(tmp_path / f"store.{backend}") as reopened:
+            assert reopened.get(digest) == new
+            assert len(reopened) == 1
 
     @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
     def test_commit_batch_validated(self, tmp_path, backend):
