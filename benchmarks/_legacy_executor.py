@@ -25,12 +25,7 @@ from typing import Dict, Optional
 
 from repro.algorithms.kset_initial_crash import KSetInitialCrash
 from repro.algorithms.two_stage import TwoStageState
-from repro.exceptions import (
-    AdmissibilityError,
-    AlgorithmError,
-    ConfigurationError,
-    ScheduleExhaustedError,
-)
+from repro.exceptions import AdmissibilityError, AlgorithmError, ConfigurationError
 from repro.failure_detectors.base import FailurePattern, RecordedHistory
 from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.graphs.source_components import reachable_source_components
@@ -145,7 +140,7 @@ def legacy_execute(algorithm, model, proposals, *, adversary=None,
         completed = stop_condition(states, frozenset(decided), correct)
 
     truncated = not completed and time >= settings.max_steps
-    run = Run(
+    return Run(
         algorithm_name=algorithm.name,
         model_name=model.name,
         processes=processes,
@@ -157,12 +152,6 @@ def legacy_execute(algorithm, model, proposals, *, adversary=None,
         truncated=truncated,
         undelivered=buffer.all_pending(),
     )
-    if truncated and settings.raise_on_exhaustion:
-        raise ScheduleExhaustedError(
-            f"run of {algorithm.name} in {model.name} exhausted its budget",
-            partial_run=run,
-        )
-    return run
 
 
 class LegacyKSet(KSetInitialCrash):

@@ -244,7 +244,7 @@ def test_batch_kernel_speedup(benchmark):
 
 def run_once_traced(n: int):
     """One verdict-only run under an active tracer with full phase capture."""
-    tracer = Tracer(trace_id="bench", capture_phases=True)
+    tracer = Tracer(trace_id="bench")
     with activated(tracer):
         run = run_once(n, RecordingPolicy.VERDICT_ONLY)
     return run, tracer.drain()

@@ -88,7 +88,7 @@ def main() -> None:
         poisoned = specs[7]
         poison_plan = FaultPlan(poison_labels=(poisoned.label(),))
         poisoned_result = CampaignRunner(
-            backend="chunked", chunk_size=8,
+            backend="process", workers=2, chunk_size=8,
             faults=poison_plan, retry=RETRY,
         ).run(specs)
         quarantined = [o for o in poisoned_result.outcomes

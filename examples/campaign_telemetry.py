@@ -51,7 +51,6 @@ def main() -> None:
         # 1. Traced process-backend run: spans cross the process boundary
         #    on the scenario events, the journal shares the correlation id.
         session = TelemetrySession(TelemetryConfig(
-            capture_phases=True,
             sample_threshold=0,          # small campaign: trace everything
             trace_path=trace_path,
             metrics_path=metrics_path,

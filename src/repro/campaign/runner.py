@@ -1,4 +1,4 @@
-"""Campaign execution: serial, chunked and multiprocessing backends.
+"""Campaign execution: a serial and a multiprocessing backend.
 
 :class:`CampaignRunner` executes a flat list of scenario specs (or a
 :class:`~repro.campaign.grid.ScenarioGrid`, which it compiles first) and
@@ -9,17 +9,15 @@ them in the calling process or on a worker pool and settles every slot
 exactly once.
 
 * ``"serial"`` — one single-spec task after the other in the calling
-  process; the reference backend every other backend must agree with.
-* ``"chunked"`` — the same executions in chunk-sized tasks, still in
-  the calling process; useful for testing the chunking logic without
-  any forking.
-* ``"process"`` — the chunk tasks run on a ``multiprocessing`` pool.
-  Because specs are plain data and every seeded scheduler derives its
-  RNG stream from the scenario's identity
-  (:meth:`ScenarioSpec.derived_seed`), the outcome of a scenario does
-  not depend on which worker runs it or in which order — so all
-  backends produce **identical** :class:`CampaignResult`\\ s (timing
-  metadata aside, which is excluded from equality).
+  process; the reference backend the pool must agree with.
+* ``"process"`` — chunk tasks run on a ``multiprocessing`` pool (one
+  spec per task when the pool has a single worker).  Because specs are
+  plain data and every seeded scheduler derives its RNG stream from the
+  scenario's identity (:meth:`ScenarioSpec.derived_seed`), the outcome
+  of a scenario does not depend on which worker runs it or in which
+  order — so both backends produce **identical**
+  :class:`CampaignResult`\\ s (timing metadata aside, which is
+  excluded from equality).
 
 :meth:`CampaignRunner.run` additionally accepts three hooks that the
 persistent store (:mod:`repro.store`) builds on.  Both delivery hooks
@@ -33,8 +31,8 @@ run on the **calling** thread, slot by slot, as each task settles:
   event when its slot settles, from its own spec and the worker pid
   and spans that came back on the task's result; a slot settles once,
   so a retried or late duplicate task cannot report a scenario twice.
-  The price is granularity: events arrive per task, so a chunked or
-  pooled campaign reports in bursts of at most one chunk.
+  The price is granularity: events arrive per task, so a pooled
+  campaign reports in bursts of at most one chunk.
 * ``should_skip`` — consulted once per scenario when its task is
   built; a ``True`` return drops the scenario from the campaign.
   Adaptive budgets (:class:`repro.store.EarlyStopPolicy`) use this to
@@ -83,7 +81,7 @@ from repro.telemetry.spans import SpanRecord, Tracer, activated
 
 __all__ = ["CampaignRunner", "CampaignResult", "ScenarioEvent", "run_scenario"]
 
-BACKENDS = ("serial", "chunked", "process")
+BACKENDS = ("serial", "process")
 
 #: Format tag of :meth:`CampaignResult.to_json` payloads.
 RESULT_JSON_FORMAT = 1
@@ -229,8 +227,7 @@ def _run_batch(
         spans: Tuple[SpanRecord, ...] = ()
         started = time.perf_counter()
         if telem is not None and telem.samples(spec):
-            tracer = Tracer(
-                trace_id=telem.campaign, capture_phases=telem.capture_phases)
+            tracer = Tracer(trace_id=telem.campaign)
             with activated(tracer):
                 with tracer.span(
                     "scenario", label=spec.label(), kind=spec.kind,
@@ -321,7 +318,7 @@ class CampaignResult:
     #: equality so a chaos run can compare equal to a fault-free one.
     fault_stats: FaultStats = field(default_factory=FaultStats, compare=False)
     #: What shipping the work cost (tasks, wire bytes, queue wait).  Pool
-    #: dispatch accounting only — zero for the in-process backends — and
+    #: dispatch accounting only — zero for in-process campaigns — and
     #: excluded from equality for the same reason as ``fault_stats``.
     dispatch_stats: DispatchStats = field(
         default_factory=DispatchStats, compare=False)
@@ -450,13 +447,14 @@ class CampaignRunner:
     Attributes
     ----------
     backend:
-        ``"serial"`` (default), ``"chunked"`` or ``"process"``.
+        ``"serial"`` (default) or ``"process"``.
     workers:
         Worker-process count for the process backend (default: the CPU
-        count, capped at 8).  Ignored by the in-process backends.
+        count, capped at 8).  Ignored by the serial backend.
     chunk_size:
-        Scenarios per chunk for the chunked/process backends (default:
-        an even split into roughly ``4 * workers`` chunks).
+        Scenarios per task for a process backend with more than one
+        worker (default: an even split into roughly ``4 * workers``
+        chunks).  Serial and single-worker runs take one spec per task.
     faults:
         An optional :class:`~repro.faults.plan.FaultPlan` injecting
         deterministic chaos (worker crashes, hangs, task exceptions,
@@ -529,7 +527,7 @@ class CampaignRunner:
             telemetry = telemetry.ensure_samples(specs)
 
         workers = self._effective_workers() if self.backend == "process" else 1
-        if self.backend == "chunked" or workers > 1:
+        if workers > 1:
             size = self._effective_chunk_size(len(specs), workers)
         else:  # serial and single-worker runs: one spec per task
             size = 1

@@ -16,7 +16,6 @@ __all__ = [
     "SimulationError",
     "StaleViewError",
     "TraceUnavailableError",
-    "ScheduleExhaustedError",
     "AlgorithmError",
     "FailureDetectorError",
     "PropertyViolation",
@@ -79,19 +78,6 @@ class TraceUnavailableError(SimulationError):
     logs, ...) raise this error rather than silently returning an empty
     trace.  Re-run with ``RecordingPolicy.FULL`` to get the full trace.
     """
-
-
-class ScheduleExhaustedError(SimulationError):
-    """A run hit its step budget before the stopping condition was met.
-
-    The partially built :class:`repro.simulation.run.Run` is attached as the
-    ``partial_run`` attribute so callers can inspect how far the execution
-    got before the budget ran out.
-    """
-
-    def __init__(self, message: str, partial_run=None):
-        super().__init__(message)
-        self.partial_run = partial_run
 
 
 class AlgorithmError(ReproError):

@@ -14,8 +14,8 @@ Fault channels
 --------------
 
 * ``crash`` — the worker process SIGKILLs itself before executing the
-  scenario.  A worker-level fault: in-process backends (and the pool's
-  in-process fallback) skip it, because there is no worker to kill.
+  scenario.  A worker-level fault: the serial backend (and the pool's
+  in-process fallback) skips it, because there is no worker to kill.
 * ``hang`` — the worker stalls for :attr:`FaultPlan.hang_seconds`
   before executing the scenario (long enough to trip the supervisor's
   per-task deadline).  Worker-level, like ``crash``.
@@ -272,7 +272,7 @@ class FaultPlan:
         """Execute the planned fault for ``spec`` at this attempt, if any.
 
         ``crash`` and ``hang`` are worker-level faults: outside a pool
-        worker (serial/chunked backends, the pool's in-process fallback)
+        worker (the serial backend, the pool's in-process fallback)
         they are skipped, because killing or stalling the calling
         process would take the campaign down with it — the very thing
         the supervisor exists to survive.

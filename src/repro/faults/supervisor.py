@@ -65,8 +65,8 @@ class DispatchStats:
 
     Orchestration accounting, not a result property — attached to
     :class:`~repro.campaign.runner.CampaignResult` with ``compare=False``
-    exactly like :class:`~repro.faults.plan.FaultStats`.  The in-process
-    backends ship nothing, so their stats stay zero.
+    exactly like :class:`~repro.faults.plan.FaultStats`.  A campaign run
+    in the calling process ships nothing, so its stats stay zero.
 
     ``queue_seconds`` is the summed per-task dispatch latency: time from
     submission to result callback minus the in-worker scenario seconds —

@@ -115,8 +115,8 @@ def execute_bitmask(
     returns the run it would return, for a freshly built
     :class:`~repro.simulation.scheduler.RoundRobinScheduler` or
     :class:`~repro.simulation.scheduler.RandomScheduler`, processes
-    ``1..n``, the default stop condition and ``VERDICT_ONLY`` recording
-    without ``raise_on_exhaustion``.  Any other input raises
+    ``1..n``, the default stop condition and ``VERDICT_ONLY`` recording.
+    Any other input raises
     :class:`~repro.exceptions.ConfigurationError`.
 
     With an ambient tracer active, the execution is wrapped in an
@@ -138,7 +138,6 @@ def execute_bitmask(
         or processes != tuple(range(1, algorithm.n + 1))
         or settings.recording is not RecordingPolicy.VERDICT_ONLY
         or settings.stop_condition not in (None, all_correct_decided)
-        or settings.raise_on_exhaustion
     ):
         raise ConfigurationError(
             "the bitmask loop replays only the two-stage protocol on "

@@ -18,6 +18,8 @@ of Section II:
 The executor stops when its *stop condition* holds (by default: every
 correct process has decided), when the adversary has nothing left to
 schedule, or when the step budget is exhausted, whichever comes first.
+A run that exhausts its budget is returned like any other, marked
+``truncated=True``.
 
 The per-step hot path is zero-copy:
 
@@ -53,12 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional
 
 from repro.algorithms.base import Algorithm, ProcessState
-from repro.exceptions import (
-    AdmissibilityError,
-    AlgorithmError,
-    ConfigurationError,
-    ScheduleExhaustedError,
-)
+from repro.exceptions import AdmissibilityError, AlgorithmError, ConfigurationError
 from repro.failure_detectors.base import FailurePattern, RecordedHistory
 from repro.models.model import SystemModel
 from repro.simulation.events import StepEvent
@@ -66,7 +63,7 @@ from repro.simulation.message import Message, MessageBuffer
 from repro.simulation.recording import RecordingPolicy
 from repro.simulation.run import Run
 from repro.simulation.scheduler import Adversary, LazyAdversaryView, RoundRobinScheduler
-from repro.telemetry.spans import current_tracer
+from repro.telemetry.spans import PhaseAccumulator, current_tracer
 from repro.types import ProcessId, Time, Value
 
 __all__ = [
@@ -152,10 +149,6 @@ class ExecutionSettings:
         Step budget; reaching it marks the run as truncated.
     stop_condition:
         When to stop early (default: every correct process decided).
-    raise_on_exhaustion:
-        When ``True`` a truncated run raises
-        :class:`repro.exceptions.ScheduleExhaustedError` instead of being
-        returned; the partial run is attached to the exception.
     recording:
         How much of the execution the returned run keeps (default:
         everything).  See
@@ -165,7 +158,6 @@ class ExecutionSettings:
 
     max_steps: int = 10_000
     stop_condition: Optional[StopCondition] = None
-    raise_on_exhaustion: bool = False
     recording: RecordingPolicy = RecordingPolicy.FULL
 
 
@@ -274,7 +266,7 @@ def execute(
             "execute",
             {"engine": "scalar", "algorithm": algorithm.name, "model": model.name},
         )
-        phases = tracer.phase_accumulator()
+        phases = PhaseAccumulator()
 
     time = 0
     max_steps = settings.max_steps
@@ -386,7 +378,7 @@ def execute(
             completed=completed,
             truncated=truncated,
         )
-    run = Run(
+    return Run(
         algorithm_name=algorithm.name,
         model_name=model.name,
         processes=processes,
@@ -404,13 +396,6 @@ def execute(
         sent_total=buffer.sent_count,
         delivered_total=buffer.delivered_count,
     )
-    if truncated and settings.raise_on_exhaustion:
-        raise ScheduleExhaustedError(
-            f"run of {algorithm.name} in {model.name} exhausted its budget of "
-            f"{settings.max_steps} steps",
-            partial_run=run,
-        )
-    return run
 
 
 # -- validation helpers ------------------------------------------------------

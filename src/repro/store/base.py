@@ -16,7 +16,9 @@ campaigns; :func:`open_store` picks one from a path.  Both persistent
 backends write through one :class:`_CommitBuffer`, which owns the
 ``commit_batch`` policy — pending rows, idle timer, write counters,
 ``flush`` and the drain on close — so a backend supplies only its
-``commit(rows)`` and its reads.
+``commit(rows)`` and its reads.  A commit that fails loses nothing: its
+rows stay pending for the next commit, and the error reaches the caller
+that triggered it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,11 @@ from typing import (Any, Callable, Dict, FrozenSet, Iterable, Iterator, List,
 
 from repro.campaign.spec import ScenarioOutcome
 from repro.exceptions import ConfigurationError
+from repro.telemetry.logs import get_logger
 
 __all__ = ["ResultStore", "backend_for", "open_store"]
+
+_log = get_logger("store")
 
 #: How long a partially filled commit buffer may sit before it is
 #: committed anyway.  Bounds the durability window in wall time the way
@@ -106,7 +111,8 @@ class ResultStore(ABC):
         "durable within one batch, one flush or one idle period,
         whichever comes first"; for them this is the durability point.
         Such a backend never hides rows from itself: SQLite commits the
-        buffer before every read, JSONL serves its in-memory index.
+        buffer before every read, JSONL serves its in-memory index.  A
+        commit that fails raises here and keeps its rows buffered.
         """
 
     def io_stats(self) -> Dict[str, int]:
@@ -148,6 +154,12 @@ class _CommitBuffer:
     first.  At ``commit_batch=1`` every row is committed before
     :meth:`add` returns.
 
+    Rows leave the buffer only when ``commit`` returns: a commit that
+    raises keeps them pending, in order, and re-raises to the ``put``,
+    ``flush``, ``close`` or SQLite read that asked for it.  The idle
+    timer has no caller, so it logs the failure instead.  ``puts ==
+    committed_rows + buffered`` holds at all times.
+
     Everything runs under the *store's* lock, never a second one: a
     commit shares the store's file or connection with its reads, and
     with two locks a reader (store, then buffer) and the timer (buffer,
@@ -171,17 +183,21 @@ class _CommitBuffer:
         self._io = {"puts": 0, "commits": 0, "committed_rows": 0,
                     "max_commit_batch": 0, "flushes": 0}
 
+    def check_open(self) -> None:
+        """Raise ``ConfigurationError`` once the store is closed."""
+        if self._closed:
+            raise ConfigurationError(f"result store {self._path} is closed")
+
     def add(self, row: Any) -> None:
         """Queue one row; commit the batch once it is full."""
         with self._lock:
-            if self._closed:
-                raise ConfigurationError(f"result store {self._path} is closed")
+            self.check_open()
             self._io["puts"] += 1
             self._rows.append(row)
             if len(self._rows) >= self._commit_batch:
                 self.drain()
             elif self._timer is None:
-                self._timer = threading.Timer(_IDLE_FLUSH_SECONDS, self.flush)
+                self._timer = threading.Timer(_IDLE_FLUSH_SECONDS, self._idle_flush)
                 self._timer.daemon = True
                 self._timer.start()
 
@@ -191,21 +207,31 @@ class _CommitBuffer:
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None
-            if not self._rows:
+            rows = self._rows
+            if not rows:
                 return
-            rows, self._rows = self._rows, []
             self._commit(rows)
+            self._rows = []
             self._io["commits"] += 1
             self._io["committed_rows"] += len(rows)
             self._io["max_commit_batch"] = max(
                 self._io["max_commit_batch"], len(rows))
 
     def flush(self) -> None:
-        """:meth:`drain`, counted as a flush when rows were pending."""
+        """:meth:`drain`, counted as a flush when it committed rows."""
         with self._lock:
-            if self._rows:
-                self._io["flushes"] += 1
+            pending = bool(self._rows)
             self.drain()
+            if pending:
+                self._io["flushes"] += 1
+
+    def _idle_flush(self) -> None:
+        try:
+            self.flush()
+        except Exception:  # noqa: BLE001 - a timer has no caller to raise to
+            _log.warning("idle commit of result store %s failed; its rows "
+                         "stay pending for the next commit", self._path,
+                         exc_info=True)
 
     def close(self) -> None:
         """Drain, then refuse every later row (idempotent)."""

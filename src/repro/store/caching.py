@@ -256,9 +256,11 @@ class CachingRunner:
                     # mistake, not flaky infrastructure — fail loudly.
                     raise
                 except Exception as exc:  # noqa: BLE001 - cache, not contract
-                    # The store is a cache: a failed write costs a cache
-                    # entry (the scenario re-runs next campaign), never
-                    # the in-memory outcome or the campaign itself.
+                    # The store is a cache: a failed write never costs
+                    # the in-memory outcome or the campaign itself.  A
+                    # rejected put costs a cache entry (the scenario
+                    # re-runs next campaign); a failed batched commit
+                    # keeps its rows pending for the next commit.
                     store_write_failures += 1
                     _log.warning(
                         "store write failed for %s (%s: %s); outcome kept "

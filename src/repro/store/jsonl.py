@@ -117,8 +117,11 @@ class JsonlResultStore(ResultStore):
                   "outcome": outcome_to_dict(outcome)}
         line = json.dumps(record, sort_keys=True) + "\n"
         with self._lock:
-            self._writes.add(line)
+            self._writes.check_open()
+            # Indexed first: a failed commit leaves the row pending, and
+            # the index serves pending rows.
             self._index[fingerprint] = outcome
+            self._writes.add(line)
 
     def fingerprints(self) -> FrozenSet[str]:
         return frozenset(self._index)

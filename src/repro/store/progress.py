@@ -16,10 +16,12 @@ campaign runs.
 stream with :meth:`campaign_started` / :meth:`campaign_finished` and
 synthesises ``cached=True`` events for store hits, so the reporter's
 totals always add up to the campaign size regardless of how much came
-from cache.
+from cache.  :meth:`campaign_started` resets every counter the snapshot
+reports, so one reporter reused across campaigns describes only the
+current one.
 
-:class:`LogProgressReporter` reports through the structured logging
-facade (:mod:`repro.telemetry.logs`): by default it logs to the shared
+:class:`LogProgressReporter` reports through the logging facade
+(:mod:`repro.telemetry.logs`): by default it logs to the shared
 ``repro`` logger hierarchy (configuring the stderr handler on first
 use), while the ``stream=`` escape hatch binds a private plain-format
 logger to an explicit stream — same lines, no global logging state,
@@ -43,6 +45,10 @@ __all__ = ["ProgressReporter", "CollectingProgressReporter", "LogProgressReporte
 #: jitter; dividing by such a span manufactures absurd rates.
 _MIN_RATE_WINDOW = 1e-6
 
+#: How many recent ``(time, completed)`` samples the rate/ETA smoother
+#: keeps.
+_SMOOTHING_SAMPLES = 32
+
 
 class ProgressReporter:
     """Thread-safe counters over a campaign's scenario-event stream.
@@ -64,9 +70,14 @@ class ProgressReporter:
     # -- lifecycle (driven by CachingRunner; optional otherwise) -----------
 
     def campaign_started(self, total: int) -> None:
+        """Start a campaign of ``total`` scenarios from zeroed counters."""
         with self._lock:
             self._started_at = time.perf_counter()
             self.total = total
+            self.completed = 0
+            self.cached = 0
+            self.verdicts = {"ok": 0, "violation": 0, "error": 0}
+            self.worker_pids = set()
 
     def campaign_finished(self) -> None:
         pass
@@ -126,7 +137,7 @@ class LogProgressReporter(ProgressReporter):
 
         [campaign] 120/4096 (2 cached) ok=116 violation=4 error=0 workers=8 rate=41.2/s eta=96s
 
-    Lines go through the structured logging facade.  With no ``stream``
+    Lines go through the logging facade.  With no ``stream``
     the reporter logs to ``repro.campaign`` (attaching the facade's
     stderr handler on first use — call
     :func:`repro.telemetry.logs.configure` yourself first to choose
@@ -134,9 +145,9 @@ class LogProgressReporter(ProgressReporter):
     plain-lines-to-this-stream behaviour via a private logger.
 
     ``rate`` and ``eta`` are smoothed over a sliding window of the last
-    ``smoothing`` samples rather than computed since campaign start, so
-    a sweep that begins with a burst of free cache hits converges to the
-    true execution rate instead of advertising the burst forever.
+    32 samples rather than computed since campaign start, so a sweep
+    that begins with a burst of free cache hits converges to the true
+    execution rate instead of advertising the burst forever.
     """
 
     def __init__(
@@ -144,7 +155,6 @@ class LogProgressReporter(ProgressReporter):
         *,
         every: int = 50,
         stream: Optional[TextIO] = None,
-        smoothing: int = 32,
     ):
         super().__init__()
         self._every = max(1, every)
@@ -154,7 +164,7 @@ class LogProgressReporter(ProgressReporter):
             configure()
             self._log = get_logger("campaign")
         self._samples_lock = threading.Lock()
-        self._samples: Deque[Tuple[float, int]] = deque(maxlen=max(2, smoothing))
+        self._samples: Deque[Tuple[float, int]] = deque(maxlen=_SMOOTHING_SAMPLES)
 
     # -- rate/ETA smoothing ------------------------------------------------
 

@@ -126,10 +126,19 @@ class SqliteResultStore(ResultStore):
         return self._conn
 
     def _commit(self, rows: List[Tuple[str, int, str]]) -> None:
-        """One transaction for ``rows`` (the buffer holds the lock)."""
+        """One transaction for ``rows`` (the buffer holds the lock).
+
+        A failure rolls the open transaction back before it propagates:
+        the buffer keeps the rows pending, and the next commit writes
+        them whole.
+        """
         conn = self._connection()
-        conn.executemany(_INSERT, rows)
-        conn.commit()
+        try:
+            conn.executemany(_INSERT, rows)
+            conn.commit()
+        except BaseException:
+            conn.rollback()
+            raise
 
     def flush(self) -> None:
         """Commit any buffered rows now (the explicit durability point)."""

@@ -1,4 +1,4 @@
-"""Unified telemetry: spans, metrics, exporters and structured logging.
+"""Unified telemetry: spans, metrics, exporters and the logging facade.
 
 The observability layer of the campaign stack, one level of abstraction
 per module and **stdlib-only imports** throughout, so every other layer
@@ -13,8 +13,8 @@ per module and **stdlib-only imports** throughout, so every other layer
 - :mod:`repro.telemetry.export` — torn-tail-safe Chrome trace-event
   files (Perfetto / ``chrome://tracing`` load them directly) and
   metrics JSONL dumps.
-- :mod:`repro.telemetry.logs` — the structured logging facade carrying
-  campaign/scenario correlation ids as fields.
+- :mod:`repro.telemetry.logs` — the logging facade: one ``repro``
+  logger hierarchy and private plain-line stream loggers.
 - :mod:`repro.telemetry.session` — :class:`TelemetrySession`, the
   campaign-level tie-in consumed by
   :class:`~repro.store.caching.CachingRunner`, and the picklable
@@ -58,7 +58,6 @@ from repro.telemetry.logs import (
     configure,
     get_logger,
     stream_logger,
-    with_context,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.session import TelemetryConfig, TelemetrySession, WorkerTelemetry
@@ -101,7 +100,6 @@ __all__ = [
     "get_logger",
     "configure",
     "stream_logger",
-    "with_context",
     # session
     "TelemetryConfig",
     "TelemetrySession",

@@ -1,26 +1,17 @@
-"""Structured logging facade: campaign-aware stdlib logging.
+"""Logging facade: one ``repro`` logger hierarchy over stdlib logging.
 
 Every component that used to ``print`` to an ad-hoc stream now logs
-through here: one ``repro`` logger hierarchy, a formatter that renders
-the campaign/scenario correlation ids as structured fields, and a
-defaults filter so records logged *without* those ids still format
-(as ``-``) instead of raising ``KeyError`` inside the logging module.
-
-Two modes:
+through here.  Two modes:
 
 * :func:`configure` — attach the shared stderr (or custom-stream)
   handler to the ``repro`` root logger, idempotently; library code then
-  just calls :func:`get_logger` and logs.
+  just calls :func:`get_logger` and logs.  Lines read
+  ``<time> <LEVEL> <logger> <message>``.
 * :func:`stream_logger` — a private, non-propagating logger bound to an
   explicit stream with a bare ``%(message)s`` format.  This is the
   test/CLI escape hatch :class:`~repro.store.progress.LogProgressReporter`
   keeps: handing it an ``io.StringIO`` captures exactly the lines it
   always emitted, no global logging state touched.
-
-Correlation ids attach per call (``extra={"campaign": ...}``) or per
-logger via :func:`with_context`, which returns an adapter stamping every
-record — the worker-process pattern: one adapter per campaign, shared by
-everything that logs inside it.
 """
 
 from __future__ import annotations
@@ -28,35 +19,20 @@ from __future__ import annotations
 import itertools
 import logging
 import sys
-from typing import Any, Dict, Optional, TextIO
+from typing import Optional, TextIO
 
 __all__ = [
     "DEFAULT_FORMAT",
     "get_logger",
     "configure",
     "stream_logger",
-    "with_context",
 ]
 
-#: The shared handler's format: correlation ids as structured fields.
-DEFAULT_FORMAT = (
-    "%(asctime)s %(levelname)s %(name)s "
-    "[campaign=%(campaign)s scenario=%(scenario)s] %(message)s"
-)
+#: The shared handler's format.
+DEFAULT_FORMAT = "%(asctime)s %(levelname)s %(name)s %(message)s"
 
 _ROOT_NAME = "repro"
 _stream_ids = itertools.count(1)
-
-
-class _ContextDefaults(logging.Filter):
-    """Backfill missing correlation fields so the format never KeyErrors."""
-
-    def filter(self, record: logging.LogRecord) -> bool:
-        if not hasattr(record, "campaign"):
-            record.campaign = "-"
-        if not hasattr(record, "scenario"):
-            record.scenario = "-"
-        return True
 
 
 def get_logger(name: str = "") -> logging.Logger:
@@ -85,7 +61,6 @@ def configure(
         root.removeHandler(handler)
     handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
     handler.setFormatter(logging.Formatter(fmt))
-    handler.addFilter(_ContextDefaults())
     root.addHandler(handler)
     root.setLevel(level)
     root.propagate = False
@@ -108,31 +83,5 @@ def stream_logger(
     logger.setLevel(level)
     handler = logging.StreamHandler(stream)
     handler.setFormatter(logging.Formatter(fmt))
-    handler.addFilter(_ContextDefaults())
     logger.addHandler(handler)
     return logger
-
-
-class _ContextAdapter(logging.LoggerAdapter):
-    """Stamps its context onto every record, merging per-call extras."""
-
-    def process(self, msg: str, kwargs: Dict[str, Any]):
-        extra = dict(self.extra)
-        extra.update(kwargs.get("extra") or {})
-        kwargs["extra"] = extra
-        return msg, kwargs
-
-
-def with_context(
-    logger: logging.Logger,
-    *,
-    campaign: Optional[str] = None,
-    scenario: Optional[str] = None,
-) -> logging.LoggerAdapter:
-    """Bind correlation ids to a logger: every record carries them."""
-    context: Dict[str, Any] = {}
-    if campaign is not None:
-        context["campaign"] = campaign
-    if scenario is not None:
-        context["scenario"] = scenario
-    return _ContextAdapter(logger, context)

@@ -1,14 +1,14 @@
 """One campaign's telemetry, tied together: config, session, worker half.
 
-:class:`TelemetryConfig` is what a caller decides (capture phases?
-sample how aggressively? export where?); :class:`TelemetrySession` is
-the parent-process object that lives through one or more campaign runs,
+:class:`TelemetryConfig` is what a caller decides (sample how
+aggressively? export where?); :class:`TelemetrySession` is the
+parent-process object that lives through one or more campaign runs,
 owning the :class:`~repro.telemetry.metrics.MetricsRegistry`, the
 collected :class:`~repro.telemetry.spans.SpanRecord`\\ s and the
 exporters; :class:`WorkerTelemetry` is the small frozen picklable slice
-of it that crosses into worker processes — campaign correlation id,
-sampling stride, phase-capture flag — while the spans a worker records
-come back on its task results and reach the session on
+of it that crosses into worker processes — campaign correlation id and
+sampling stride — while the spans a worker records come back on its
+task results and reach the session on
 :class:`~repro.campaign.runner.ScenarioEvent`\\ s.
 
 **Sampling.**  Tracing every scenario of a 100k-scenario sweep would
@@ -49,9 +49,6 @@ class TelemetryConfig:
 
     Attributes
     ----------
-    capture_phases:
-        Record per-phase executor breakdowns inside sampled scenarios
-        (scheduling / delivery / transition / recording).
     sample_threshold:
         Target number of traced scenarios per campaign; campaigns larger
         than this are sampled down by a deterministic stride.  ``0``
@@ -63,7 +60,6 @@ class TelemetryConfig:
         Metrics JSONL dump to append on finish (``None``: in-memory only).
     """
 
-    capture_phases: bool = True
     sample_threshold: int = 128
     trace_path: Optional[Union[str, Path]] = None
     metrics_path: Optional[Union[str, Path]] = None
@@ -75,7 +71,7 @@ class WorkerTelemetry:
 
     ``samples(spec)`` is the *only* sampling decision in the system —
     evaluated where the scenario runs, deterministic in the scenario's
-    identity, so serial, chunked and process backends trace the same
+    identity, so the serial and process backends trace the same
     scenarios.
 
     The stride filter keeps a scenario iff its derived seed is divisible
@@ -90,7 +86,6 @@ class WorkerTelemetry:
 
     campaign: str
     stride: int = 1
-    capture_phases: bool = True
     force_seed: Optional[int] = None
 
     def samples(self, spec) -> bool:
@@ -140,12 +135,8 @@ class TelemetrySession:
         with self._lock:
             self.campaign = campaign
             self._total = total
-            self._worker = WorkerTelemetry(
-                campaign=campaign,
-                stride=stride,
-                capture_phases=self.config.capture_phases,
-            )
-            self._tracer = Tracer(trace_id=campaign, capture_phases=False)
+            self._worker = WorkerTelemetry(campaign=campaign, stride=stride)
+            self._tracer = Tracer(trace_id=campaign)
             self._campaign_span = self._tracer.start_span(
                 "campaign", {"total": total, "stride": stride})
             self._summary = None

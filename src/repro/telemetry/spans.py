@@ -17,10 +17,11 @@ no allocation, no call, no dict lookup.
 
 Per-step phase attribution uses a :class:`PhaseAccumulator` instead of
 real per-step spans: opening four spans per executor step would distort
-exactly the loop being measured, so the executor calls
-:meth:`PhaseAccumulator.lap` at its phase boundaries and the accumulated
-totals are emitted as one aggregate child span per phase
-(``phase:scheduling``, ``phase:delivery``, …) when the execution ends.
+exactly the loop being measured, so whenever a tracer is active the
+executor builds one accumulator, calls :meth:`PhaseAccumulator.lap` at
+its phase boundaries, and :meth:`Tracer.finish_with_phases` emits the
+totals as one aggregate child span per phase (``phase:scheduling``,
+``phase:delivery``, …) when the execution ends.
 
 Timestamps: a span's *position* on the timeline is wall-clock
 (``time.time`` — comparable across worker processes), its *duration* is
@@ -134,9 +135,8 @@ class Tracer:
     shared across threads never corrupts its hierarchy.
     """
 
-    def __init__(self, trace_id: str = "", capture_phases: bool = True):
+    def __init__(self, trace_id: str = ""):
         self.trace_id = trace_id
-        self.capture_phases = capture_phases
         self._lock = threading.Lock()
         self._records: List[SpanRecord] = []
         self._stack = threading.local()
@@ -196,14 +196,10 @@ class Tracer:
 
     # -- executor integration ----------------------------------------------
 
-    def phase_accumulator(self) -> Optional[PhaseAccumulator]:
-        """A fresh accumulator, or ``None`` when phase capture is off."""
-        return PhaseAccumulator() if self.capture_phases else None
-
     def finish_with_phases(
         self,
         opened: _OpenSpan,
-        phases: Optional[PhaseAccumulator],
+        phases: PhaseAccumulator,
         **attrs: Any,
     ) -> Optional[SpanRecord]:
         """End an execute-level span and emit its aggregate phase children.
@@ -215,7 +211,7 @@ class Tracer:
         """
         opened.attrs.update(attrs)
         record = self.end_span(opened)
-        if record is None or phases is None:
+        if record is None:
             return record
         offset = 0.0
         children = []

@@ -41,9 +41,9 @@ FAST_RETRY = RetryPolicy(
 
 BACKENDS = pytest.mark.parametrize("kwargs", [
     {"backend": "serial"},
-    {"backend": "chunked", "chunk_size": 8},
+    {"backend": "process", "workers": 2, "chunk_size": 1},
     {"backend": "process", "workers": 2, "chunk_size": 4},
-], ids=["serial", "chunked", "process"])
+], ids=["serial", "process-1", "process"])
 
 
 def _positions(tasks):
@@ -128,15 +128,6 @@ class TestTaskSplit:
         )
         assert calls == [(what, spec) for spec in SPECS[:5]
                          for what in ("skip", "outcome")]
-
-    def test_chunked_runs_consult_a_whole_chunk_before_running_it(self):
-        calls = []
-        CampaignRunner(backend="chunked", chunk_size=3).run(
-            SPECS[:5],
-            should_skip=lambda spec: calls.append("skip"),
-            on_outcome=lambda o, s: calls.append("outcome"),
-        )
-        assert calls == ["skip"] * 3 + ["outcome"] * 3 + ["skip"] * 2 + ["outcome"] * 2
 
 
 class TestPlainPipe:
@@ -270,9 +261,6 @@ class TestDeterminismHammer:
     def test_all_backends_agree_across_splits(self, reference, workers):
         # The split changes what each task holds; the result must not.
         for runner in (
-            CampaignRunner(backend="chunked", chunk_size=1),
-            CampaignRunner(backend="chunked", chunk_size=7),
-            CampaignRunner(backend="chunked"),
             CampaignRunner(backend="process", workers=workers),
             CampaignRunner(backend="process", workers=workers, chunk_size=11),
         ):

@@ -262,7 +262,7 @@ class TestPinnedGrid:
         return tuple(oracle_outcome(spec) for spec in pinned_specs())
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", None), ("chunked", None), ("process", 2),
+        ("serial", None), ("process", 2),
     ])
     def test_campaign_equals_the_oracle_on_every_backend(
         self, oracle, backend, workers

@@ -209,7 +209,7 @@ class TestResourceUsagePlumbing:
         assert self._usage_triples(result) == reference_triples
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", None), ("chunked", None), ("process", 2),
+        ("serial", None), ("process", 2),
     ])
     def test_counters_identical_across_backends(
         self, reference_triples, backend, workers

@@ -26,11 +26,6 @@ class TestBackendEquivalence:
     def serial_result(self):
         return CampaignRunner(backend="serial").run(SPECS)
 
-    def test_chunked_equals_serial(self, serial_result):
-        for chunk_size in (1, 3, 1000):
-            chunked = CampaignRunner(backend="chunked", chunk_size=chunk_size).run(SPECS)
-            assert chunked == serial_result
-
     def test_process_equals_serial(self, serial_result):
         parallel = CampaignRunner(backend="process", workers=2, chunk_size=5).run(SPECS)
         assert parallel == serial_result
@@ -40,7 +35,7 @@ class TestBackendEquivalence:
         assert CampaignRunner(backend="serial").run(SPECS) == serial_result
 
     def test_equality_ignores_timing_metadata(self, serial_result):
-        rerun = CampaignRunner(backend="chunked", chunk_size=2).run(SPECS)
+        rerun = CampaignRunner(backend="process", workers=2, chunk_size=2).run(SPECS)
         assert rerun == serial_result
         assert rerun.backend != serial_result.backend  # metadata still differs
 
@@ -121,7 +116,7 @@ class TestAggregation:
 class TestResultJsonRoundTrip:
     @pytest.fixture(scope="class")
     def result(self):
-        return CampaignRunner(backend="chunked", chunk_size=7).run(SPECS)
+        return CampaignRunner(backend="process", workers=2, chunk_size=7).run(SPECS)
 
     def test_round_trip_compares_equal(self, result):
         restored = CampaignResult.from_json(result.to_json())
@@ -184,7 +179,6 @@ class TestRunnerHooks:
         kept = [s for s in SPECS if s.scheduler != "random"]
         for runner in (
             CampaignRunner(),
-            CampaignRunner(backend="chunked", chunk_size=3),
             CampaignRunner(backend="process", workers=2, chunk_size=3),
         ):
             result = runner.run(SPECS, should_skip=drop)
@@ -192,7 +186,7 @@ class TestRunnerHooks:
 
     def test_progress_events_cover_the_campaign(self):
         events = []
-        result = CampaignRunner(backend="chunked", chunk_size=4).run(
+        result = CampaignRunner(backend="process", workers=2, chunk_size=4).run(
             SPECS, progress=events.append
         )
         assert len(events) == len(result.outcomes)
@@ -201,9 +195,9 @@ class TestRunnerHooks:
 
     @pytest.mark.parametrize("runner", [
         CampaignRunner(),
-        CampaignRunner(backend="chunked", chunk_size=4),
+        CampaignRunner(backend="process", workers=2, chunk_size=1),
         CampaignRunner(backend="process", workers=2, chunk_size=4),
-    ], ids=["serial", "chunked", "process"])
+    ], ids=["serial", "process-1", "process"])
     def test_progress_runs_on_the_calling_thread_after_on_outcome(self, runner):
         # The delivery contract: events ride back on task results, so
         # every progress call happens on the caller's thread, right
@@ -232,13 +226,14 @@ class TestRunnerHooks:
         assert result.workers == 1
         pooled = CampaignRunner(backend="process", workers=2, chunk_size=5).run(SPECS)
         assert pooled.workers == 2
-        assert CampaignRunner(backend="chunked").run(SPECS).workers == 1
+        assert CampaignRunner().run(SPECS).workers == 1
 
 
 class TestRobustness:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CampaignRunner(backend="threads")
+    @pytest.mark.parametrize("backend", ["threads", "chunked"])
+    def test_unknown_backend_rejected(self, backend):
+        with pytest.raises(ConfigurationError, match="'serial', 'process'"):
+            CampaignRunner(backend=backend)
 
     def test_unknown_kind_fails_fast(self):
         bogus = ScenarioSpec(kind="no-such-kind", n=4, f=1, k=1)

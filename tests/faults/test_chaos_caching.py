@@ -169,9 +169,8 @@ class TestFaultyStoreTolerance:
 
     @pytest.mark.parametrize("backend", [
         {"backend": "serial"},
-        {"backend": "chunked"},
         {"backend": "process", "workers": 2},
-    ], ids=["serial", "chunked", "process"])
+    ], ids=["serial", "process"])
     def test_configuration_errors_still_propagate(self, backend):
         # A user mistake (unpersistable spec) must raise, not be absorbed
         # as a tolerated infrastructure failure.

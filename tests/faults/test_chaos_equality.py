@@ -47,7 +47,7 @@ def _assert_equal_to_baseline(result):
 class TestTransientChaosEquality:
     @pytest.mark.parametrize("backend,workers,chunk", [
         ("serial", 1, None),
-        ("chunked", 1, 8),
+        pytest.param("process", 2, 1, id="process-1"),
         ("process", 2, 4),
     ])
     def test_raise_and_delay_chaos_is_invisible_in_results(
@@ -108,15 +108,13 @@ class TestWorkerDeathEquality:
         _assert_equal_to_baseline(result)
         assert result.fault_stats.task_timeouts >= 1
 
-    def test_crash_plans_are_noops_on_inprocess_backends(self):
-        # No worker to kill: serial/chunked runs under a crash-only plan
-        # are the baseline, fault stats and all.
+    def test_crash_plans_are_noops_on_the_serial_backend(self):
+        # No worker to kill: a serial run under a crash-only plan is the
+        # baseline, fault stats and all.
         plan = FaultPlan(seed=23, crash_rate=0.5)
-        for backend in ("serial", "chunked"):
-            result = CampaignRunner(backend=backend, faults=plan,
-                                    retry=FAST_RETRY).run(SPECS)
-            _assert_equal_to_baseline(result)
-            assert not result.fault_stats.any()
+        result = CampaignRunner(faults=plan, retry=FAST_RETRY).run(SPECS)
+        _assert_equal_to_baseline(result)
+        assert not result.fault_stats.any()
 
 
 class TestQuarantine:
@@ -125,7 +123,6 @@ class TestQuarantine:
         plan = FaultPlan(poison_labels=(poisoned.label(),))
         for kwargs in (
             {"backend": "serial"},
-            {"backend": "chunked", "chunk_size": 8},
             {"backend": "process", "workers": 2, "chunk_size": 4},
         ):
             result = CampaignRunner(faults=plan, retry=FAST_RETRY,
@@ -143,7 +140,7 @@ class TestQuarantine:
     def test_quarantine_drills_through_chunks_via_bisection(self):
         poisoned = SPECS[3]
         plan = FaultPlan(poison_labels=(poisoned.label(),))
-        result = CampaignRunner(backend="chunked", chunk_size=16,
+        result = CampaignRunner(backend="process", workers=2, chunk_size=16,
                                 faults=plan, retry=FAST_RETRY).run(SPECS)
         assert result.fault_stats.quarantined == 1
         assert result.fault_stats.bisections >= 1

@@ -14,7 +14,6 @@ from repro.exceptions import (
     AdmissibilityError,
     AlgorithmError,
     ConfigurationError,
-    ScheduleExhaustedError,
 )
 from repro.failure_detectors.base import FailurePattern
 from repro.failure_detectors.sigma import SigmaK
@@ -225,20 +224,6 @@ class TestStopConditionsAndBudget:
             settings=ExecutionSettings(max_steps=50),
         )
         assert run.truncated and not run.completed
-
-    def test_raise_on_exhaustion(self):
-        model = initial_crash_model(4, 2)
-        algorithm = KSetInitialCrash(4, 2)
-        from repro.simulation.adversary import IsolationAdversary
-
-        with pytest.raises(ScheduleExhaustedError) as excinfo:
-            execute(
-                algorithm, model, {p: p for p in model.processes},
-                adversary=IsolationAdversary({1}),
-                settings=ExecutionSettings(max_steps=20, raise_on_exhaustion=True),
-            )
-        assert excinfo.value.partial_run is not None
-        assert excinfo.value.partial_run.length == 20
 
 
 class TestFailureDetectorQueries:

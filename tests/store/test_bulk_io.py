@@ -13,6 +13,7 @@ the covering index.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import signal
 import sqlite3
@@ -50,6 +51,32 @@ def outcome_for(seed: int, *, steps: int = 1) -> ScenarioOutcome:
 def batching_store(tmp_path, backend: str, commit_batch: int = 8):
     cls = {"jsonl": JsonlResultStore, "sqlite": SqliteResultStore}[backend]
     return cls(tmp_path / f"store.{backend}", commit_batch=commit_batch)
+
+
+#: A row each backend's commit rejects: JSONL cannot join it, SQLite
+#: inserts the rows before it and then hits the NOT NULL constraint.
+UNWRITABLE_ROW = {"jsonl": None, "sqlite": ("unwritable", SCHEMA_VERSION, None)}
+
+#: What the backend's commit raises on :data:`UNWRITABLE_ROW`.
+COMMIT_ERRORS = (TypeError, sqlite3.IntegrityError)
+
+
+def fail_first_commit(monkeypatch, backend: str) -> None:
+    """Make the backend's first commit fail part-way through its batch."""
+    cls = {"jsonl": JsonlResultStore, "sqlite": SqliteResultStore}[backend]
+    real = cls._commit
+    calls = []
+
+    def commit(self, rows):
+        calls.append(len(rows))
+        real(self, [*rows, UNWRITABLE_ROW[backend]] if len(calls) == 1 else rows)
+
+    monkeypatch.setattr(cls, "_commit", commit)
+
+
+def assert_no_row_unaccounted(store) -> None:
+    io = store.io_stats()
+    assert io["puts"] == io["committed_rows"] + io["buffered"]
 
 
 class TestBatchedCommits:
@@ -195,6 +222,67 @@ class TestQueryPlan:
             assert "COVERING INDEX results_schema_fingerprint" in scan, scan
         finally:
             store.close()
+
+
+class TestFailedCommits:
+    """A commit that raises keeps its rows pending: the next commit
+    carries them, and no row is ever lost or counted twice."""
+
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_failed_batch_commit_raises_and_keeps_the_batch(
+            self, tmp_path, monkeypatch, backend):
+        monkeypatch.setattr(store_base, "_IDLE_FLUSH_SECONDS", 3600.0)
+        fail_first_commit(monkeypatch, backend)
+        store = batching_store(tmp_path, backend, commit_batch=4)
+        outcomes = [outcome_for(seed) for seed in range(8)]
+        failed = []
+        try:
+            for outcome in outcomes:
+                digest = fingerprint_spec(outcome.spec)
+                try:
+                    store.put(digest, outcome)
+                except COMMIT_ERRORS:
+                    failed.append(outcome)
+                    if backend == "sqlite":  # the partial insert rolled back
+                        assert not store._conn.in_transaction
+                assert_no_row_unaccounted(store)
+            assert failed == [outcomes[3]]  # the put that filled the batch
+            assert store.get(fingerprint_spec(failed[0].spec)) == failed[0]
+            store.flush()
+            assert_no_row_unaccounted(store)
+            assert store.io_stats()["committed_rows"] == 8
+        finally:
+            store.close()
+        with open_store(tmp_path / f"store.{backend}") as reopened:
+            assert len(reopened) == 8
+
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_failed_idle_commit_is_logged_and_keeps_the_rows(
+            self, tmp_path, monkeypatch, backend):
+        monkeypatch.setattr(store_base, "_IDLE_FLUSH_SECONDS", 0.05)
+        fail_first_commit(monkeypatch, backend)
+        logged = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = logged.append
+        logger = logging.getLogger("repro.store")
+        logger.addHandler(handler)
+        store = batching_store(tmp_path, backend, commit_batch=100)
+        try:
+            store.put(fingerprint_spec(outcome_for(1).spec), outcome_for(1))
+            deadline = time.monotonic() + 5.0
+            while not logged and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(logged) == 1  # the timer's failed commit
+            assert store.io_stats()["buffered"] == 1
+            assert_no_row_unaccounted(store)
+            store.flush()
+            assert_no_row_unaccounted(store)
+            assert store.io_stats()["committed_rows"] == 1
+        finally:
+            logger.removeHandler(handler)
+            store.close()
+        with open_store(tmp_path / f"store.{backend}") as reopened:
+            assert len(reopened) == 1
 
 
 class TestJsonlTornTail:

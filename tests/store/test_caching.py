@@ -13,7 +13,7 @@ COLD = CampaignRunner().run(SPECS)
 
 RUNNERS = {
     "serial": CampaignRunner(),
-    "chunked": CampaignRunner(backend="chunked", chunk_size=3),
+    "process-1": CampaignRunner(backend="process", workers=2, chunk_size=1),
     "process": CampaignRunner(backend="process", workers=2, chunk_size=3),
 }
 

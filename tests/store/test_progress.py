@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import os
 
+import pytest
+
 from repro.campaign import CampaignRunner, ScenarioEvent, theorem8_specs
 from repro.provenance.usage import ResourceUsage
 from repro.store import (
@@ -12,6 +14,7 @@ from repro.store import (
     CollectingProgressReporter,
     LogProgressReporter,
     MemoryResultStore,
+    ProgressReporter,
 )
 from repro.store.fingerprint import fingerprint_spec
 
@@ -132,3 +135,28 @@ class TestLogReporter:
         infeasible = ScenarioSpec(kind="theorem8-impossible", n=4, f=1, k=1)
         CachingRunner(MemoryResultStore(), progress=reporter).run([infeasible])
         assert "ERROR" in stream.getvalue()
+
+
+class TestReuseAcrossCampaigns:
+    @pytest.mark.parametrize("kind", ["base", "collecting", "log"])
+    def test_second_campaign_reports_only_itself(self, kind):
+        stream = io.StringIO()
+        reporter = {
+            "base": ProgressReporter,
+            "collecting": CollectingProgressReporter,
+            "log": lambda: LogProgressReporter(every=10, stream=stream),
+        }[kind]()
+        caching = CachingRunner(MemoryResultStore(), progress=reporter)
+        caching.run(SPECS)
+        caching.run(SPECS[:10])  # all ten served from the store
+        snap = reporter.snapshot()
+        assert snap["total"] == snap["completed"] == 10
+        assert snap["cached"] == 10
+        assert snap["executed"] == 0
+        assert snap["ok"] + snap["violation"] + snap["error"] == 10
+        assert snap["workers_seen"] == 1
+        if kind == "collecting":  # the event log stays append-only
+            assert len(reporter.events) == len(SPECS) + 10
+        if kind == "log":
+            last = stream.getvalue().splitlines()[-1]
+            assert last.startswith("[campaign] 10/10 (10 cached) ")

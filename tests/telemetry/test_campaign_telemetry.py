@@ -38,7 +38,7 @@ from repro.report import main as report_main
 
 PINNED_GRID = [4]
 PINNED_KWARGS = {"seeds": (1,), "max_steps": 4_000}
-BACKENDS = ("serial", "chunked", "process")
+BACKENDS = ("serial", "process")
 
 
 def _run_with_telemetry(recording: str, backend: str, **config):
@@ -121,13 +121,6 @@ class TestWorkerSpans:
             assert engines.count("bitmask") == len(solvable)
             assert engines.count("scalar") == len(scenarios) - len(solvable)
 
-    def test_phase_capture_can_be_disabled(self):
-        session, _ = _run_with_telemetry(
-            "full", "serial", capture_phases=False)
-        names = {s.name for s in session.spans()}
-        assert "execute" in names
-        assert not any(n.startswith("phase:") for n in names)
-
 
 class TestSampling:
     def test_stride_derives_from_threshold(self):
@@ -149,7 +142,7 @@ class TestSampling:
                 s.attrs["label"] for s in session.spans()
                 if s.name == "scenario"
             )
-        assert labels["serial"] == labels["chunked"] == labels["process"]
+        assert labels["serial"] == labels["process"]
         total = len(theorem8_specs(PINNED_GRID, **PINNED_KWARGS))
         assert 0 < len(labels["serial"]) < total
 
@@ -181,7 +174,7 @@ class TestOffByDefault:
         from repro.campaign.spec import ScenarioSpec
 
         spec = ScenarioSpec(kind="theorem8-solvable", n=4, f=1, k=2)
-        tracer = Tracer(trace_id="t", capture_phases=True)
+        tracer = Tracer(trace_id="t")
         with activated(tracer):
             execute_theorem8_solvable(spec)
         names = [r.name for r in tracer.records()]

@@ -12,6 +12,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.telemetry import (
     ChromeTraceWriter,
+    PhaseAccumulator,
     Tracer,
     append_metrics,
     read_metrics,
@@ -25,12 +26,12 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _records(campaign="feed00000001", scenarios=2, engine=None):
-    tracer = Tracer(trace_id=campaign, capture_phases=True)
+    tracer = Tracer(trace_id=campaign)
     for i in range(scenarios):
         with tracer.span("scenario", label=f"s{i}"):
             opened = tracer.start_span(
                 "execute", {"engine": engine} if engine else None)
-            acc = tracer.phase_accumulator()
+            acc = PhaseAccumulator()
             acc.lap("scheduling")
             acc.lap("delivery")
             tracer.finish_with_phases(opened, acc, steps=2)

@@ -157,9 +157,9 @@ class TestPhases:
         assert all(seconds >= 0.0 for _, seconds, _ in acc.totals())
 
     def test_finish_with_phases_emits_child_spans(self):
-        tracer = Tracer(trace_id="t", capture_phases=True)
+        tracer = Tracer(trace_id="t")
         opened = tracer.start_span("execute")
-        acc = tracer.phase_accumulator()
+        acc = PhaseAccumulator()
         acc.lap("scheduling")
         acc.lap("delivery")
         record = tracer.finish_with_phases(opened, acc, steps=1)
@@ -169,13 +169,6 @@ class TestPhases:
         for child in tracer.records()[1:]:
             assert child.parent_id == record.span_id
             assert child.attrs["laps"] == 1
-
-    def test_phase_capture_off_yields_no_accumulator(self):
-        tracer = Tracer(capture_phases=False)
-        assert tracer.phase_accumulator() is None
-        opened = tracer.start_span("execute")
-        tracer.finish_with_phases(opened, None, steps=0)
-        assert [r.name for r in tracer.records()] == ["execute"]
 
 
 class TestRecords:
