@@ -41,7 +41,9 @@ from repro.campaign.scenarios import (
 )
 from repro.campaign.codec import (
     outcome_from_dict,
+    outcome_from_row,
     outcome_to_dict,
+    outcome_to_row,
     spec_from_dict,
     spec_to_dict,
 )
@@ -65,6 +67,8 @@ __all__ = [
     "spec_from_dict",
     "outcome_to_dict",
     "outcome_from_dict",
+    "outcome_to_row",
+    "outcome_from_row",
     "scenario_kind",
     "get_kind",
     "registered_kinds",

@@ -10,6 +10,13 @@ fingerprint), and a decoded outcome must compare equal to a freshly
 executed one — that equality is what lets a resumed campaign produce a
 ``CampaignResult`` identical to an uninterrupted run.
 
+Two outcome codecs exist.  :func:`outcome_to_dict` embeds the spec and
+names every field; ``CampaignResult.to_json`` uses it.  The result
+stores use :func:`outcome_to_row`, a spec-free array in the fixed order
+of :data:`OUTCOME_ROW_FIELDS`, and keep the spec in a field of its own:
+a caller that looks an outcome up by its spec already holds that spec,
+so :func:`outcome_from_row` attaches it instead of decoding a copy.
+
 JSON has no tuples or frozensets, so ``params`` values (arbitrary
 hashable scalars in practice) are encoded with explicit markers instead
 of being silently turned into lists.  Unsupported value types raise
@@ -19,7 +26,7 @@ failure when persisting, never a quiet identity change when loading.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Mapping
+from typing import Any, Dict, Hashable, List, Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.campaign.spec import ScenarioOutcome, ScenarioSpec
@@ -31,6 +38,9 @@ __all__ = [
     "spec_from_dict",
     "outcome_to_dict",
     "outcome_from_dict",
+    "OUTCOME_ROW_FIELDS",
+    "outcome_to_row",
+    "outcome_from_row",
 ]
 
 _TUPLE_KEY = "__tuple__"
@@ -142,4 +152,57 @@ def outcome_from_dict(data: Mapping[str, Any]) -> ScenarioOutcome:
         # Tolerant decode: archived payloads predate the message counters.
         messages_sent=int(data.get("messages_sent", 0)),
         messages_delivered=int(data.get("messages_delivered", 0)),
+    )
+
+
+#: The order of the fields in :func:`outcome_to_row`'s array.
+OUTCOME_ROW_FIELDS = (
+    "verdict", "agreement_ok", "validity_ok", "termination_ok",
+    "distinct_decisions", "decided", "steps", "truncated", "violations",
+    "error", "messages_sent", "messages_delivered",
+)
+
+
+def outcome_to_row(outcome: ScenarioOutcome) -> List[Any]:
+    """Encode an outcome *without* its spec, in :data:`OUTCOME_ROW_FIELDS` order."""
+    return [
+        outcome.verdict,
+        outcome.agreement_ok,
+        outcome.validity_ok,
+        outcome.termination_ok,
+        outcome.distinct_decisions,
+        outcome.decided,
+        outcome.steps,
+        outcome.truncated,
+        list(outcome.violations),
+        outcome.error,
+        outcome.messages_sent,
+        outcome.messages_delivered,
+    ]
+
+
+def outcome_from_row(spec: ScenarioSpec, row: Any) -> ScenarioOutcome:
+    """Rebuild ``spec``'s outcome from an :func:`outcome_to_row` array.
+
+    The row's values are taken as the encoder wrote them, with no type
+    coercion: this is the hot read of a warm campaign.  Raises
+    :class:`~repro.exceptions.ConfigurationError` on a row of the wrong
+    shape: not a list of the twelve fields, or violations that are not
+    a list.
+    """
+    if not isinstance(row, list) or len(row) != len(OUTCOME_ROW_FIELDS):
+        raise ConfigurationError(
+            f"an outcome row is a list of the {len(OUTCOME_ROW_FIELDS)} "
+            f"fields {OUTCOME_ROW_FIELDS}, got {row!r}"
+        )
+    (verdict, agreement_ok, validity_ok, termination_ok, distinct_decisions,
+     decided, steps, truncated, violations, error, messages_sent,
+     messages_delivered) = row
+    if not isinstance(violations, list):
+        raise ConfigurationError(
+            f"an outcome row's violations are a list, got {violations!r}")
+    return ScenarioOutcome(
+        spec, verdict, agreement_ok, validity_ok, termination_ok,
+        distinct_decisions, decided, steps, truncated, tuple(violations),
+        error, messages_sent, messages_delivered,
     )

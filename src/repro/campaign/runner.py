@@ -100,24 +100,45 @@ class ScenarioEvent:
     runner builds one as each slot settles, and
     :class:`repro.store.CachingRunner` builds the ``cached`` ones for
     store hits and duplicate positions, which never reach a worker.
-    ``worker_pid`` is the process that ran the scenario.
-    ``fingerprint`` is the scenario's store digest and ``usage`` its
-    :class:`~repro.provenance.usage.ResourceUsage` — both are what the
-    campaign journal persists per scenario.  ``spans`` are the telemetry
-    spans recorded while the scenario ran (empty unless a
+    An event holds the caller's ``spec`` and the ``outcome`` it settled
+    to; ``label``, ``verdict``, ``fingerprint`` (the store digest,
+    memoised on the spec) and ``usage`` (the
+    :class:`~repro.provenance.usage.ResourceUsage` the campaign journal
+    persists) are derived from them when read, so a consumer that never
+    reads them never pays for them.  ``worker_pid`` is the process that
+    ran the scenario.  ``spans`` are the telemetry spans recorded while
+    the scenario ran (empty unless a
     :class:`~repro.telemetry.session.WorkerTelemetry` sampled it); they
     come back on the task's result with the worker's pid, so pool-wide
     traces need no extra channel.
     """
 
-    label: str
-    verdict: str
+    spec: ScenarioSpec
+    outcome: ScenarioOutcome
     seconds: float
     worker_pid: int
     cached: bool = False
-    fingerprint: str = ""
-    usage: Optional[ResourceUsage] = None
     spans: Tuple[SpanRecord, ...] = ()
+
+    @property
+    def label(self) -> str:
+        return self.spec.label()
+
+    @property
+    def verdict(self) -> str:
+        return self.outcome.verdict
+
+    @property
+    def fingerprint(self) -> str:
+        # Function-level import: repro.store's caching layer imports this
+        # module, so the fingerprint helper cannot be imported at the top.
+        from repro.store.fingerprint import fingerprint_spec
+
+        return fingerprint_spec(self.spec)
+
+    @property
+    def usage(self) -> ResourceUsage:
+        return ResourceUsage.of_outcome(self.outcome, seconds=self.seconds)
 
     @classmethod
     def of(cls, spec: ScenarioSpec, outcome: ScenarioOutcome,
@@ -126,23 +147,11 @@ class ScenarioEvent:
            cached: bool = False) -> "ScenarioEvent":
         """The event of ``spec`` having settled to ``outcome``.
 
-        ``worker_pid`` defaults to this process.  The ``fingerprint`` is
-        the spec's digest, which is memoised on the instance.
+        ``worker_pid`` defaults to this process.
         """
-        # Function-level import: repro.store's caching layer imports this
-        # module, so the fingerprint helper cannot be imported at the top.
-        from repro.store.fingerprint import fingerprint_spec
-
-        return cls(
-            label=spec.label(),
-            verdict=outcome.verdict,
-            seconds=seconds,
-            worker_pid=os.getpid() if worker_pid is None else worker_pid,
-            cached=cached,
-            fingerprint=fingerprint_spec(spec),
-            usage=ResourceUsage.of_outcome(outcome, seconds=seconds),
-            spans=spans,
-        )
+        return cls(spec, outcome, seconds,
+                   os.getpid() if worker_pid is None else worker_pid,
+                   cached, spans)
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable
 
+from repro.campaign.spec import ScenarioSpec
 from repro.faults.plan import FaultPlan, InjectedFaultError
 from repro.store.base import ResultStore
 
@@ -41,8 +42,8 @@ class FaultyStore(ResultStore):
     def get(self, fingerprint: str):
         return self._inner.get(fingerprint)
 
-    def get_many(self, fingerprints: Iterable[str]):
-        return self._inner.get_many(fingerprints)
+    def get_many(self, specs: Iterable[ScenarioSpec]):
+        return self._inner.get_many(specs)
 
     def put(self, fingerprint: str, outcome) -> None:
         attempt = self._write_attempts.get(fingerprint, 0) + 1

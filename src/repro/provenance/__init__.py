@@ -5,8 +5,8 @@ graph (this package pulls in only the stdlib, ``repro.exceptions`` and
 spec-level types):
 
 - :mod:`repro.provenance.usage` — :class:`ResourceUsage`, the
-  per-scenario cost record (wall time, steps, messages) carried on
-  every :class:`~repro.campaign.runner.ScenarioEvent`;
+  per-scenario cost record (wall time, steps, messages) that every
+  :class:`~repro.campaign.runner.ScenarioEvent` derives from its outcome;
 - :mod:`repro.provenance.journal` — the append-only, torn-tail-safe
   campaign journal and its :func:`replay_ledger` reader;
 - :mod:`repro.provenance.queries` / ``bench_history`` — cross-campaign

@@ -2,13 +2,18 @@
 
 A store remembers *outcomes*; the journal remembers *decisions*.  Every
 campaign run through :class:`~repro.store.caching.CachingRunner` appends
-one ``campaign-start`` record, one ``scenario`` record per input
-position (``ran`` / ``cached`` / ``skipped``, each with its
-:class:`~repro.provenance.usage.ResourceUsage`), optional ``early-stop``
-records naming the certified points, and a ``campaign-finish`` record —
-making a sweep auditable after the fact: exactly what executed, what was
-served from cache, what an adaptive budget dropped, and what it all
-cost.
+one ``campaign-start`` record, one ``scenario`` record per position
+that ran or was skipped (``ran`` / ``skipped``, each with its
+:class:`~repro.provenance.usage.ResourceUsage`), at most two ``cached``
+records listing the fingerprints of the positions served without
+running (the store hits before the run, the duplicate positions after
+it) with their summed usage, optional ``early-stop`` records naming the
+certified points, and a ``campaign-finish`` record — making a sweep
+auditable after the fact: exactly what executed, what was served from
+cache, what an adaptive budget dropped, and what it all cost.  A
+``scenario`` record with the ``cached`` decision, one per position,
+stays valid: journals written before the ``cached`` record replay as
+they always did.
 
 The format mirrors the JSONL result store on purpose: one
 schema-versioned JSON object per line, appended with a ``write + flush``
@@ -35,7 +40,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import jsonlog
 from repro.exceptions import ConfigurationError
@@ -52,8 +57,11 @@ __all__ = [
     "replay_ledger",
 ]
 
-#: Bump on any change to the journal record schema; readers skip rows of
-#: other versions (they can still be inspected as raw JSON).
+#: Bump on a change to an existing record's schema; readers skip rows of
+#: other versions (they can still be inspected as raw JSON).  A new
+#: record type is additive and does not bump it: a bump would make every
+#: existing journal read as empty, while an older reader fails loudly on
+#: the type it does not know (the ``cached`` record joined this way).
 JOURNAL_SCHEMA_VERSION = 1
 
 #: How a scenario position was settled.  ``ran`` — executed this
@@ -62,7 +70,8 @@ JOURNAL_SCHEMA_VERSION = 1
 #: early-stop policy.
 SCENARIO_DECISIONS = ("ran", "cached", "skipped")
 
-_RECORD_TYPES = ("campaign-start", "scenario", "early-stop", "campaign-finish")
+_RECORD_TYPES = ("campaign-start", "scenario", "cached", "early-stop",
+                 "campaign-finish")
 
 
 def _jsonable(value: Any) -> Any:
@@ -144,6 +153,25 @@ class CampaignJournal:
             "label": label,
             "worker_pid": worker_pid,
             "usage": (usage or ResourceUsage()).to_dict(),
+        })
+
+    def cached(self, campaign: str, fingerprints: Sequence[str],
+               usage: ResourceUsage) -> None:
+        """Journal positions served without running, in one record.
+
+        ``fingerprints`` has one entry per position (a fingerprint at
+        two positions appears twice) and ``usage`` is their summed
+        :class:`~repro.provenance.usage.ResourceUsage`, at 0 seconds.
+        No positions, no record: a campaign with nothing cached has no
+        ``cached`` record.
+        """
+        if not fingerprints:
+            return
+        self._append({
+            "type": "cached",
+            "campaign": campaign,
+            "fps": [str(fingerprint) for fingerprint in fingerprints],
+            "usage": usage.to_dict(),
         })
 
     def scenario_event(self, campaign: str, event: Any) -> None:
@@ -301,6 +329,8 @@ class JournalReplay:
     decisions: Dict[str, str]
     ran_counts: Dict[str, int]
     scenario_records: Tuple[Dict[str, Any], ...]
+    #: The ``cached`` records, each listing positions and their summed usage.
+    cached_records: Tuple[Dict[str, Any], ...]
 
     @property
     def ran_fingerprints(self) -> frozenset:
@@ -318,15 +348,29 @@ class JournalReplay:
                 include_cached and record["decision"] == "cached"
             ):
                 total = total + ResourceUsage.from_dict(record["usage"])
+        if include_cached:
+            for record in self.cached_records:
+                total = total + ResourceUsage.from_dict(record.get("usage", {}))
         return total
+
+
+def _decide(decisions: Dict[str, str], fingerprint: str, decision: str) -> None:
+    """Merge one position's decision into the cross-campaign map."""
+    previous = decisions.get(fingerprint)
+    if previous is None or _DECISION_RANK[decision] > _DECISION_RANK[previous]:
+        decisions[fingerprint] = decision
 
 
 def replay_ledger(records) -> JournalReplay:
     """Fold journal records into per-campaign ledgers, validating as it goes.
 
+    A ``cached`` record counts as one ``cached`` position per listed
+    fingerprint and adds its summed usage to the ledger.
+
     Raises :class:`~repro.exceptions.ConfigurationError` on structural
     damage: an unknown record type, a scenario record for a campaign
-    that never started, an unknown decision, or a *finished* campaign
+    that never started, an unknown decision, a ``cached`` record whose
+    ``fps`` is not a list of fingerprints, or a *finished* campaign
     whose ``ran + cached + skipped`` does not sum to its size.  Killed
     campaigns (no ``campaign-finish`` record) are exempt from the sum
     check — their partial ledger is exactly what the resume replays.
@@ -335,6 +379,7 @@ def replay_ledger(records) -> JournalReplay:
     decisions: Dict[str, str] = {}
     ran_counts: Dict[str, int] = {}
     scenario_records: List[Dict[str, Any]] = []
+    cached_records: List[Dict[str, Any]] = []
     for record in records:
         kind = record.get("type")
         campaign = record.get("campaign")
@@ -370,12 +415,24 @@ def replay_ledger(records) -> JournalReplay:
             usage = ResourceUsage.from_dict(record.get("usage", {}))
             setattr(ledger, decision, getattr(ledger, decision) + 1)
             ledger.usage = ledger.usage + usage
-            previous = decisions.get(fingerprint)
-            if previous is None or _DECISION_RANK[decision] > _DECISION_RANK[previous]:
-                decisions[fingerprint] = decision
+            _decide(decisions, fingerprint, decision)
             if decision == "ran":
                 ran_counts[fingerprint] = ran_counts.get(fingerprint, 0) + 1
             scenario_records.append(record)
+        elif kind == "cached":
+            fingerprints = record.get("fps")
+            if not isinstance(fingerprints, list) or not all(
+                    isinstance(fingerprint, str) and fingerprint
+                    for fingerprint in fingerprints):
+                raise ConfigurationError(
+                    f"cached record of campaign {campaign!r} without a "
+                    "list of fingerprints")
+            ledger.cached += len(fingerprints)
+            ledger.usage = ledger.usage + ResourceUsage.from_dict(
+                record.get("usage", {}))
+            for fingerprint in fingerprints:
+                _decide(decisions, fingerprint, "cached")
+            cached_records.append(record)
         elif kind == "early-stop":
             ledger.early_stops = ledger.early_stops + (
                 (record.get("point"), record.get("verdict", "")),
@@ -394,4 +451,5 @@ def replay_ledger(records) -> JournalReplay:
         decisions=decisions,
         ran_counts=ran_counts,
         scenario_records=tuple(scenario_records),
+        cached_records=tuple(cached_records),
     )

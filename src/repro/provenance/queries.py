@@ -117,10 +117,14 @@ def aggregate_cost(
     """Join journal cost records to stored specs and roll up by dimension.
 
     ``replay`` is a :class:`~repro.provenance.journal.JournalReplay`
-    (or anything with ``scenario_records``).  Each ``ran`` record — and
-    each ``cached`` record when ``include_cached`` is set — contributes
-    its full :class:`ResourceUsage` (including wall seconds) to the grid
-    region of the spec its fingerprint resolves to in the store.
+    (or anything with ``scenario_records`` and ``cached_records``).
+    Each ``ran`` scenario record — and each ``cached`` one when
+    ``include_cached`` is set — contributes its verdict and its full
+    :class:`ResourceUsage` (including wall seconds) to the grid region of
+    the spec its fingerprint resolves to in the store.  With
+    ``include_cached``, every position a ``cached`` record lists counts
+    too: its verdict and counters are the stored outcome's, its seconds
+    0, as for any cache hit.
 
     Returns the aggregates plus the fingerprints that could not be
     resolved (journaled against a store that has since been pruned, or a
@@ -128,35 +132,45 @@ def aggregate_cost(
     is an error.
     """
     by = _check_dimensions(by)
-    specs: Dict[str, Any] = {
-        fingerprint: outcome.spec for fingerprint, outcome in store.items()
-    }
+    outcomes: Dict[str, Any] = dict(store.items())
     groups: Dict[Tuple[Any, ...], OutcomeAggregate] = {}
     unresolved: List[str] = []
+
+    def add(spec: Any, verdict: Any, usage: ResourceUsage) -> None:
+        key = _group_key(spec, by)
+        aggregate = groups.get(key)
+        if aggregate is None:
+            aggregate = groups[key] = OutcomeAggregate(key=key)
+        aggregate.scenarios += 1
+        if verdict == "ok":
+            aggregate.ok += 1
+        elif verdict == "violation":
+            aggregate.violation += 1
+        else:
+            aggregate.error += 1
+        aggregate.usage = aggregate.usage + usage
+
     for record in replay.scenario_records:
         decision = record["decision"]
         if decision == "skipped":
             continue
         if decision == "cached" and not include_cached:
             continue
-        spec = specs.get(record["fp"])
-        if spec is None:
+        outcome = outcomes.get(record["fp"])
+        if outcome is None:
             unresolved.append(record["fp"])
             continue
-        key = _group_key(spec, by)
-        aggregate = groups.get(key)
-        if aggregate is None:
-            aggregate = groups[key] = OutcomeAggregate(key=key)
-        aggregate.scenarios += 1
-        if record.get("verdict") == "ok":
-            aggregate.ok += 1
-        elif record.get("verdict") == "violation":
-            aggregate.violation += 1
-        else:
-            aggregate.error += 1
-        aggregate.usage = aggregate.usage + ResourceUsage.from_dict(
-            record.get("usage", {})
-        )
+        add(outcome.spec, record.get("verdict"),
+            ResourceUsage.from_dict(record.get("usage", {})))
+    if include_cached:
+        for record in replay.cached_records:
+            for fingerprint in record["fps"]:
+                outcome = outcomes.get(fingerprint)
+                if outcome is None:
+                    unresolved.append(fingerprint)
+                    continue
+                add(outcome.spec, outcome.verdict,
+                    ResourceUsage.of_outcome(outcome))
     return groups, tuple(unresolved)
 
 

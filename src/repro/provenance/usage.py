@@ -20,7 +20,7 @@ rows, both of which sit below those packages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Iterable, Mapping
 
 __all__ = ["ResourceUsage"]
 
@@ -54,6 +54,17 @@ class ResourceUsage:
             messages_sent=outcome.messages_sent,
             messages_delivered=outcome.messages_delivered,
         )
+
+    @classmethod
+    def of_outcomes(cls, outcomes: Iterable[Any]) -> "ResourceUsage":
+        """The summed usage of outcomes served without running (0 seconds)."""
+        steps = messages_sent = messages_delivered = 0
+        for outcome in outcomes:
+            steps += outcome.steps
+            messages_sent += outcome.messages_sent
+            messages_delivered += outcome.messages_delivered
+        return cls(steps=steps, messages_sent=messages_sent,
+                   messages_delivered=messages_delivered)
 
     def __add__(self, other: "ResourceUsage") -> "ResourceUsage":
         if not isinstance(other, ResourceUsage):

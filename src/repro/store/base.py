@@ -29,8 +29,9 @@ from pathlib import Path
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Optional, Tuple, Union)
 
-from repro.campaign.spec import ScenarioOutcome
+from repro.campaign.spec import ScenarioOutcome, ScenarioSpec
 from repro.exceptions import ConfigurationError
+from repro.store.fingerprint import fingerprint_spec
 from repro.telemetry.logs import get_logger
 
 __all__ = ["ResultStore", "backend_for", "open_store"]
@@ -79,10 +80,17 @@ class ResultStore(ABC):
 
     # -- conveniences ------------------------------------------------------
 
-    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioOutcome]:
-        """Bulk lookup: only hits appear in the returned mapping."""
+    def get_many(self, specs: Iterable[ScenarioSpec]) -> Dict[str, ScenarioOutcome]:
+        """Bulk lookup by spec: ``{fingerprint: outcome}`` for the hits only.
+
+        The caller holds the specs it asks for, so a backend that reads
+        spec-free rows (:func:`~repro.campaign.codec.outcome_from_row`)
+        attaches the caller's spec to each outcome and never decodes its
+        own copy.  Duplicate specs yield one entry.
+        """
         hits: Dict[str, ScenarioOutcome] = {}
-        for digest in fingerprints:
+        for spec in specs:
+            digest = fingerprint_spec(spec)
             if digest in hits:
                 continue
             outcome = self.get(digest)

@@ -22,13 +22,19 @@ stream, cache hits included.
 An optional campaign **journal**
 (:class:`~repro.provenance.journal.CampaignJournal`, or a path one is
 opened at) receives the full provenance record: campaign start/finish,
-one per-scenario ``ran``/``cached``/``skipped`` decision with its
+one ``ran`` or ``skipped`` record per such position with its
 :class:`~repro.provenance.usage.ResourceUsage`, and the early-stop
-triggers.  Journal records for executed scenarios are appended on the
+triggers.  The positions served without running share one ``cached``
+record that lists their fingerprints with their summed usage: one for
+the store hits, written right after the lookup and before anything
+runs, and one more after the run for duplicate positions, when there
+are any.  Journal records for executed scenarios are appended on the
 calling thread, right after the wrapped runner hands over each outcome
 for persistence: the runner builds each event once, when its slot
 settles, so each executed position yields exactly one ``ran`` record,
-whatever retries or worker deaths the campaign survived.
+whatever retries or worker deaths the campaign survived.  Progress
+reporters and telemetry still receive one ``cached=True`` event per
+served position.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from repro.campaign.scenarios import get_kind
 from repro.campaign.spec import ScenarioOutcome, ScenarioSpec
 from repro.exceptions import ConfigurationError
 from repro.provenance.journal import CampaignJournal
+from repro.provenance.usage import ResourceUsage
 from repro.store.base import ResultStore
 from repro.store.fingerprint import fingerprint_spec
 from repro.store.policy import EarlyStopPolicy
@@ -169,7 +176,7 @@ class CachingRunner:
         # not a second sha256 — which is what keeps "no spec is hashed
         # twice per campaign" true end to end.
         fp_by_spec: Dict[ScenarioSpec, str] = dict(zip(specs, fingerprints))
-        outcomes_by_fp: Dict[str, ScenarioOutcome] = self.store.get_many(fingerprints)
+        outcomes_by_fp: Dict[str, ScenarioOutcome] = self.store.get_many(specs)
 
         campaign = uuid.uuid4().hex[:12]
         self.last_campaign_id = campaign
@@ -184,36 +191,49 @@ class CachingRunner:
             # which is what makes traces joinable against the ledger.
             self.telemetry.begin(campaign, len(specs))
 
-        def emit(event: ScenarioEvent) -> None:
-            # Journal first (provenance is the record), then telemetry
-            # (metrics + span collection), reporter last.  Executed
-            # scenarios arrive here once each, right after ``persist``.
-            if self.journal is not None:
-                self.journal.scenario_event(campaign, event)
+        observed = self.telemetry is not None or self.progress is not None
+
+        def notify(event: ScenarioEvent) -> None:
+            # Telemetry (metrics + span collection) first, reporter last.
             if self.telemetry is not None:
                 self.telemetry.on_event(event)
             if self.progress is not None:
                 self.progress(event)
 
+        def emit(event: ScenarioEvent) -> None:
+            # Journal first (provenance is the record).  Executed
+            # scenarios arrive here once each, right after ``persist``.
+            if self.journal is not None:
+                self.journal.scenario_event(campaign, event)
+            notify(event)
+
         inner_progress = (
-            emit
-            if (self.journal or self.telemetry or self.progress) is not None
-            else None
-        )
+            emit if self.journal is not None or observed else None)
+
+        def serve(served: List[Tuple[ScenarioSpec, str, ScenarioOutcome]]) -> None:
+            # Positions settled without running: one ``cached`` journal
+            # record for all of them, one zero-cost event each.
+            if self.journal is not None:
+                self.journal.cached(
+                    campaign, [fingerprint for _, fingerprint, _ in served],
+                    ResourceUsage.of_outcomes(
+                        outcome for _, _, outcome in served))
+            if observed:
+                for spec, _, outcome in served:
+                    notify(ScenarioEvent.of(spec, outcome, cached=True))
 
         if self.progress is not None:
             self.progress.campaign_started(len(specs))
         # Cached outcomes are observed first (in spec order): a violation
         # already in the store certifies its point before anything runs,
         # and the reporter sees cache hits as zero-cost events.
-        for spec, fingerprint in zip(specs, fingerprints):
-            outcome = outcomes_by_fp.get(fingerprint)
-            if outcome is None:
-                continue
-            if self.policy is not None:
+        hits = [(spec, fingerprint, outcomes_by_fp[fingerprint])
+                for spec, fingerprint in zip(specs, fingerprints)
+                if fingerprint in outcomes_by_fp]
+        if self.policy is not None:
+            for _, _, outcome in hits:
                 self.policy.observe(outcome)
-            if inner_progress is not None:
-                emit(ScenarioEvent.of(spec, outcome, cached=True))
+        serve(hits)
 
         cached_fps = frozenset(outcomes_by_fp)
         pending: List[ScenarioSpec] = []
@@ -286,13 +306,11 @@ class CachingRunner:
         # only as durable as its last flush, so drain before reporting.
         self.store.flush()
 
-        if inner_progress is not None:
-            # Deduplicated duplicate positions completed with their first
-            # occurrence; report them so totals add up to the campaign size.
-            for spec, fingerprint in duplicates:
-                outcome = outcomes_by_fp.get(fingerprint)
-                if outcome is not None:
-                    emit(ScenarioEvent.of(spec, outcome, cached=True))
+        # Deduplicated duplicate positions completed with their first
+        # occurrence; report them so totals add up to the campaign size.
+        serve([(spec, fingerprint, outcomes_by_fp[fingerprint])
+               for spec, fingerprint in duplicates
+               if fingerprint in outcomes_by_fp])
 
         merged = tuple(
             outcomes_by_fp[fingerprint]

@@ -38,8 +38,11 @@ __all__ = ["SCHEMA_VERSION", "ScenarioFingerprint", "fingerprint_spec"]
 #: Version history: 2 — ``ScenarioSpec.recording`` joined the identity;
 #: 3 — outcomes gained the ``messages_sent``/``messages_delivered``
 #: counters (stored rows written before them must not be served as
-#: complete outcomes with zeroed cost).
-SCHEMA_VERSION = 3
+#: complete outcomes with zeroed cost); 4 — store rows hold the outcome
+#: as a spec-free array (:func:`repro.campaign.codec.outcome_to_row`)
+#: next to a separate spec field, so version-3 rows are dead rows that
+#: every read skips and compaction drops.
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Append-only JSONL result store.
 
-One JSON object per line: ``{"fp": <digest>, "v": <schema>, "outcome":
-{...}}``.  The format is deliberately boring — portable, diffable,
-mergeable with ``cat`` — and append-only, so a commit is a single
-``write + flush`` of one or more lines and a campaign killed mid-run
-loses at most the lines that write carried.  Batching, the idle flush
-and the counters are the shared write buffer's
-(:class:`repro.store.base._CommitBuffer`); this module supplies the
-commit, the row codec and the in-memory index that serves every read.
+One JSON object per line: ``{"fp": <digest>, "v": <schema>, "spec":
+{...}, "outcome": [...]}``, where ``outcome`` is the spec-free array of
+:func:`~repro.campaign.codec.outcome_to_row` and ``spec`` the
+:func:`~repro.campaign.codec.spec_to_dict` encoding.  The format is
+deliberately boring — portable, diffable, mergeable with ``cat`` — and
+append-only, so a commit is a single ``write + flush`` of one or more
+lines and a campaign killed mid-run loses at most the lines that write
+carried.  Batching, the idle flush and the counters are the shared
+write buffer's (:class:`repro.store.base._CommitBuffer`); this module
+supplies the commit, the row codec and the in-memory index that serves
+every read.
 
 Opening the store reads it through :mod:`repro.jsonlog`: a **torn
 final line** (the campaign was killed mid-append) is truncated away, so
@@ -28,7 +31,8 @@ from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro import jsonlog
-from repro.campaign.codec import outcome_from_dict, outcome_to_dict
+from repro.campaign.codec import (outcome_from_row, outcome_to_row,
+                                  spec_from_dict, spec_to_dict)
 from repro.campaign.spec import ScenarioOutcome
 from repro.exceptions import ConfigurationError
 from repro.store.base import ResultStore, _CommitBuffer
@@ -54,7 +58,8 @@ def read_row(record: Any) -> Optional[Tuple[str, ScenarioOutcome]]:
         # corruption, not a schema mismatch.
         raise ConfigurationError(
             f"record has a non-string fingerprint: {digest!r}")
-    return digest, outcome_from_dict(record["outcome"])
+    return digest, outcome_from_row(spec_from_dict(record["spec"]),
+                                    record["outcome"])
 
 
 class JsonlResultStore(ResultStore):
@@ -69,7 +74,9 @@ class JsonlResultStore(ResultStore):
     byte-level torn-tail guarantees hold unchanged, only the durability
     point moves by at most one batch (bounded in wall time by the idle
     flush).  Reads are always served from the in-memory index, so
-    buffering never affects read-your-writes.
+    buffering never affects read-your-writes.  The index holds whole
+    outcomes, decoded once at open, so ``get_many`` is a dict lookup
+    per spec.
     """
 
     def __init__(self, path: Union[str, Path], *, commit_batch: int = 1):
@@ -114,7 +121,8 @@ class JsonlResultStore(ResultStore):
 
     def put(self, fingerprint: str, outcome: ScenarioOutcome) -> None:
         record = {"fp": fingerprint, "v": SCHEMA_VERSION,
-                  "outcome": outcome_to_dict(outcome)}
+                  "spec": spec_to_dict(outcome.spec),
+                  "outcome": outcome_to_row(outcome)}
         line = json.dumps(record, sort_keys=True) + "\n"
         with self._lock:
             self._writes.check_open()

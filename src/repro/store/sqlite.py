@@ -4,7 +4,12 @@ The JSONL backend replays its whole file on open; for campaigns in the
 hundreds of thousands of scenarios an indexed, queryable store is the
 better trade.  One table, primary-keyed by fingerprint, one commit per
 ``put`` (that commit is the durability point a resumed campaign relies
-on), batched ``IN (...)`` lookups for ``get_many``.
+on), batched ``IN (...)`` lookups for ``get_many``.  A row keeps the
+outcome as the spec-free array of
+:func:`~repro.campaign.codec.outcome_to_row` in its ``outcome`` column
+and the spec in a ``spec`` column of its own: ``get_many`` reads only
+the outcome column and attaches the caller's specs, while ``get`` and
+``items`` decode the spec column to rebuild whole outcomes.
 
 Thread-safety: the connection is opened with ``check_same_thread=False``
 and every operation runs under the store's lock.  This is load-bearing,
@@ -39,7 +44,9 @@ anyway — the version is hashed into the fingerprint) but are kept on
 disk for forensics and pruning.  A covering index on
 ``(schema_version, fingerprint)`` makes the bulk cache-skip pass
 (``get_many``/``fingerprints``) an index-only scan instead of a table
-walk.
+walk.  A table written before schema 4 has no ``spec`` column; opening
+it adds one (``NULL`` on the old rows, which no read sees), so an old
+store opens, misses, takes new puts and compacts like any other.
 """
 
 from __future__ import annotations
@@ -50,11 +57,12 @@ import threading
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.campaign.codec import outcome_from_dict, outcome_to_dict
-from repro.campaign.spec import ScenarioOutcome
+from repro.campaign.codec import (outcome_from_row, outcome_to_row,
+                                  spec_from_dict, spec_to_dict)
+from repro.campaign.spec import ScenarioOutcome, ScenarioSpec
 from repro.exceptions import ConfigurationError
 from repro.store.base import ResultStore, _CommitBuffer
-from repro.store.fingerprint import SCHEMA_VERSION
+from repro.store.fingerprint import SCHEMA_VERSION, fingerprint_spec
 
 __all__ = ["SqliteResultStore"]
 
@@ -62,8 +70,8 @@ __all__ = ["SqliteResultStore"]
 _IN_BATCH = 500
 
 _INSERT = (
-    "INSERT OR REPLACE INTO results (fingerprint, schema_version, outcome) "
-    "VALUES (?, ?, ?)"
+    "INSERT OR REPLACE INTO results (fingerprint, schema_version, spec, outcome) "
+    "VALUES (?, ?, ?, ?)"
 )
 
 
@@ -96,9 +104,15 @@ class SqliteResultStore(ResultStore):
                 "CREATE TABLE IF NOT EXISTS results ("
                 "  fingerprint TEXT PRIMARY KEY,"
                 "  schema_version INTEGER NOT NULL,"
-                "  outcome TEXT NOT NULL"
+                "  outcome TEXT NOT NULL,"
+                "  spec TEXT"
                 ")"
             )
+            if "spec" not in {column for _, column, *_ in
+                              conn.execute("PRAGMA table_info(results)")}:
+                # A table from before schema 4: the column goes last, as
+                # in a new table, and stays NULL on the dead old rows.
+                conn.execute("ALTER TABLE results ADD COLUMN spec TEXT")
             # Covering index for the bulk skip pass: get_many and
             # fingerprints() filter on schema_version and read only the
             # fingerprint, so this resolves them without touching the
@@ -125,7 +139,7 @@ class SqliteResultStore(ResultStore):
             )
         return self._conn
 
-    def _commit(self, rows: List[Tuple[str, int, str]]) -> None:
+    def _commit(self, rows: List[Tuple[str, int, str, str]]) -> None:
         """One transaction for ``rows`` (the buffer holds the lock).
 
         A failure rolls the open transaction back before it propagates:
@@ -153,15 +167,17 @@ class SqliteResultStore(ResultStore):
         with self._lock:
             self._writes.drain()
             row = self._connection().execute(
-                "SELECT outcome FROM results WHERE fingerprint = ? AND schema_version = ?",
+                "SELECT spec, outcome FROM results "
+                "WHERE fingerprint = ? AND schema_version = ?",
                 (fingerprint, SCHEMA_VERSION),
             ).fetchone()
         if row is None:
             return None
-        return outcome_from_dict(json.loads(row[0]))
+        return _decode(*row)
 
-    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioOutcome]:
-        digests = list(set(fingerprints))
+    def get_many(self, specs: Iterable[ScenarioSpec]) -> Dict[str, ScenarioOutcome]:
+        by_digest = {fingerprint_spec(spec): spec for spec in specs}
+        digests = list(by_digest)
         hits: Dict[str, ScenarioOutcome] = {}
         self._writes.drain()
         for start in range(0, len(digests), _IN_BATCH):
@@ -173,13 +189,24 @@ class SqliteResultStore(ResultStore):
                     f"WHERE schema_version = ? AND fingerprint IN ({placeholders})",
                     [SCHEMA_VERSION, *batch],
                 ).fetchall()
-            for digest, payload in rows:
-                hits[digest] = outcome_from_dict(json.loads(payload))
+            # One json.loads for the whole batch of outcome arrays.  A
+            # column holding more than one JSON value would shift every
+            # later row onto the wrong fingerprint, so the count must match.
+            decoded = json.loads("[" + ",".join(row[1] for row in rows) + "]")
+            if len(decoded) != len(rows):
+                raise ConfigurationError(
+                    f"corrupt result store {self._path}: an outcome column "
+                    "holds more than one JSON value")
+            for (digest, _), row in zip(rows, decoded):
+                hits[digest] = outcome_from_row(by_digest[digest], row)
         return hits
 
     def put(self, fingerprint: str, outcome: ScenarioOutcome) -> None:
-        payload = json.dumps(outcome_to_dict(outcome), sort_keys=True)
-        self._writes.add((fingerprint, SCHEMA_VERSION, payload))
+        self._writes.add((
+            fingerprint, SCHEMA_VERSION,
+            json.dumps(spec_to_dict(outcome.spec), sort_keys=True),
+            json.dumps(outcome_to_row(outcome), sort_keys=True),
+        ))
 
     def fingerprints(self) -> FrozenSet[str]:
         with self._lock:
@@ -194,12 +221,12 @@ class SqliteResultStore(ResultStore):
         with self._lock:
             self._writes.drain()
             rows = self._connection().execute(
-                "SELECT fingerprint, outcome FROM results WHERE schema_version = ? "
-                "ORDER BY fingerprint",
+                "SELECT fingerprint, spec, outcome FROM results "
+                "WHERE schema_version = ? ORDER BY fingerprint",
                 (SCHEMA_VERSION,),
             ).fetchall()
-        for digest, payload in rows:
-            yield digest, outcome_from_dict(json.loads(payload))
+        for digest, spec, payload in rows:
+            yield digest, _decode(spec, payload)
 
     def close(self) -> None:
         with self._lock:
@@ -207,3 +234,8 @@ class SqliteResultStore(ResultStore):
             if self._conn is not None:
                 self._conn.close()
                 self._conn = None
+
+
+def _decode(spec: str, payload: str) -> ScenarioOutcome:
+    """A whole outcome from a row's ``spec`` and ``outcome`` columns."""
+    return outcome_from_row(spec_from_dict(json.loads(spec)), json.loads(payload))

@@ -112,6 +112,12 @@ class TelemetrySession:
     ``finish()``.  A campaign feeds its events from the calling thread,
     but a session may be shared by threads running campaigns or reading
     snapshots concurrently; all mutation is locked.
+
+    A session reused across campaigns keeps two different scopes.
+    :attr:`metrics` describe the current campaign only: each
+    :meth:`begin` starts a fresh registry, so each metrics record counts
+    its own campaign.  Spans keep accumulating over the whole session,
+    because the trace file covers every campaign the session ran.
     """
 
     def __init__(self, config: Optional[TelemetryConfig] = None):
@@ -129,11 +135,13 @@ class TelemetrySession:
     # -- lifecycle ---------------------------------------------------------
 
     def begin(self, campaign: str, total: int) -> None:
-        """Start one campaign: fix the correlation id and sampling stride."""
+        """Start one campaign: fix the correlation id and sampling stride,
+        and start its metrics from a fresh registry."""
         threshold = self.config.sample_threshold
         stride = 1 if threshold <= 0 or total <= threshold else -(-total // threshold)
         with self._lock:
             self.campaign = campaign
+            self.metrics = MetricsRegistry()
             self._total = total
             self._worker = WorkerTelemetry(campaign=campaign, stride=stride)
             self._tracer = Tracer(trace_id=campaign)
@@ -160,15 +168,14 @@ class TelemetrySession:
             m.counter("scenarios_cached").inc()
         m.counter(f"verdict_{event.verdict}").inc()
         usage = event.usage
-        if usage is not None:
-            m.counter("steps_total").inc(usage.steps)
-            m.counter("messages_sent_total").inc(usage.messages_sent)
-            m.counter("messages_delivered_total").inc(usage.messages_delivered)
-            m.histogram("scenario_steps").observe(usage.steps)
-            m.histogram("scenario_messages_sent").observe(usage.messages_sent)
-            if usage.steps:
-                m.histogram("messages_per_step").observe(
-                    usage.messages_sent // usage.steps)
+        m.counter("steps_total").inc(usage.steps)
+        m.counter("messages_sent_total").inc(usage.messages_sent)
+        m.counter("messages_delivered_total").inc(usage.messages_delivered)
+        m.histogram("scenario_steps").observe(usage.steps)
+        m.histogram("scenario_messages_sent").observe(usage.messages_sent)
+        if usage.steps:
+            m.histogram("messages_per_step").observe(
+                usage.messages_sent // usage.steps)
         m.histogram(
             "scenario_seconds", bounds=DEFAULT_LATENCY_BOUNDS, timing=True,
         ).observe(event.seconds)

@@ -7,14 +7,17 @@ import threading
 
 import pytest
 
+from repro.campaign import CampaignRunner, theorem8_specs
 from repro.exceptions import ConfigurationError
 from repro.provenance import (
     JOURNAL_SCHEMA_VERSION,
     CampaignJournal,
     ResourceUsage,
+    aggregate_cost,
     read_journal,
     replay_ledger,
 )
+from repro.store import CachingRunner, MemoryResultStore, fingerprint_spec
 
 FP_A = "a" * 64
 FP_B = "b" * 64
@@ -222,3 +225,125 @@ class TestLedgerValidation:
         ledger = replay.campaigns["c1"]
         assert not ledger.finished
         assert ledger.recorded == 1 < ledger.total
+
+    @pytest.mark.parametrize("fps", [None, FP_A, [FP_A, ""], [FP_A, 7]])
+    def test_cached_record_needs_a_list_of_fingerprints(self, fps):
+        with pytest.raises(ConfigurationError, match="list of fingerprints"):
+            replay_ledger([
+                {"v": 1, "type": "campaign-start", "campaign": "c1", "total": 2},
+                {"v": 1, "type": "cached", "campaign": "c1", "fps": fps,
+                 "usage": {}},
+            ])
+
+
+SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)
+
+
+def _cold_then_warm(tmp_path):
+    """A cold campaign over ten specs, then a warm one over twenty specs
+    plus two duplicate positions: eleven store hits (one of them the
+    duplicate of a stored spec), ten runs, one replayed duplicate."""
+    store = MemoryResultStore()
+    journal_path = tmp_path / "journal.jsonl"
+    warm_specs = list(SPECS[:20]) + [SPECS[0], SPECS[12]]
+    runner = CachingRunner(store, journal=journal_path)
+    runner.run(SPECS[:10])
+    runner.run(warm_specs)
+    runner.journal.close()  # the store stays open for the queries
+    return store, read_journal(journal_path), runner.last_campaign_id, warm_specs
+
+
+def _per_position(records, store):
+    """The same journal as the previous release wrote it: one ``scenario``
+    record with the ``cached`` decision per position."""
+    old = []
+    for record in records:
+        if record["type"] != "cached":
+            old.append(record)
+            continue
+        for fingerprint in record["fps"]:
+            outcome = store.get(fingerprint)
+            old.append({
+                "v": record["v"], "ts": record["ts"],
+                "elapsed": record["elapsed"], "type": "scenario",
+                "campaign": record["campaign"], "fp": fingerprint,
+                "decision": "cached", "verdict": outcome.verdict,
+                "label": outcome.spec.label(), "worker_pid": 1,
+                "usage": ResourceUsage.of_outcome(outcome).to_dict(),
+            })
+    return old
+
+
+class TestCachedRecord:
+    def test_hits_and_duplicates_get_one_record_each(self, tmp_path):
+        _store, records, warm, warm_specs = _cold_then_warm(tmp_path)
+        warm_records = [r for r in records if r["campaign"] == warm]
+        assert [r["type"] for r in warm_records] == (
+            ["campaign-start", "cached"] + ["scenario"] * 10
+            + ["cached", "campaign-finish"])
+        hits, duplicates = (r for r in warm_records if r["type"] == "cached")
+        fp = fingerprint_spec
+        assert hits["fps"] == [fp(s) for s in SPECS[:10]] + [fp(SPECS[0])]
+        assert duplicates["fps"] == [fp(SPECS[12])]
+        outcomes = {o.spec: o for o in CampaignRunner().run(SPECS[:20]).outcomes}
+        assert hits["usage"] == ResourceUsage.of_outcomes(
+            outcomes[s] for s in SPECS[:10] + SPECS[:1]).to_dict()
+        assert hits["usage"]["seconds"] == 0.0
+        assert duplicates["usage"]["steps"] == outcomes[SPECS[12]].steps
+        ledger = replay_ledger(records).campaigns[warm]
+        assert (ledger.ran, ledger.cached, ledger.skipped) == (10, 12, 0)
+        assert ledger.recorded == ledger.total == len(warm_specs)
+
+    def test_a_campaign_with_nothing_cached_has_no_cached_record(self, tmp_path):
+        journal_path = tmp_path / "journal.jsonl"
+        with CachingRunner(MemoryResultStore(), journal=journal_path) as runner:
+            runner.run(SPECS[:10])
+        records = read_journal(journal_path)
+        assert len(records) == 10 + 2
+        assert "cached" not in {r["type"] for r in records}
+
+    def test_the_writer_skips_an_empty_record(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with CampaignJournal(path) as journal:
+            journal.cached("c1", [], ResourceUsage())
+        assert path.read_bytes() == b""
+
+    def test_replays_like_the_per_position_records_it_replaces(self, tmp_path):
+        store, records, _warm, _specs = _cold_then_warm(tmp_path)
+        new = replay_ledger(records)
+        old = replay_ledger(_per_position(records, store))
+        assert new.campaigns == old.campaigns
+        assert ({c: l.as_dict() for c, l in new.campaigns.items()}
+                == {c: l.as_dict() for c, l in old.campaigns.items()})
+        assert new.decisions == old.decisions
+        assert set(new.decisions.values()) == {"ran"}
+        for include_cached in (False, True):
+            new_usage = new.total_usage(include_cached=include_cached)
+            old_usage = old.total_usage(include_cached=include_cached)
+            assert new_usage == old_usage
+            assert new_usage.seconds == pytest.approx(old_usage.seconds)
+            new_cost, new_unresolved = aggregate_cost(
+                store, new, ("kind", "n"), include_cached=include_cached)
+            old_cost, old_unresolved = aggregate_cost(
+                store, old, ("kind", "n"), include_cached=include_cached)
+            assert new_unresolved == old_unresolved == ()
+            assert ({k: g.as_dict() for k, g in new_cost.items()}
+                    == {k: g.as_dict() for k, g in old_cost.items()})
+        assert sum(g.scenarios for g in new_cost.values()) == 10 + 22
+
+    def test_cached_fingerprints_that_never_ran_read_cached(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with CampaignJournal(path) as journal:
+            journal.campaign_started("c1", 3)
+            journal.scenario("c1", FP_A, "skipped")
+            journal.cached("c1", [FP_A, FP_B], ResourceUsage(steps=4))
+            journal.campaign_finished("c1")
+            journal.campaign_started("c2", 1)
+            journal.scenario("c2", FP_B, "ran", usage=ResourceUsage(steps=2))
+            journal.campaign_finished("c2")
+        replay = replay_ledger(read_journal(path))
+        assert replay.decisions == {FP_A: "cached", FP_B: "ran"}
+        assert replay.cached_fingerprints == {FP_A}
+        assert replay.campaigns["c1"].usage.steps == 4
+        assert replay.total_usage().steps == 2
+        assert replay.total_usage(include_cached=True).steps == 6

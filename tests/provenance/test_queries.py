@@ -21,7 +21,7 @@ from repro.provenance import (
     read_journal,
     replay_ledger,
 )
-from repro.store import CachingRunner, MemoryResultStore, open_store
+from repro.store import CachingRunner, MemoryResultStore, fingerprint_spec, open_store
 
 PINNED_KWARGS = dict(seeds=(1,), max_steps=4_000)
 
@@ -37,6 +37,25 @@ def merged(tmp_path_factory):
         runner.run(theorem8_specs([5], **PINNED_KWARGS))
     replay = replay_ledger(read_journal(journal_path))
     return store_path, replay
+
+
+@pytest.fixture(scope="module")
+def rerun(tmp_path_factory):
+    """``merged``'s two campaigns, then a warm re-run of the n=4 one.
+
+    Returns the store path, the replay before and after the re-run, and
+    the re-run's campaign id.
+    """
+    tmp = tmp_path_factory.mktemp("provenance-rerun")
+    store_path = tmp / "merged.sqlite"
+    journal_path = tmp / "journal.jsonl"
+    with CachingRunner(open_store(store_path), journal=journal_path) as runner:
+        runner.run(theorem8_specs([4], **PINNED_KWARGS))
+        runner.run(theorem8_specs([5], **PINNED_KWARGS))
+        cold = replay_ledger(read_journal(journal_path))
+        runner.run(theorem8_specs([4], **PINNED_KWARGS))
+        warm_campaign = runner.last_campaign_id
+    return store_path, cold, replay_ledger(read_journal(journal_path)), warm_campaign
 
 
 class TestAggregateOutcomes:
@@ -83,13 +102,35 @@ class TestAggregateCost:
             replay.total_usage().seconds)
         assert {key[1] for key in cost} == {4, 5}
 
-    def test_include_cached_adds_replays(self, merged):
-        store_path, replay = merged
+    def test_include_cached_adds_replays(self, rerun):
+        store_path, cold, warm, campaign = rerun
+        specs = theorem8_specs([4], **PINNED_KWARGS)
+        assert len(specs) == 44
+        assert warm.campaigns[campaign].cached == 44
+        assert warm.campaigns[campaign].ran == 0
         with open_store(store_path) as store:
-            ran_only, _ = aggregate_cost(store, replay, ("kind",))
-            with_cached, _ = aggregate_cost(store, replay, ("kind",), include_cached=True)
-        assert sum(g.scenarios for g in with_cached.values()) >= sum(
-            g.scenarios for g in ran_only.values())
+            before, _ = aggregate_cost(store, cold, ("kind",), include_cached=True)
+            after, unresolved = aggregate_cost(
+                store, warm, ("kind",), include_cached=True)
+            stored = [store.get(fingerprint_spec(spec)) for spec in specs]
+        assert unresolved == ()
+        assert set(after) == set(before)
+        for key, group in after.items():
+            replays = [o for o in stored if (o.spec.kind,) == key]
+            assert group.scenarios - before[key].scenarios == len(replays)
+            for verdict in ("ok", "violation", "error"):
+                assert (getattr(group, verdict) - getattr(before[key], verdict)
+                        == sum(1 for o in replays if o.verdict == verdict))
+            assert (group.usage.steps - before[key].usage.steps
+                    == sum(o.steps for o in replays))
+            assert (group.usage.messages_sent - before[key].usage.messages_sent
+                    == sum(o.messages_sent for o in replays))
+            # A cache hit costs no wall time.
+            assert group.usage.seconds == pytest.approx(before[key].usage.seconds)
+        added_steps = sum(o.steps for o in stored)
+        assert (warm.total_usage(include_cached=True).steps
+                - cold.total_usage(include_cached=True).steps == added_steps)
+        assert warm.total_usage().steps == cold.total_usage().steps
 
     def test_unresolved_fingerprints_are_reported_not_dropped_silently(self, merged):
         _store_path, replay = merged

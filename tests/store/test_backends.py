@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import sqlite3
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.campaign import CampaignRunner, ScenarioSpec, theorem8_specs
+from repro.campaign.codec import (outcome_from_row, outcome_to_row,
+                                  spec_from_dict, spec_to_dict)
+from repro.campaign.spec import ScenarioOutcome
 from repro.exceptions import ConfigurationError
+from repro.simulation.recording import RECORDING_POLICY_NAMES
 from repro.store import (
     JsonlResultStore,
     ScenarioFingerprint,
@@ -16,6 +23,8 @@ from repro.store import (
     open_store,
 )
 from repro.store.compact import compact_store
+
+from conftest import BACKENDS, make_store
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)
 OUTCOMES = CampaignRunner().run(SPECS).outcomes
@@ -45,9 +54,9 @@ class TestRoundTrip:
         stored = OUTCOMES[:3]
         for outcome in stored:
             store.put(fingerprint_spec(outcome.spec), outcome)
-        wanted = [fingerprint_spec(o.spec) for o in OUTCOMES[:6]]
+        wanted = [o.spec for o in OUTCOMES[:6]]
         hits = store.get_many(wanted)
-        assert set(hits) == set(wanted[:3])
+        assert set(hits) == {fingerprint_spec(spec) for spec in wanted[:3]}
         assert all(hits[fingerprint_spec(o.spec)] == o for o in stored)
 
     def test_puts_and_len(self, store):
@@ -70,6 +79,100 @@ class TestRoundTrip:
         assert outcome.verdict == "error"
         store.put(fingerprint_spec(infeasible), outcome)
         assert store.get(fingerprint_spec(infeasible)) == outcome
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**40, 2**40),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6))
+_PARAM_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3).map(tuple),
+                            st.frozensets(inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _outcomes(draw):
+    """Any outcome a store must keep: every verdict, violations, non-ASCII
+    error text, crash schedules and nested tuple/frozenset/float params."""
+    n = draw(st.integers(1, 8))
+    crashes = draw(st.lists(
+        st.tuples(st.integers(1, n), st.integers(0, 50)),
+        max_size=n, unique_by=lambda crash: crash[0]))
+    spec = ScenarioSpec(
+        kind=draw(st.sampled_from(["theorem8-solvable", "probe-ü"])),
+        n=n, f=draw(st.integers(0, n - 1)), k=draw(st.integers(1, n + 1)),
+        scheduler=draw(st.sampled_from(["round-robin", "random"])),
+        seed=draw(st.integers(0, 2**32)),
+        crashes=tuple(sorted(crashes)),
+        max_steps=draw(st.integers(1, 10**6)),
+        params=tuple(draw(st.dictionaries(
+            st.text(min_size=1, max_size=4), _PARAM_VALUES, max_size=3)).items()),
+        recording=draw(st.sampled_from(RECORDING_POLICY_NAMES)),
+    )
+    counters = st.integers(0, 2**40)
+    return ScenarioOutcome(
+        spec=spec,
+        verdict=draw(st.sampled_from(["ok", "violation", "error"])),
+        agreement_ok=draw(st.booleans()),
+        validity_ok=draw(st.booleans()),
+        termination_ok=draw(st.booleans()),
+        distinct_decisions=draw(counters),
+        decided=draw(counters),
+        steps=draw(counters),
+        truncated=draw(st.booleans()),
+        violations=tuple(draw(st.lists(st.text(max_size=12), max_size=3))),
+        error=draw(st.text(max_size=24)),
+        messages_sent=draw(counters),
+        messages_delivered=draw(counters),
+    )
+
+
+class TestRowProperty:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(outcomes=st.lists(_outcomes(), min_size=1, max_size=4,
+                             unique_by=lambda o: fingerprint_spec(o.spec)),
+           data=st.data())
+    def test_outcomes_round_trip_through_the_store(
+            self, tmp_path_factory, backend, outcomes, data):
+        directory = tmp_path_factory.mktemp(f"rows-{backend}")
+        store = make_store(backend, directory)
+        for outcome in outcomes:
+            store.put(fingerprint_spec(outcome.spec), outcome)
+        if backend != "memory":
+            store.close()
+            store = make_store(backend, directory)
+        try:
+            expected = {fingerprint_spec(o.spec): o for o in outcomes}
+            # Duplicates, as the caller's instances and as equal copies.
+            asked = [o.spec for o in outcomes] + [
+                spec_from_dict(spec_to_dict(o.spec)) for o in outcomes]
+            asked = data.draw(st.permutations(asked))
+            assert store.get_many(asked) == expected
+            assert dict(store.items()) == expected
+        finally:
+            store.close()
+
+
+class TestRowCodec:
+    def test_row_is_spec_free_and_in_field_order(self):
+        outcome = OUTCOMES[0]
+        row = outcome_to_row(outcome)
+        assert row == [
+            outcome.verdict, outcome.agreement_ok, outcome.validity_ok,
+            outcome.termination_ok, outcome.distinct_decisions,
+            outcome.decided, outcome.steps, outcome.truncated,
+            list(outcome.violations), outcome.error, outcome.messages_sent,
+            outcome.messages_delivered]
+        assert outcome_from_row(outcome.spec, json.loads(json.dumps(row))) == outcome
+
+    @pytest.mark.parametrize("row", [
+        None, {}, "ok", [], ["ok"] * 11, ["ok"] * 13,
+        ["ok", True, True, True, 1, 4, 9, False, "agreement", "", 0, 0],
+    ])
+    def test_a_row_of_the_wrong_shape_is_a_configuration_error(self, row):
+        with pytest.raises(ConfigurationError, match="outcome row"):
+            outcome_from_row(OUTCOMES[0].spec, row)
 
 
 @pytest.mark.parametrize("backend_cls,suffix", [
@@ -233,8 +336,8 @@ class TestSqliteSpecifics:
         with SqliteResultStore(tmp_path / "store.sqlite") as store:
             for outcome in OUTCOMES:
                 store.put(fingerprint_spec(outcome.spec), outcome)
-            wanted = [fingerprint_spec(o.spec) for o in OUTCOMES]
-            wanted += [format(i, "064x") for i in range(600)]  # misses
+            wanted = [o.spec for o in OUTCOMES]
+            wanted += [replace(SPECS[0], seed=10_000 + i) for i in range(600)]  # misses
             hits = store.get_many(wanted)
             assert len(hits) == len(OUTCOMES)
 
@@ -247,3 +350,21 @@ class TestSqliteSpecifics:
                 store.get("0" * 64)
             finally:
                 store.close()
+
+    def test_an_outcome_column_of_two_values_is_loud(self, tmp_path):
+        # get_many decodes a batch of outcome columns with one json.loads;
+        # a column holding two arrays must not shift rows onto the wrong
+        # fingerprints.
+        path = tmp_path / "store.sqlite"
+        with SqliteResultStore(path) as store:
+            for outcome in OUTCOMES[:3]:
+                store.put(fingerprint_spec(outcome.spec), outcome)
+        row = json.dumps(outcome_to_row(OUTCOMES[0]))
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE results SET outcome = ? WHERE fingerprint = ?",
+                         (f"{row},{row}", fingerprint_spec(OUTCOMES[0].spec)))
+        conn.close()
+        with SqliteResultStore(path) as store:
+            with pytest.raises(ConfigurationError, match="more than one JSON value"):
+                store.get_many([o.spec for o in OUTCOMES[:3]])

@@ -55,7 +55,8 @@ def batching_store(tmp_path, backend: str, commit_batch: int = 8):
 
 #: A row each backend's commit rejects: JSONL cannot join it, SQLite
 #: inserts the rows before it and then hits the NOT NULL constraint.
-UNWRITABLE_ROW = {"jsonl": None, "sqlite": ("unwritable", SCHEMA_VERSION, None)}
+UNWRITABLE_ROW = {"jsonl": None,
+                  "sqlite": ("unwritable", SCHEMA_VERSION, "{}", None)}
 
 #: What the backend's commit raises on :data:`UNWRITABLE_ROW`.
 COMMIT_ERRORS = (TypeError, sqlite3.IntegrityError)
@@ -118,7 +119,7 @@ class TestBatchedCommits:
             digest = fingerprint_spec(outcome.spec)
             store.put(digest, outcome)
             assert store.get(digest) == outcome
-            assert digest in store.get_many([digest])
+            assert digest in store.get_many([outcome.spec])
             assert digest in store.fingerprints()
         finally:
             store.close()

@@ -15,8 +15,14 @@ from __future__ import annotations
 import json
 import sqlite3
 
+import pytest
+
 from repro.campaign import CampaignRunner, theorem8_specs
-from repro.store import JsonlResultStore, SqliteResultStore, fingerprint_spec
+from repro.campaign.codec import outcome_to_dict
+from repro.report import main as report_main
+from repro.store import (JsonlResultStore, SqliteResultStore,
+                         fingerprint_spec, open_store)
+from repro.store.compact import main as compact_main
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)
 OUTCOMES = CampaignRunner().run(SPECS).outcomes[:3]
@@ -127,10 +133,8 @@ class TestSqliteMixedSchema:
                 assert store.get(fingerprint_spec(outcome.spec)) == outcome
             for row in _v2_rows():
                 assert store.get(row["fp"]) is None
-            wanted = [fingerprint_spec(o.spec) for o in OUTCOMES]
-            wanted += [row["fp"] for row in _v2_rows()]
-            hits = store.get_many(wanted)
-            assert set(hits) == set(wanted[:len(OUTCOMES)])
+            hits = store.get_many([o.spec for o in OUTCOMES])
+            assert set(hits) == {fingerprint_spec(o.spec) for o in OUTCOMES}
             # items() decodes lazily: exhausting it must never touch the
             # undecodable v2 payloads.
             decoded = dict(store.items())
@@ -147,3 +151,87 @@ class TestSqliteMixedSchema:
         ).fetchone()[0]
         conn.close()
         assert count == len(_v2_rows())
+
+
+def _v3_rows():
+    """SCHEMA_VERSION=3 rows as the previous release wrote them: the whole
+    outcome, spec embedded, under the key its fingerprint had then."""
+    return [(format(0xB0 + i, "064x"), outcome_to_dict(outcome))
+            for i, outcome in enumerate(OUTCOMES)]
+
+
+def _write_v3_sqlite(path):
+    """A store from before schema 4: the old table, no ``spec`` column."""
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute(
+            "CREATE TABLE results (fingerprint TEXT PRIMARY KEY, "
+            "schema_version INTEGER NOT NULL, outcome TEXT NOT NULL)")
+        conn.execute("CREATE INDEX results_schema_fingerprint "
+                     "ON results (schema_version, fingerprint)")
+        conn.executemany(
+            "INSERT INTO results (fingerprint, schema_version, outcome) "
+            "VALUES (?, 3, ?)",
+            [(digest, json.dumps(outcome, sort_keys=True))
+             for digest, outcome in _v3_rows()])
+    conn.close()
+
+
+def _write_v3_jsonl(path):
+    path.write_text("".join(
+        json.dumps({"fp": digest, "v": 3, "outcome": outcome},
+                   sort_keys=True) + "\n"
+        for digest, outcome in _v3_rows()))
+
+
+class TestStoresFromSchemaThree:
+    """Stores written before the spec-free rows open, miss, take new
+    puts, compact and report."""
+
+    @pytest.mark.parametrize("name,write", [
+        ("old.sqlite", _write_v3_sqlite),
+        ("old.jsonl", _write_v3_jsonl),
+    ])
+    def test_old_store_opens_misses_persists_compacts_and_reports(
+            self, tmp_path, capsys, name, write):
+        path = tmp_path / name
+        write(path)
+        extra = CampaignRunner().run(SPECS[3:4]).outcomes[0]
+        with open_store(path) as store:
+            assert len(store) == 0
+            assert store.get_many([o.spec for o in OUTCOMES]) == {}
+            assert list(store.items()) == []
+            for digest, _ in _v3_rows():
+                assert store.get(digest) is None
+            store.put(fingerprint_spec(extra.spec), extra)
+        with open_store(path) as reopened:
+            assert dict(reopened.items()) == {fingerprint_spec(extra.spec): extra}
+            assert reopened.get_many([extra.spec]) == {
+                fingerprint_spec(extra.spec): extra}
+        assert compact_main([str(path)]) == 0
+        assert f"dropped {len(OUTCOMES)} dead-schema" in capsys.readouterr().out
+        with open_store(path) as compacted:
+            assert dict(compacted.items()) == {fingerprint_spec(extra.spec): extra}
+        assert report_main(["--store", str(path)]) == 0
+
+    def test_old_sqlite_store_compacts_before_any_open(self, tmp_path, capsys):
+        path = tmp_path / "old.sqlite"
+        _write_v3_sqlite(path)
+        assert compact_main([str(path)]) == 0
+        assert f"dropped {len(OUTCOMES)} dead-schema" in capsys.readouterr().out
+        with SqliteResultStore(path) as store:
+            assert len(store) == 0
+
+    def test_opening_adds_the_spec_column_once(self, tmp_path):
+        path = tmp_path / "old.sqlite"
+        _write_v3_sqlite(path)
+        for _ in range(2):
+            with SqliteResultStore(path):
+                pass
+        conn = sqlite3.connect(path)
+        columns = [row[1] for row in conn.execute("PRAGMA table_info(results)")]
+        old_rows = conn.execute(
+            "SELECT COUNT(*) FROM results WHERE spec IS NULL").fetchone()[0]
+        conn.close()
+        assert columns == ["fingerprint", "schema_version", "outcome", "spec"]
+        assert old_rows == len(OUTCOMES)

@@ -24,11 +24,18 @@ SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)
 def _cached_event(spec, outcome):
     """The event of a scenario served without running, field by field."""
     return ScenarioEvent(
-        label=spec.label(), verdict=outcome.verdict, seconds=0.0,
-        worker_pid=os.getpid(), cached=True,
-        fingerprint=fingerprint_spec(spec),
-        usage=ResourceUsage.of_outcome(outcome),
+        spec=spec, outcome=outcome, seconds=0.0, worker_pid=os.getpid(),
+        cached=True, spans=(),
     )
+
+
+def _assert_identity_and_usage(event, spec, outcome):
+    """The fields an event derives from its spec and outcome."""
+    assert event.label == spec.label()
+    assert event.verdict == outcome.verdict
+    assert event.fingerprint == fingerprint_spec(spec)
+    assert event.usage == ResourceUsage.of_outcome(outcome)
+    assert event.usage.seconds == 0.0
 
 
 class TestEventStream:
@@ -98,6 +105,7 @@ class TestEventStream:
         for event in cached_events:
             outcome = by_label[event.label]
             assert event == _cached_event(outcome.spec, outcome)
+            _assert_identity_and_usage(event, outcome.spec, outcome)
 
     def test_duplicate_position_events_carry_the_scenario_identity_and_usage(self):
         reporter = CollectingProgressReporter()
@@ -106,6 +114,8 @@ class TestEventStream:
         cached_events = [event for event in reporter.events if event.cached]
         assert len(cached_events) == 2
         assert cached_events == [_cached_event(SPECS[0], result.outcomes[0])] * 2
+        for event in cached_events:
+            _assert_identity_and_usage(event, SPECS[0], result.outcomes[0])
 
     def test_progress_exceptions_never_break_the_campaign(self):
         class ExplodingReporter(CollectingProgressReporter):

@@ -14,6 +14,7 @@ import io
 import threading
 
 from repro.campaign.runner import ScenarioEvent
+from repro.campaign.spec import ScenarioOutcome, ScenarioSpec
 from repro.store import (
     CollectingProgressReporter,
     LogProgressReporter,
@@ -25,12 +26,10 @@ EVENTS_PER_THREAD = 250
 
 
 def _event(i: int, *, verdict: str = "ok", cached: bool = False) -> ScenarioEvent:
-    return ScenarioEvent(
-        label=f"scenario-{i}",
-        verdict=verdict,
-        seconds=0.001,
-        worker_pid=40_000 + (i % 4),
-        cached=cached,
+    spec = ScenarioSpec(kind="progress-probe", n=4, f=1, k=1, seed=i)
+    return ScenarioEvent.of(
+        spec, ScenarioOutcome(spec=spec, verdict=verdict), 0.001,
+        worker_pid=40_000 + (i % 4), cached=cached,
     )
 
 

@@ -27,6 +27,7 @@ from repro.store import (
     JsonlResultStore,
     MemoryResultStore,
     SqliteResultStore,
+    fingerprint_spec,
     open_store,
 )
 
@@ -42,7 +43,7 @@ def _outcome(index: int) -> ScenarioOutcome:
 
 
 def _key(index: int) -> str:
-    return "%064x" % index
+    return fingerprint_spec(_outcome(index).spec)
 
 
 #: The idle flush these tests run with: short enough to fire mid-run.
@@ -96,7 +97,7 @@ class TestSqliteThreadSafety:
                     index = tag * per_thread + i
                     store.put(_key(index), _outcome(index))
                     assert store.get(_key(index)) == _outcome(index)
-                    store.get_many([_key(j) for j in range(index + 1)])
+                    store.get_many([_outcome(j).spec for j in range(index + 1)])
             except Exception as exc:  # noqa: BLE001 - collected for the assert
                 errors.append(exc)
 
@@ -124,7 +125,7 @@ class TestSqliteThreadSafety:
                     store.put(_key(index), _outcome(index))
                     time.sleep(IDLE_SECONDS * (1 + i % 2))  # let the timer fire
                     assert store.get(_key(index)) == _outcome(index)
-                    store.get_many([_key(j) for j in range(index + 1)])
+                    store.get_many([_outcome(j).spec for j in range(index + 1)])
             except Exception as exc:  # noqa: BLE001 - collected for the assert
                 errors.append(exc)
 

@@ -250,3 +250,26 @@ class TestEndToEndExport:
         assert first is second
         from repro.telemetry import read_metrics
         assert len(read_metrics(metrics_path)) == 1
+
+
+class TestSessionReuse:
+    def test_second_metrics_record_counts_only_its_campaign(self, tmp_path):
+        from repro.telemetry import read_metrics
+
+        metrics_path = tmp_path / "metrics.jsonl"
+        session = TelemetrySession(TelemetryConfig(metrics_path=metrics_path))
+        specs = theorem8_specs(PINNED_GRID, **PINNED_KWARGS)
+        runner = CachingRunner(MemoryResultStore(), telemetry=session)
+        runner.run(specs)
+        runner.run(specs[:10])  # all ten served from the store
+
+        first, second = read_metrics(metrics_path)
+        assert first["stats"]["total"] == first["metrics"][
+            "scenarios_completed"]["value"] == len(specs)
+        assert second["stats"]["total"] == 10
+        assert second["metrics"]["scenarios_completed"]["value"] == 10
+        assert second["metrics"]["scenarios_cached"]["value"] == 10
+        assert second["metrics"]["queue_depth"]["value"] == 0
+        assert session.cache_hit_rate() == 1.0
+        # The trace covers the whole session: both campaign spans stay.
+        assert len([s for s in session.spans() if s.name == "campaign"]) == 2

@@ -28,6 +28,7 @@ from repro import jsonlog
 from repro.campaign import CampaignRunner, theorem8_specs
 from repro.exceptions import ConfigurationError
 from repro.provenance import JOURNAL_SCHEMA_VERSION, CampaignJournal, read_journal
+from repro.provenance.usage import ResourceUsage
 from repro.store import (
     SCHEMA_VERSION,
     JsonlResultStore,
@@ -316,15 +317,16 @@ class TestRecordFields:
         _write_store(path)
         rows = self._records(path)
         assert len(rows) == len(OUTCOMES)
-        for row in rows:
-            assert set(row) == {"fp", "outcome", "v"}
+        for row, outcome in zip(rows, OUTCOMES):
+            assert set(row) == {"fp", "spec", "outcome", "v"}
             assert row["v"] == SCHEMA_VERSION and len(row["fp"]) == 64
-            assert set(row["outcome"]) == {
-                "spec", "verdict", "agreement_ok", "validity_ok",
-                "termination_ok", "distinct_decisions", "decided", "steps",
-                "truncated", "violations", "error", "messages_sent",
-                "messages_delivered"}
-            assert set(row["outcome"]["spec"]) == {
+            assert row["outcome"] == [
+                outcome.verdict, outcome.agreement_ok, outcome.validity_ok,
+                outcome.termination_ok, outcome.distinct_decisions,
+                outcome.decided, outcome.steps, outcome.truncated,
+                list(outcome.violations), outcome.error,
+                outcome.messages_sent, outcome.messages_delivered]
+            assert set(row["spec"]) == {
                 "kind", "n", "f", "k", "scheduler", "seed", "crashes",
                 "max_steps", "params", "recording"}
 
@@ -340,25 +342,28 @@ class TestRecordFields:
                 "PRAGMA table_info(results)")]
             index = [row[2] for row in conn.execute(
                 "PRAGMA index_info(results_schema_fingerprint)")]
-            (fingerprint, version, outcome), = conn.execute(
-                "SELECT fingerprint, schema_version, outcome FROM results")
+            (fingerprint, version, spec, outcome), = conn.execute(
+                "SELECT fingerprint, schema_version, spec, outcome FROM results")
         finally:
             conn.close()
         assert columns == [
             ("fingerprint", "TEXT", 0, None, 1),
             ("schema_version", "INTEGER", 1, None, 0),
             ("outcome", "TEXT", 1, None, 0),
+            ("spec", "TEXT", 0, None, 0),
         ]
         assert index == ["schema_version", "fingerprint"]
         first_row = self._records(jsonl)[0]
         assert (fingerprint, version) == (first_row["fp"], SCHEMA_VERSION)
+        assert spec == json.dumps(first_row["spec"], sort_keys=True)
         assert outcome == json.dumps(first_row["outcome"], sort_keys=True)
 
     def test_journal_records(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         with CampaignJournal(path) as journal:
-            journal.campaign_started("c1", 1)
+            journal.campaign_started("c1", 3)
             journal.scenario("c1", "a" * 64, "ran")
+            journal.cached("c1", ["b" * 64, "b" * 64], ResourceUsage(steps=3))
             journal.early_stop("c1", (4, 1, 1), "ok")
             journal.campaign_finished("c1")
         common = {"v", "ts", "elapsed", "type", "campaign"}
@@ -366,6 +371,7 @@ class TestRecordFields:
             "campaign-start": {"total", "backend", "workers", "pid"},
             "scenario": {"fp", "decision", "verdict", "label",
                          "worker_pid", "usage"},
+            "cached": {"fps", "usage"},
             "early-stop": {"point", "verdict"},
             "campaign-finish": {"stats"},
         }
@@ -374,8 +380,12 @@ class TestRecordFields:
         for record in records:
             assert record["v"] == JOURNAL_SCHEMA_VERSION
             assert set(record) == common | extra[record["type"]]
-        assert set(records[1]["usage"]) == {
-            "seconds", "steps", "messages_sent", "messages_delivered"}
+        for record in records[1:3]:
+            assert set(record["usage"]) == {
+                "seconds", "steps", "messages_sent", "messages_delivered"}
+        assert records[2]["fps"] == ["b" * 64, "b" * 64]
+        assert records[2]["usage"]["steps"] == 3
+        assert records[2]["usage"]["seconds"] == 0.0
 
     def test_trace_events(self, tmp_path):
         path = tmp_path / "trace.jsonl"
