@@ -39,16 +39,22 @@ Axis = Union[None, Sequence[int], Callable[[int], Iterable[int]]]
 
 
 def _resolve_axis(axis: Axis, n: int) -> Tuple[int, ...]:
+    """The distinct values of an ``f`` or ``k`` axis at ``n``, in
+    first-occurrence order; a callable's values are coerced to ``int`` as
+    a sequence axis's are, so both spell the same specs."""
     if axis is None:
         return tuple(range(1, n))
     if callable(axis):
-        return tuple(axis(n))
-    return tuple(axis)
+        return tuple(dict.fromkeys(int(value) for value in axis(n)))
+    return tuple(dict.fromkeys(axis))
 
 
 @dataclass(frozen=True)
 class ScenarioGrid:
     """A cartesian product of campaign axes.
+
+    Every axis is read with its repeats dropped, the first occurrence
+    winning, so a value listed twice yields its scenarios once.
 
     Attributes
     ----------
@@ -60,16 +66,19 @@ class ScenarioGrid:
         Failure-bound / agreement-parameter axes (see :data:`Axis`);
         ``None`` means the full range ``1..n-1``.
     schedulers:
-        Scheduler names.  Deterministic schedulers ignore the seed axis
-        (their seed is normalised to 0, and the duplicates are dropped).
+        Scheduler names.  Deterministic schedulers ignore the seed axis:
+        each takes the single seed 0.
     seeds:
         Grid seeds combined with seeded schedulers.
     crash_sets:
-        Optional ``(n, f) -> iterable of crash schedules``; every schedule
-        becomes one scenario (a mapping ``pid -> time`` or an iterable of
-        initially dead ids).  ``None`` runs each point failure-free.
+        Optional ``(n, f) -> iterable of crash schedules``; every distinct
+        schedule becomes one scenario (a mapping ``pid -> time`` or an
+        iterable of initially dead ids, so ``{1, 2}``, ``[2, 1]`` and
+        ``{1: 0, 2: 0}`` are one schedule).  ``None`` runs each point
+        failure-free.  Called once per distinct ``(n, f)``.
     point_filter:
-        Optional predicate ``(n, f, k) -> bool`` restricting the grid.
+        Optional predicate ``(n, f, k) -> bool`` restricting the grid;
+        called once per distinct ``(n, f, k)``.
     max_steps:
         Step budget of every compiled scenario.
     params:
@@ -123,9 +132,16 @@ class ScenarioGrid:
         Invalid parameter points (``n < 1``, ``f`` outside ``0..n-1``,
         ``k < 1``, crash ids outside the system) raise
         :class:`repro.exceptions.ConfigurationError` — before anything
-        executes.  Scenarios that normalise to the same spec (for example
-        a deterministic scheduler combined with several seeds) are
-        deduplicated, preserving first-occurrence order.
+        executes.  Only points that survive ``point_filter`` are checked;
+        of a grid with two faults, either may be the one reported.
+
+        A compile costs only the specs it keeps.  Each axis is
+        deduplicated once, a deterministic scheduler takes the seed 0
+        once instead of once per grid seed, and each ``(n, f)``'s crash
+        schedules are normalised once, when its first point survives the
+        filter, and shared by all of its specs.  Distinct axis values give
+        distinct specs, so every spec is built once, in first-occurrence
+        order: ``n``, ``f``, ``k``, kind, scheduler, seed, schedule.
 
         The expansion is memoised on the (frozen) grid: the caching layer
         and the runner both compile, and a large grid should only pay the
@@ -137,37 +153,52 @@ class ScenarioGrid:
         return self._compiled
 
     def _compile(self) -> Tuple[ScenarioSpec, ...]:
+        # Hashing the kinds, schedulers and params up front rejects a grid
+        # whose specs would be unhashable.
+        kinds = tuple(dict.fromkeys(self.kinds))
+        runs = tuple(
+            (scheduler, seed)
+            for scheduler in dict.fromkeys(self.schedulers)
+            for seed in (
+                (0,) if scheduler in DETERMINISTIC_SCHEDULERS
+                else dict.fromkeys(self.seeds)
+            )
+        )
+        hash(self.params)
         specs: List[ScenarioSpec] = []
-        seen: set = set()
-        for n in self.n_values:
+        for n in dict.fromkeys(self.n_values):
             if n < 1:
                 raise ConfigurationError(f"n must be >= 1, got n={n}")
             for f in _resolve_axis(self.f_values, n):
-                schedules = (
+                given = (
                     tuple(self.crash_sets(n, f)) if self.crash_sets is not None else ((),)
                 )
+                schedules: Optional[Tuple[Tuple, ...]] = None
                 for k in _resolve_axis(self.k_values, n):
                     if self.point_filter is not None and not self.point_filter(n, f, k):
                         continue
-                    for kind in self.kinds:
-                        for scheduler in self.schedulers:
-                            for seed in self.seeds:
-                                if scheduler in DETERMINISTIC_SCHEDULERS:
-                                    seed = 0
-                                for schedule in schedules:
-                                    spec = ScenarioSpec(
-                                        kind=kind,
-                                        n=n,
-                                        f=f,
-                                        k=k,
-                                        scheduler=scheduler,
-                                        seed=seed,
-                                        crashes=normalize_crashes(schedule, n),
-                                        max_steps=self.max_steps,
-                                        params=self.params,
-                                        recording=self.recording,
-                                    )
-                                    if spec not in seen:
-                                        seen.add(spec)
-                                        specs.append(spec)
+                    if schedules is None:
+                        # Once per (n, f), shared by all of its specs, and
+                        # only once a point survives: the schedules of a
+                        # filtered-out f are never checked.
+                        schedules = tuple(dict.fromkeys(
+                            normalize_crashes(schedule, n) for schedule in given
+                        ))
+                    specs.extend(
+                        ScenarioSpec(
+                            kind=kind,
+                            n=n,
+                            f=f,
+                            k=k,
+                            scheduler=scheduler,
+                            seed=seed,
+                            crashes=crashes,
+                            max_steps=self.max_steps,
+                            params=self.params,
+                            recording=self.recording,
+                        )
+                        for kind in kinds
+                        for scheduler, seed in runs
+                        for crashes in schedules
+                    )
         return tuple(specs)
