@@ -28,6 +28,7 @@ from repro.campaign.spec import (
 )
 from repro.campaign.grid import ScenarioGrid
 from repro.campaign.scenarios import (
+    SharedExecutionKind,
     build_adversary,
     corollary13_specs,
     get_kind,
@@ -70,6 +71,7 @@ __all__ = [
     "outcome_to_row",
     "outcome_from_row",
     "scenario_kind",
+    "SharedExecutionKind",
     "get_kind",
     "registered_kinds",
     "build_adversary",

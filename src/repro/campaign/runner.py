@@ -65,11 +65,11 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign import codec
 from repro.campaign.grid import ScenarioGrid
-from repro.campaign.scenarios import get_kind
+from repro.campaign.scenarios import SharedExecutionKind, get_kind
 from repro.campaign.spec import ScenarioOutcome, ScenarioSpec
 from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultPlan, FaultStats, RetryPolicy
@@ -168,6 +168,36 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         return ScenarioOutcome.from_error(spec, exc)
 
 
+#: One task's memo of shared executions, by kind name and execution key.
+RunMemo = Dict[Tuple[str, Hashable], Any]
+
+
+def _run_sharing(spec: ScenarioSpec, runs: Optional[RunMemo]) -> ScenarioOutcome:
+    """:func:`run_scenario`, sharing executions through ``runs``.
+
+    ``runs`` memoises the executions of
+    :class:`~repro.campaign.scenarios.SharedExecutionKind`\\ s.  A spec
+    with an execution key is judged against the memoised run, executing
+    it first on a miss; an execution that raises is not memoised, so
+    every spec sharing it fails as :func:`run_scenario` fails it.  A
+    spec without a key, or with no memo (``runs=None``), runs
+    :func:`run_scenario`.
+    """
+    kind = get_kind(spec.kind)
+    key = (kind.execution_key(spec)
+           if runs is not None and isinstance(kind, SharedExecutionKind)
+           else None)
+    if key is None:
+        return run_scenario(spec)
+    key = (spec.kind, key)
+    try:
+        if key not in runs:
+            runs[key] = kind.execute(spec)
+        return kind.judge(spec, runs[key])
+    except Exception as exc:  # noqa: BLE001 - as in run_scenario
+        return ScenarioOutcome.from_error(spec, exc)
+
+
 _log = get_logger("campaign.runner")
 
 #: Worker-side telemetry slice (campaign id + sampling stride).  ``None``
@@ -207,7 +237,14 @@ def _run_batch(
     """Task entry point: run a chunk of specs, timing each scenario.
 
     Returns ``(outcomes, timings, shipped)``, one entry per spec, where
-    each ``shipped`` entry is ``(pid, spans)``.  No event is built here:
+    each ``shipped`` entry is ``(pid, spans)``.  A task of several specs
+    executes each shared execution once (:func:`_run_sharing`) and
+    judges every spec against it: its memo lives for this call only, so
+    a retried or bisected task starts empty, and a one-spec task runs
+    :func:`run_scenario`.  A timing is the time of the spec's own pass
+    through the loop, so the first spec of a shared execution carries
+    the execution and the others only their judgement.  No event is
+    built here:
     the parent builds each :class:`ScenarioEvent` from its own spec when
     the slot settles, so only plain data crosses the pool pipe in
     either direction.  The calling process passes ``telemetry`` and
@@ -230,6 +267,8 @@ def _run_batch(
     outcomes: List[ScenarioOutcome] = []
     timings: List[float] = []
     shipped: List[Shipped] = []
+    # A one-spec task has nothing to share: it runs the reference path.
+    runs: Optional[RunMemo] = {} if len(specs) > 1 else None
     for spec in specs:
         if plan is not None:
             plan.perform(spec, attempt, in_worker=_IN_POOL_WORKER)
@@ -242,10 +281,10 @@ def _run_batch(
                     "scenario", label=spec.label(), kind=spec.kind,
                     n=spec.n, f=spec.f, k=spec.k, seed=spec.seed,
                 ):
-                    outcome = run_scenario(spec)
+                    outcome = _run_sharing(spec, runs)
             spans = tracer.drain()
         else:
-            outcome = run_scenario(spec)
+            outcome = _run_sharing(spec, runs)
         timings.append(time.perf_counter() - started)
         outcomes.append(outcome)
         shipped.append((pid, spans))
@@ -321,6 +360,11 @@ class CampaignResult:
     backend: str = field(default="serial", compare=False)
     workers: int = field(default=1, compare=False)
     elapsed_seconds: float = field(default=0.0, compare=False)
+    #: Each settled position's own time in its task, in campaign order.
+    #: A task that shares one execution between positions (a pool chunk
+    #: holding round-robin Theorem 8 specs that differ only in ``k``)
+    #: books the execution on the first of them; the others carry only
+    #: their judgement.
     scenario_seconds: Tuple[float, ...] = field(default=(), compare=False)
     #: What the supervisor survived (worker deaths, retries, quarantines).
     #: Infrastructure history, not a result property — excluded from

@@ -20,20 +20,27 @@ The kinds shipped here cover the paper's two reproduced borders:
   :mod:`repro.simulation.bitmask_kernel`, every other spec the scalar
   executor, which stays the oracle (:func:`execute_theorem8_solvable`).
   The engine never changes an outcome, so it is not part of the spec or
-  its fingerprint.
+  its fingerprint.  The kind's execution takes no ``k`` (``k`` enters
+  only when ``KSetAgreementProblem(k)`` judges the run) and a
+  round-robin spec has no seed, so it declares an execution key: one
+  task executes round-robin specs that differ only in ``k`` once and
+  judges each at its own ``k`` (:class:`SharedExecutionKind`).
 * ``corollary13-k1`` / ``corollary13-kmax`` / ``corollary13-middle`` —
   the three regimes of Corollary 13: the ``(Sigma, Omega)`` consensus
   protocol at ``k = 1``, the ``Sigma_{n-1}`` protocol at ``k = n - 1``
   and the Theorem 10 violation construction in between.
 
 New workloads plug in with :func:`scenario_kind`; the grid/runner layers
-never need to change.
+never need to change.  A kind whose specs can share one execution
+registers it split in two, ``execute(spec)`` and ``judge(spec, run)``,
+under an ``execution_key``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.algorithms.flawed_candidate import FlawedQuorumKSet
 from repro.algorithms.kset_initial_crash import KSetInitialCrash
@@ -59,6 +66,7 @@ from repro.telemetry.spans import span as _span
 
 __all__ = [
     "scenario_kind",
+    "SharedExecutionKind",
     "get_kind",
     "registered_kinds",
     "build_adversary",
@@ -74,17 +82,59 @@ __all__ = [
 ]
 
 ScenarioKind = Callable[[ScenarioSpec], ScenarioOutcome]
+ExecutionKey = Callable[[ScenarioSpec], Optional[Hashable]]
 
 _KINDS: Dict[str, ScenarioKind] = {}
 
 
-def scenario_kind(name: str) -> Callable[[ScenarioKind], ScenarioKind]:
-    """Register a scenario kind under ``name`` (decorator)."""
+@dataclass(frozen=True)
+class SharedExecutionKind:
+    """A scenario kind split into one execution and a judgement per spec.
 
-    def register(fn: ScenarioKind) -> ScenarioKind:
+    ``execute(spec)`` runs the protocol and returns the run;
+    ``judge(spec, run)`` evaluates that run at the spec's own parameters
+    and builds the spec's outcome.  ``execution_key(spec)`` names the
+    execution: specs of the kind with equal keys must execute to equal
+    runs, so one campaign task may execute the first of them and judge
+    every one against that run.  A key of ``None`` means the spec shares
+    nothing.  The key is part of the kind's semantics, like its outcome.
+
+    Calling the kind is ``judge(spec, execute(spec))``, with no sharing:
+    that is what :func:`repro.campaign.runner.run_scenario` runs, the
+    reference the shared path is tested against.
+    """
+
+    execution_key: ExecutionKey
+    execute: Callable[[ScenarioSpec], Any]
+    judge: Callable[[ScenarioSpec, Any], ScenarioOutcome]
+
+    def __call__(self, spec: ScenarioSpec) -> ScenarioOutcome:
+        return self.judge(spec, self.execute(spec))
+
+
+def scenario_kind(
+    name: str,
+    *,
+    execution_key: Optional[ExecutionKey] = None,
+    judge: Optional[Callable[[ScenarioSpec, Any], ScenarioOutcome]] = None,
+) -> Callable[[Callable], Callable]:
+    """Register a scenario kind under ``name`` (decorator).
+
+    The decorated function maps a spec to its outcome.  A kind that
+    passes ``execution_key`` and ``judge`` is registered as a
+    :class:`SharedExecutionKind`, and the decorated function is then its
+    ``execute(spec)``, returning the run that ``judge`` evaluates.
+    """
+    if (execution_key is None) != (judge is None):
+        raise ConfigurationError(
+            f"scenario kind {name!r}: execution_key and judge are registered "
+            "together")
+
+    def register(fn: Callable) -> Callable:
         if name in _KINDS:
             raise ConfigurationError(f"scenario kind {name!r} is already registered")
-        _KINDS[name] = fn
+        _KINDS[name] = (fn if judge is None
+                        else SharedExecutionKind(execution_key, fn, judge))
         return fn
 
     return register
@@ -156,18 +206,19 @@ def initial_crash_patterns(n: int, f: int, seeds: Sequence[int]) -> List[frozens
 # -- Theorem 8 ---------------------------------------------------------------
 
 
-def _theorem8_solvable(spec: ScenarioSpec, engine):
-    """Build the solvable-side scenario, run it on ``engine``, evaluate.
+def _theorem8_solvable_run(spec: ScenarioSpec, engine):
+    """Build the solvable-side scenario and run it on ``engine``.
 
     Both engines take :func:`execute`'s arguments and get them from the
     same constructors in the same order, so a spec the scenario rejects
-    raises the identical exception on either.
+    raises the identical exception on either.  Nothing here reads
+    ``spec.k``.
     """
     algorithm = KSetInitialCrash(spec.n, spec.f)
     model = initial_crash_model(spec.n, spec.f)
     proposals = {pid: pid for pid in model.processes}
     pattern = FailurePattern(model.processes, dict(spec.crashes))
-    run = engine(
+    return engine(
         algorithm,
         model,
         proposals,
@@ -175,9 +226,12 @@ def _theorem8_solvable(spec: ScenarioSpec, engine):
         failure_pattern=pattern,
         settings=build_settings(spec),
     )
+
+
+def _theorem8_solvable_report(spec: ScenarioSpec, run):
+    """Judge a solvable-side run as ``spec.k``-set agreement."""
     with _span("decision", k=spec.k):
-        report = KSetAgreementProblem(spec.k).evaluate(run, proposals=proposals)
-    return run, report
+        return KSetAgreementProblem(spec.k).evaluate(run, proposals=run.proposals)
 
 
 def execute_theorem8_solvable(spec: ScenarioSpec):
@@ -188,7 +242,8 @@ def execute_theorem8_solvable(spec: ScenarioSpec):
     :func:`repro.analysis.border_sweep.observe_solvable` uses it directly
     to hand full property reports to callers.
     """
-    return _theorem8_solvable(spec, execute)
+    run = _theorem8_solvable_run(spec, execute)
+    return run, _theorem8_solvable_report(spec, run)
 
 
 def execute_theorem8_impossible(spec: ScenarioSpec):
@@ -229,13 +284,32 @@ def execute_theorem8_impossible(spec: ScenarioSpec):
     return run, report
 
 
-@scenario_kind("theorem8-solvable")
-def _run_theorem8_solvable(spec: ScenarioSpec) -> ScenarioOutcome:
+def _theorem8_solvable_key(spec: ScenarioSpec) -> Optional[Tuple]:
+    """The spec's identity without ``k``, for round-robin specs only.
+
+    ``KSetInitialCrash(n, f)`` takes no ``k`` and a round-robin spec has
+    no seed, so round-robin specs that differ only in ``k`` run the same
+    execution.  A random spec's stream is seeded by
+    :meth:`ScenarioSpec.derived_seed`, which hashes ``k``: it shares
+    nothing.
+    """
+    if spec.scheduler != "round-robin":
+        return None
+    identity = spec.identity()
+    return identity[:3] + identity[4:]  # identity()[3] is k
+
+
+def _judge_theorem8_solvable(spec: ScenarioSpec, run) -> ScenarioOutcome:
+    return ScenarioOutcome.from_report(
+        spec, _theorem8_solvable_report(spec, run), run)
+
+
+@scenario_kind("theorem8-solvable", execution_key=_theorem8_solvable_key,
+               judge=_judge_theorem8_solvable)
+def _execute_theorem8_solvable_kind(spec: ScenarioSpec):
     if spec.recording == RecordingPolicy.VERDICT_ONLY.value:
-        run, report = _theorem8_solvable(spec, execute_bitmask)
-    else:
-        run, report = execute_theorem8_solvable(spec)
-    return ScenarioOutcome.from_report(spec, report, run)
+        return _theorem8_solvable_run(spec, execute_bitmask)
+    return _theorem8_solvable_run(spec, execute)
 
 
 @scenario_kind("theorem8-impossible")

@@ -33,11 +33,15 @@ class ResourceUsage:
     ----------
     seconds:
         Wall-clock seconds spent executing (0 for cache hits).  Excluded
-        from equality — machines differ, outcomes must not.
+        from equality — machines differ, outcomes must not.  When one
+        campaign task shares an execution between positions, the first
+        of them carries the execution and each of the others only its
+        judgement (:class:`repro.campaign.SharedExecutionKind`).
     steps:
-        Executor steps taken (``Run.length``).
+        Executor steps taken (``Run.length``), counted in full at every
+        position, shared execution or not.
     messages_sent / messages_delivered:
-        Message-volume counters of the execution.
+        Message-volume counters of the execution, counted the same way.
     """
 
     seconds: float = field(default=0.0, compare=False)

@@ -49,6 +49,10 @@ class TestTransientChaosEquality:
         ("serial", 1, None),
         pytest.param("process", 2, 1, id="process-1"),
         ("process", 2, 4),
+        # Two tasks, each holding whole groups of shared round-robin runs
+        # (f=1 at positions 0-19, f=2 at 24-35): retries of tasks that
+        # memoise executions.
+        ("process", 2, 24),
     ])
     def test_raise_and_delay_chaos_is_invisible_in_results(
             self, backend, workers, chunk):

@@ -22,7 +22,12 @@ import os
 
 import pytest
 
-from repro.campaign import CampaignRunner, theorem8_specs
+from repro.campaign import (
+    CampaignRunner,
+    SharedExecutionKind,
+    get_kind,
+    theorem8_specs,
+)
 from repro.simulation.recording import RECORDING_POLICY_NAMES
 from repro.store import CachingRunner, MemoryResultStore
 from repro.telemetry import (
@@ -39,6 +44,13 @@ from repro.report import main as report_main
 PINNED_GRID = [4]
 PINNED_KWARGS = {"seeds": (1,), "max_steps": 4_000}
 BACKENDS = ("serial", "process")
+
+
+def _execution_key(spec):
+    kind = get_kind(spec.kind)
+    if isinstance(kind, SharedExecutionKind):
+        return kind.execution_key(spec)
+    return None
 
 
 def _run_with_telemetry(recording: str, backend: str, **config):
@@ -120,6 +132,33 @@ class TestWorkerSpans:
             assert solvable and len(executes) == len(scenarios)
             assert engines.count("bitmask") == len(solvable)
             assert engines.count("scalar") == len(scenarios) - len(solvable)
+
+
+class TestSharedExecutionSpans:
+    def test_shared_runs_keep_each_positions_spans(self):
+        # Chunks of 24 hold whole groups of round-robin runs that differ
+        # only in k: a task executes each group once and judges every
+        # position at its own k.
+        specs = theorem8_specs(PINNED_GRID, **PINNED_KWARGS)
+        events = []
+        CampaignRunner(backend="process", workers=2, chunk_size=24).run(
+            specs, progress=events.append,
+            telemetry=WorkerTelemetry(campaign="c" * 12, stride=1))
+        # Tasks settle in completion order; each position settles once.
+        assert sorted(e.spec.label() for e in events) == sorted(
+            spec.label() for spec in specs)
+        executes = 0
+        for event in events:
+            names = [span.name for span in event.spans]
+            assert names.count("scenario") == 1
+            (decision,) = [s for s in event.spans if s.name == "decision"]
+            assert decision.attrs["k"] == event.spec.k
+            executes += names.count("execute")
+        executions = 0
+        for start in range(0, len(specs), 24):
+            keys = [_execution_key(spec) for spec in specs[start:start + 24]]
+            executions += keys.count(None) + len(set(keys) - {None})
+        assert executes == executions < len(specs)
 
 
 class TestSampling:
