@@ -88,14 +88,16 @@ class CampaignJournal:
 
     Opening the journal validates (and heals, exactly like the JSONL
     result store) the existing file, so appends always start on a clean
-    line; the file then only ever grows.  ``close()`` is idempotent and
-    the journal is a context manager.
+    line; the file then only ever grows.  The open streams the file one
+    line at a time and keeps no record, so its memory does not grow
+    with the journal.  ``close()`` is idempotent and the journal is a
+    context manager.
     """
 
     def __init__(self, path: Union[str, Path]):
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        jsonlog.heal(self._path, _accept,
+        jsonlog.heal(self._path, _check,
                      f"corrupt campaign journal {self._path}: unreadable record")
         self._lock = threading.Lock()
         self._file = self._path.open("a", encoding="utf-8")
@@ -238,10 +240,15 @@ class CampaignJournal:
 # -- reading -----------------------------------------------------------------
 
 
-def _accept(record: Any) -> Optional[Dict[str, Any]]:
-    """The journal's shape check, then its version filter."""
+def _check(record: Any) -> None:
+    """The journal's shape check; keeps nothing (the writer's open)."""
     if not isinstance(record, dict) or "type" not in record:
         raise ConfigurationError(f"not a journal record: {record!r}")
+
+
+def _accept(record: Any) -> Optional[Dict[str, Any]]:
+    """The journal's shape check, then its version filter."""
+    _check(record)
     return record if record.get("v") == JOURNAL_SCHEMA_VERSION else None
 
 
@@ -249,15 +256,14 @@ def read_journal(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
     """All current-version records of a journal file, in append order.
 
     A torn final line is dropped; an unreadable line with data after it
-    raises (:mod:`repro.jsonlog`).
+    raises (:mod:`repro.jsonlog`).  The file is streamed from disk, so
+    the read holds only the records it returns.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no campaign journal at {path}")
-    records, _ = jsonlog.read(
-        path.read_bytes(), _accept,
-        f"corrupt campaign journal {path}: unreadable record")
-    return tuple(records)
+    return jsonlog.read_file(
+        path, _accept, f"corrupt campaign journal {path}: unreadable record")
 
 
 def record_elapsed(record: Dict[str, Any]) -> Optional[float]:

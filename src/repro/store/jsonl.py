@@ -12,15 +12,18 @@ write buffer's (:class:`repro.store.base._CommitBuffer`); this module
 supplies the commit, the row codec and the in-memory index that serves
 every read.
 
-Opening the store reads it through :mod:`repro.jsonlog`: a **torn
-final line** (the campaign was killed mid-append) is truncated away, so
-the next append starts on a clean line; corruption *before* the final
-line raises, because silently dropping stored evidence would make a
-resumed campaign recompute it — or a half-loaded index could shadow a
-later duplicate record.  Rows from **other schema versions** are
-skipped but kept on disk: their fingerprints hash the version in, so no
-lookup can match them.  ``FORMATS.md`` lists the row's fields and the
-byte-level fixtures that pin each case.
+Opening the store reads it through :mod:`repro.jsonlog`, one line at a
+time straight from the file, and indexes each row as it is read, so
+the open holds the index and no copy of the file, list of its lines or
+superseded row: a **torn final line** (the campaign was killed
+mid-append) is truncated away, so the next append starts on a clean
+line; corruption *before* the final line raises, because silently
+dropping stored evidence would make a resumed campaign recompute it —
+or a half-loaded index could shadow a later duplicate record.  Rows
+from **other schema versions** are skipped but kept on disk: their
+fingerprints hash the version in, so no lookup can match them.
+``FORMATS.md`` lists the row's fields and the byte-level fixtures that
+pin each case.
 """
 
 from __future__ import annotations
@@ -85,14 +88,22 @@ class JsonlResultStore(ResultStore):
         self._writes = _CommitBuffer(self._path, self._lock, self._commit,
                                      commit_batch)
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._index: Dict[str, ScenarioOutcome] = dict(jsonlog.heal(
-            self._path, read_row,
-            f"corrupt result store {self._path}: unreadable record"))
+        self._index: Dict[str, ScenarioOutcome] = {}
+        jsonlog.heal(self._path, self._index_row,
+                     f"corrupt result store {self._path}: unreadable record")
         self._file = self._path.open("a", encoding="utf-8")
 
     @property
     def path(self) -> Path:
         return self._path
+
+    def _index_row(self, record: Any) -> None:
+        """The open's ``accept``: index each row as it is read.  A later
+        row of a fingerprint replaces the earlier one at once, so the
+        open holds the index and no superseded outcome."""
+        row = read_row(record)
+        if row is not None:
+            self._index[row[0]] = row[1]
 
     def _commit(self, lines: List[str]) -> None:
         """One appended write for ``lines`` (the buffer holds the lock).

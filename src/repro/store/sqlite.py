@@ -41,12 +41,14 @@ so the store never hides rows from itself.
 The schema version is stored per row: rows written under an older
 schema are invisible to lookups (their fingerprints would not match
 anyway — the version is hashed into the fingerprint) but are kept on
-disk for forensics and pruning.  A covering index on
-``(schema_version, fingerprint)`` makes the bulk cache-skip pass
-(``get_many``/``fingerprints``) an index-only scan instead of a table
-walk.  A table written before schema 4 has no ``spec`` column; opening
-it adds one (``NULL`` on the old rows, which no read sees), so an old
-store opens, misses, takes new puts and compacts like any other.
+disk for forensics and pruning.  An index on ``(schema_version,
+fingerprint)`` serves the bulk lookups: ``fingerprints()`` reads only
+the key, so it is an index-only scan (``COVERING INDEX``), while
+``get_many`` searches the index and then reads each hit's ``outcome``
+column from its table row.  A table written before schema 4 has no
+``spec`` column; opening it adds one (``NULL`` on the old rows, which
+no read sees), so an old store opens, misses, takes new puts and
+compacts like any other.
 """
 
 from __future__ import annotations
@@ -113,10 +115,10 @@ class SqliteResultStore(ResultStore):
                 # A table from before schema 4: the column goes last, as
                 # in a new table, and stays NULL on the dead old rows.
                 conn.execute("ALTER TABLE results ADD COLUMN spec TEXT")
-            # Covering index for the bulk skip pass: get_many and
-            # fingerprints() filter on schema_version and read only the
-            # fingerprint, so this resolves them without touching the
-            # (payload-bearing) table rows.
+            # The bulk lookups filter on schema_version and fingerprint.
+            # fingerprints() reads only the key, so this index covers it
+            # without touching the table rows; get_many searches it and
+            # then reads each hit's outcome column from its row.
             conn.execute(
                 "CREATE INDEX IF NOT EXISTS results_schema_fingerprint "
                 "ON results (schema_version, fingerprint)"

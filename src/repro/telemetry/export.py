@@ -166,10 +166,15 @@ def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
 # -- metrics dump -------------------------------------------------------------
 
 
-def _accept_metrics(record: Any) -> Optional[Dict[str, Any]]:
-    """The dump's shape check, then its version filter."""
+def _check_metrics(record: Any) -> None:
+    """The dump's shape check; keeps nothing (the append's heal)."""
     if not isinstance(record, dict) or "metrics" not in record:
         raise ConfigurationError(f"not a metrics record: {record!r}")
+
+
+def _accept_metrics(record: Any) -> Optional[Dict[str, Any]]:
+    """The dump's shape check, then its version filter."""
+    _check_metrics(record)
     return record if record.get("v") == TELEMETRY_SCHEMA_VERSION else None
 
 
@@ -183,7 +188,8 @@ def append_metrics(
     """Append one metrics snapshot (whole registry) for ``campaign``.
 
     The dump is healed first (:func:`repro.jsonlog.heal`), so a record
-    torn by a killed earlier append cannot glue onto this one.
+    torn by a killed earlier append cannot glue onto this one.  The heal
+    validates every line but holds one at a time and keeps none.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -195,7 +201,7 @@ def append_metrics(
     }
     if extra:
         record.update(extra)
-    jsonlog.heal(path, _accept_metrics,
+    jsonlog.heal(path, _check_metrics,
                  f"corrupt metrics dump {path}: unreadable record")
     with path.open("a", encoding="utf-8") as handle:
         handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -204,11 +210,13 @@ def append_metrics(
 
 
 def read_metrics(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
-    """Read a metrics JSONL dump (torn-tail-tolerant, version-filtered)."""
+    """Read a metrics JSONL dump (torn-tail-tolerant, version-filtered).
+
+    The file is streamed from disk; the read holds only the records it
+    returns.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no metrics dump at {path}")
-    records, _ = jsonlog.read(
-        path.read_bytes(), _accept_metrics,
-        f"corrupt metrics dump {path}: unreadable record")
-    return tuple(records)
+    return jsonlog.read_file(
+        path, _accept_metrics, f"corrupt metrics dump {path}: unreadable record")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -75,3 +78,25 @@ def run_factory(distinct_proposals):
 def trivial_algorithm():
     """The decide-own-value baseline algorithm."""
     return DecideOwnValue()
+
+
+@pytest.fixture
+def traced_memory():
+    """Run ``call()`` under :mod:`tracemalloc`.
+
+    Returns the call's result, the bytes it allocated that are still
+    held when it returns (its result's size, for a reader) and the peak
+    of its traced allocations.
+    """
+
+    def measure(call):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, held, peak
+
+    return measure

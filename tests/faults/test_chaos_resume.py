@@ -74,16 +74,14 @@ def test_externally_sigkilled_worker_mid_wave_is_survived(tmp_path):
             killed.set()
 
     journal_path = tmp_path / "journal.jsonl"
-    store = open_store(tmp_path / "store.jsonl")
-    runner = CachingRunner(
-        store,
+    with CachingRunner(
+        open_store(tmp_path / "store.jsonl"),
         CampaignRunner(backend="process", workers=2, chunk_size=2,
                        retry=FAST_RETRY),
         journal=journal_path,
         progress=Assassin(),
-    )
-    result = runner.run(specs)
-    store.close()
+    ) as runner:
+        result = runner.run(specs)
 
     assert killed.is_set()  # the chaos actually happened
     assert result == uninterrupted
@@ -129,38 +127,38 @@ def _run_chaotic_child_until_killed(store_path: Path, journal_path: Path,
         [str(SRC), str(STORE_TESTS)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-c", CHILD_SCRIPT,
          str(store_path), str(journal_path), str(SCENARIOS)],
         env=env, cwd=str(STORE_TESTS),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         start_new_session=True,
-    )
-    try:
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            stored = (store_path.read_bytes().count(b"\n")
-                      if store_path.exists() else 0)
-            if stored >= kill_after:
-                break
-            if child.poll() is not None:
-                _, stderr = child.communicate(timeout=10)
-                pytest.fail(
-                    f"chaotic campaign child exited before the kill "
-                    f"(rc={child.returncode}):\n{stderr.decode(errors='replace')}"
-                )
-            time.sleep(0.02)
-        else:
-            pytest.fail(f"store never reached {kill_after} outcomes")
-        os.killpg(os.getpgid(child.pid), signal.SIGKILL)
-        child.wait(timeout=30)
-    finally:
-        if child.poll() is None:
-            try:
-                os.killpg(os.getpgid(child.pid), signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+    ) as child:
+        try:
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline:
+                stored = (store_path.read_bytes().count(b"\n")
+                          if store_path.exists() else 0)
+                if stored >= kill_after:
+                    break
+                if child.poll() is not None:
+                    _, stderr = child.communicate(timeout=10)
+                    pytest.fail(
+                        f"chaotic campaign child exited before the kill "
+                        f"(rc={child.returncode}):\n{stderr.decode(errors='replace')}"
+                    )
+                time.sleep(0.02)
+            else:
+                pytest.fail(f"store never reached {kill_after} outcomes")
+            os.killpg(os.getpgid(child.pid), signal.SIGKILL)
             child.wait(timeout=30)
+        finally:
+            if child.poll() is None:
+                try:
+                    os.killpg(os.getpgid(child.pid), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                child.wait(timeout=30)
     assert child.returncode != 0
 
 
@@ -171,16 +169,15 @@ def test_killed_chaotic_campaign_resumes_to_identical_result(tmp_path):
 
     specs = slow_specs(SCENARIOS, sleep_ms=40)
     journal_path = tmp_path / "journal-resumed.jsonl"
-    with open_store(store_path) as store:
-        completed = len(store)
+    with CachingRunner(
+        open_store(store_path),
+        CampaignRunner(backend="process", workers=2, chunk_size=1,
+                       faults=FaultPlan(seed=13, crash_rate=0.1),
+                       retry=FAST_RETRY),
+        journal=journal_path,
+    ) as resumed_runner:
+        completed = len(resumed_runner.store)
         assert 4 <= completed < SCENARIOS  # progress, but interrupted
-        resumed_runner = CachingRunner(
-            store,
-            CampaignRunner(backend="process", workers=2, chunk_size=1,
-                           faults=FaultPlan(seed=13, crash_rate=0.1),
-                           retry=FAST_RETRY),
-            journal=journal_path,
-        )
         resumed = resumed_runner.run(specs)
 
     uninterrupted = CampaignRunner().run(specs)

@@ -187,6 +187,47 @@ class TestJournalTornTail:
         assert path.read_bytes() == b""
 
 
+#: What a journal open may peak at, however long the journal: one line
+#: at a time plus the file buffers.
+OPEN_PEAK_BOUND = 256 * 1024
+LONG_JOURNAL_SCENARIOS = 20_000
+
+
+@pytest.fixture(scope="module")
+def long_journal(tmp_path_factory):
+    """A valid multi-megabyte journal: one campaign of 20,000 positions."""
+    path = tmp_path_factory.mktemp("long") / "journal.jsonl"
+    with CampaignJournal(path) as journal:
+        journal.campaign_started("c1", LONG_JOURNAL_SCENARIOS)
+        journal.scenario("c1", FP_A, "ran", verdict="ok",
+                         usage=ResourceUsage(seconds=0.1, steps=5),
+                         label="theorem8-solvable n=16 f=3 k=4")
+        journal.campaign_finished("c1", {"total": LONG_JOURNAL_SCENARIOS})
+    start, scenario, finish = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(start + scenario * LONG_JOURNAL_SCENARIOS + finish)
+    return path
+
+
+class TestJournalMemory:
+    """An open keeps no record and a read keeps only its records, so
+    neither holds the file's bytes or its lines."""
+
+    def test_open_peaks_under_a_bound_the_file_does_not_move(
+            self, long_journal, traced_memory):
+        assert long_journal.stat().st_size > 16 * OPEN_PEAK_BOUND
+        journal, _, peak = traced_memory(lambda: CampaignJournal(long_journal))
+        journal.close()
+        assert peak < OPEN_PEAK_BOUND
+
+    def test_read_holds_only_the_records_it_returns(
+            self, long_journal, traced_memory):
+        records, held, peak = traced_memory(lambda: read_journal(long_journal))
+        assert len(records) == LONG_JOURNAL_SCENARIOS + 2
+        assert peak < held + OPEN_PEAK_BOUND
+        ledger = replay_ledger(records).campaigns["c1"]
+        assert ledger.finished and ledger.ran == LONG_JOURNAL_SCENARIOS
+
+
 class TestLedgerValidation:
     def test_scenario_before_campaign_start_raises(self):
         with pytest.raises(ConfigurationError, match="before its campaign-start"):

@@ -213,6 +213,23 @@ def test_open_and_compact_pick_the_same_backend(tmp_path, name, backend):
     assert compact_store(path).backend == backend
 
 
+def test_jsonl_open_holds_its_index_not_the_superseded_rows(
+        tmp_path, traced_memory):
+    # Every fingerprint written 100 times: the open keeps the last row
+    # of each, and no copy of the file, its lines or the earlier rows.
+    path = tmp_path / "store.jsonl"
+    with JsonlResultStore(path) as store:
+        for outcome in OUTCOMES:
+            store.put(fingerprint_spec(outcome.spec), outcome)
+    path.write_bytes(path.read_bytes() * 100)
+    bound = 256 * 1024
+    assert path.stat().st_size > 4 * bound
+    store, held, peak = traced_memory(lambda: JsonlResultStore(path))
+    with store:
+        assert len(store) == len(OUTCOMES)
+    assert peak < held + bound
+
+
 class TestJsonlCrashRepair:
     def _populate(self, path, count=3):
         with JsonlResultStore(path) as store:

@@ -6,8 +6,9 @@ batch or one flush".  These tests pin everything that relaxation is
 inside a batch, the JSONL torn-tail classification, and
 — via a SIGKILL mid-campaign — the at-most-one-batch loss bound a
 resumed campaign relies on.  They also pin the two pure perf claims:
-commit counts actually drop, and the bulk skip query is answered from
-the covering index.
+commit counts actually drop, and the bulk skip queries search the
+``(schema_version, fingerprint)`` index (``fingerprints()`` from the
+index alone).
 """
 
 from __future__ import annotations
@@ -374,36 +375,36 @@ def _kill_batched_child(store_path: Path, kill_after: int) -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), str(HERE)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-c", CHILD_SCRIPT, str(store_path),
          str(SCENARIOS), str(SLEEP_MS), str(COMMIT_BATCH)],
         env=env, cwd=str(HERE),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         start_new_session=True,
-    )
-    try:
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            if _stored_count(store_path) >= kill_after:
-                break
-            if child.poll() is not None:
-                stdout, stderr = child.communicate(timeout=10)
-                pytest.fail(
-                    f"campaign child exited before the kill "
-                    f"(rc={child.returncode}):\n{stderr.decode(errors='replace')}"
-                )
-            time.sleep(0.02)
-        else:
-            pytest.fail(f"store never reached {kill_after} outcomes in time")
-        os.killpg(os.getpgid(child.pid), signal.SIGKILL)
-        child.wait(timeout=30)
-    finally:
-        if child.poll() is None:
-            try:
-                os.killpg(os.getpgid(child.pid), signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+    ) as child:
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                if _stored_count(store_path) >= kill_after:
+                    break
+                if child.poll() is not None:
+                    stdout, stderr = child.communicate(timeout=10)
+                    pytest.fail(
+                        f"campaign child exited before the kill "
+                        f"(rc={child.returncode}):\n{stderr.decode(errors='replace')}"
+                    )
+                time.sleep(0.02)
+            else:
+                pytest.fail(f"store never reached {kill_after} outcomes in time")
+            os.killpg(os.getpgid(child.pid), signal.SIGKILL)
             child.wait(timeout=30)
+        finally:
+            if child.poll() is None:
+                try:
+                    os.killpg(os.getpgid(child.pid), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                child.wait(timeout=30)
     assert child.returncode != 0
     return _stored_count(store_path)
 

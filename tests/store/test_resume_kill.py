@@ -81,37 +81,38 @@ def _run_child_until_killed(store_path: Path, kill_after: int) -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), str(HERE)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-c", CHILD_SCRIPT, str(store_path), str(SCENARIOS), str(SLEEP_MS)],
         env=env,
         cwd=str(HERE),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         start_new_session=True,  # its own process group: the kill takes the pool down too
-    )
-    try:
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            if _stored_count(store_path) >= kill_after:
-                break
-            if child.poll() is not None:
-                stdout, stderr = child.communicate(timeout=10)
+    ) as child:
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                if _stored_count(store_path) >= kill_after:
+                    break
+                if child.poll() is not None:
+                    stdout, stderr = child.communicate(timeout=10)
+                    pytest.fail(
+                        f"campaign child exited before the kill "
+                        f"(rc={child.returncode}):\n{stderr.decode(errors='replace')}"
+                    )
+                time.sleep(0.02)
+            else:
                 pytest.fail(
-                    f"campaign child exited before the kill "
-                    f"(rc={child.returncode}):\n{stderr.decode(errors='replace')}"
-                )
-            time.sleep(0.02)
-        else:
-            pytest.fail(f"store never reached {kill_after} outcomes within the deadline")
-        os.killpg(os.getpgid(child.pid), signal.SIGKILL)
-        child.wait(timeout=30)
-    finally:
-        if child.poll() is None:  # belt and braces: never leak the child
-            try:
-                os.killpg(os.getpgid(child.pid), signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+                    f"store never reached {kill_after} outcomes within the deadline")
+            os.killpg(os.getpgid(child.pid), signal.SIGKILL)
             child.wait(timeout=30)
+        finally:
+            if child.poll() is None:  # belt and braces: never leak the child
+                try:
+                    os.killpg(os.getpgid(child.pid), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                child.wait(timeout=30)
     assert child.returncode != 0  # it really was killed, not finished
     return _stored_count(store_path)
 

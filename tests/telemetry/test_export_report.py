@@ -12,6 +12,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.telemetry import (
     ChromeTraceWriter,
+    MetricsRegistry,
     PhaseAccumulator,
     Tracer,
     append_metrics,
@@ -135,6 +136,23 @@ class TestMetricsDump:
             handle.write(json.dumps({"v": 999, "metrics": {}}) + "\n")
         records = read_metrics(path)
         assert [r["campaign"] for r in records] == ["a"]
+
+    def test_append_peaks_under_a_bound_the_dump_does_not_move(
+            self, tmp_path, traced_memory):
+        bound = 256 * 1024
+        registry = MetricsRegistry()
+        for index in range(16):
+            registry.counter(f"store.counter{index}").inc(index)
+            registry.histogram(f"span.seconds{index}", timing=True).observe(0.5)
+        snapshot = registry.snapshot()
+        path = tmp_path / "metrics.jsonl"
+        append_metrics(path, "first", snapshot)
+        path.write_bytes(path.read_bytes() * 1_000)
+        assert path.stat().st_size > 16 * bound
+        _, _, peak = traced_memory(
+            lambda: append_metrics(path, "last", snapshot))
+        assert peak < bound
+        assert path.read_bytes().count(b"\n") == 1_001
 
 
 class TestSummarize:
