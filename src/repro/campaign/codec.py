@@ -72,7 +72,8 @@ def decode_value(value: Any) -> Hashable:
     """Invert :func:`encode_value`."""
     if isinstance(value, dict):
         if set(value) == {_TUPLE_KEY}:
-            return tuple(decode_value(item) for item in value[_TUPLE_KEY])
+            # From a list, not a generator: see spec_from_dict.
+            return tuple([decode_value(item) for item in value[_TUPLE_KEY]])
         if set(value) == {_FROZENSET_KEY}:
             return frozenset(decode_value(item) for item in value[_FROZENSET_KEY])
         raise ConfigurationError(f"unrecognised encoded value: {value!r}")
@@ -101,7 +102,15 @@ def spec_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
 
 
 def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
-    """Decode a spec; the result compares equal to the encoded original."""
+    """Decode a spec; the result compares equal to the encoded original.
+
+    Tuples are built from lists: ``tuple(generator)`` over-allocates and
+    shrinks by ``realloc``, parking one block per decoded tuple in
+    another size's free list until the lists' caps (2,000 tuples a size)
+    are reached, so a pass that decodes many rows (a store open,
+    compaction) would hold a fixed extra of up to a few megabytes
+    beyond the rows it keeps.
+    """
     return ScenarioSpec(
         kind=data["kind"],
         n=int(data["n"]),
@@ -109,9 +118,10 @@ def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         k=int(data["k"]),
         scheduler=data["scheduler"],
         seed=int(data["seed"]),
-        crashes=tuple((int(pid), int(time)) for pid, time in data["crashes"]),
+        crashes=tuple([(int(pid), int(time)) for pid, time in data["crashes"]]),
         max_steps=int(data["max_steps"]),
-        params=tuple((str(name), decode_value(value)) for name, value in data["params"]),
+        params=tuple([(str(name), decode_value(value))
+                      for name, value in data["params"]]),
         recording=data.get("recording", "full"),
     )
 

@@ -19,20 +19,19 @@ exactly once.
   :class:`CampaignResult`\\ s (timing metadata aside, which is
   excluded from equality).
 
-:meth:`CampaignRunner.run` additionally accepts three hooks that the
-persistent store (:mod:`repro.store`) builds on.  Both delivery hooks
-run on the **calling** thread, slot by slot, as each task settles:
+:meth:`CampaignRunner.run` additionally accepts two hooks that the
+persistent store (:mod:`repro.store`) builds on:
 
-* ``on_outcome`` — called as soon as an outcome exists.  This is what
-  lets a store persist results incrementally, so a killed campaign
-  resumes from its last settled scenario instead of from scratch.
-* ``progress`` — receives one :class:`ScenarioEvent` per scenario,
-  right after that scenario's ``on_outcome``.  The runner builds each
-  event when its slot settles, from its own spec and the worker pid
-  and spans that came back on the task's result; a slot settles once,
-  so a retried or late duplicate task cannot report a scenario twice.
-  The price is granularity: events arrive per task, so a pooled
-  campaign reports in bursts of at most one chunk.
+* ``on_settle`` — receives one :class:`ScenarioEvent` per scenario, on
+  the **calling** thread, as the scenario's slot settles.  The runner
+  builds each event from its own spec and the worker pid and spans
+  that came back on the task's result; a slot settles once, so a
+  retried or late duplicate task cannot report a scenario twice.  Its
+  exceptions propagate and end the campaign.  This is what lets a
+  store persist results incrementally, so a killed campaign resumes
+  from its last settled scenario instead of from scratch.  The price
+  is granularity: events arrive per task, so a pooled campaign settles
+  in bursts of at most one chunk.
 * ``should_skip`` — consulted once per scenario when its task is
   built; a ``True`` return drops the scenario from the campaign.
   Adaptive budgets (:class:`repro.store.EarlyStopPolicy`) use this to
@@ -40,7 +39,7 @@ run on the **calling** thread, slot by slot, as each task settles:
 
 The process backend keeps at most ``2 × workers`` chunks outstanding
 instead of issuing one bulk ``pool.map``: results arrive as they
-complete, which keeps ``on_outcome`` persistence incremental and lets
+complete, which keeps ``on_settle`` persistence incremental and lets
 ``should_skip`` see the outcomes observed so far when deciding whether a
 later chunk still needs to run.  The supervisor bounds every wait,
 gives in-flight chunks deadlines, re-queues the work of dead or hung
@@ -87,8 +86,7 @@ BACKENDS = ("serial", "process")
 RESULT_JSON_FORMAT = 1
 
 #: Hook signatures accepted by :meth:`CampaignRunner.run`.
-OutcomeHook = Callable[[ScenarioOutcome, float], None]
-ProgressHook = Callable[["ScenarioEvent"], None]
+SettleHook = Callable[["ScenarioEvent"], None]
 SkipHook = Callable[[ScenarioSpec], bool]
 
 
@@ -311,18 +309,17 @@ def _tasks(specs: Sequence[ScenarioSpec], size: int,
 def _recorder(specs: Sequence[ScenarioSpec],
               outcomes_at: List[Optional[ScenarioOutcome]],
               seconds_at: List[float],
-              on_outcome: Optional[OutcomeHook],
-              progress: Optional[ProgressHook]):
+              on_settle: Optional[SettleHook]):
     """The supervisor's ``record`` hook.
 
     The supervisor calls it only with newly settled slots, so each slot
-    is filled, handed to ``on_outcome`` and reported to ``progress``
-    exactly once — in that order, on the calling thread.  Events are
-    built here, only when ``progress`` is set, from ``specs[index]``:
-    the caller's own instance, whose memoised fingerprint a pickled copy
-    would not carry.  A quarantined slot settles with no payload (no
-    task ever returned for it), so its event carries this process's pid
-    and no spans.
+    is filled and handed to ``on_settle`` exactly once, on the calling
+    thread; the hook's exceptions propagate.  Events are built here,
+    only when ``on_settle`` is set, from ``specs[index]``: the caller's
+    own instance, whose memoised fingerprint a pickled copy would not
+    carry.  A quarantined slot settles with no payload (no task ever
+    returned for it), so its event carries this process's pid and no
+    spans.
     """
     def record(indices: Sequence[int], outcomes: Sequence[ScenarioOutcome],
                timings: Sequence[float],
@@ -331,17 +328,10 @@ def _recorder(specs: Sequence[ScenarioSpec],
                 indices, outcomes, timings, payloads):
             outcomes_at[index] = outcome
             seconds_at[index] = seconds
-            if on_outcome is not None:
-                on_outcome(outcome, seconds)
-            if progress is None:
-                continue
-            pid, spans = payload if payload is not None else (None, ())
-            event = ScenarioEvent.of(specs[index], outcome, seconds,
-                                     worker_pid=pid, spans=spans)
-            try:
-                progress(event)
-            except Exception:  # noqa: BLE001 - progress must never break a campaign
-                pass
+            if on_settle is not None:
+                pid, spans = payload if payload is not None else (None, ())
+                on_settle(ScenarioEvent.of(specs[index], outcome, seconds,
+                                           worker_pid=pid, spans=spans))
     return record
 
 
@@ -545,25 +535,24 @@ class CampaignRunner:
         self,
         scenarios: Union[ScenarioGrid, Iterable[ScenarioSpec]],
         *,
-        on_outcome: Optional[OutcomeHook] = None,
-        progress: Optional[ProgressHook] = None,
+        on_settle: Optional[SettleHook] = None,
         should_skip: Optional[SkipHook] = None,
         telemetry: Optional[WorkerTelemetry] = None,
     ) -> CampaignResult:
         """Compile (if needed) and execute a campaign.
 
-        ``on_outcome(outcome, seconds)`` fires in the calling thread as
-        each outcome settles; ``progress`` then receives that scenario's
-        :class:`ScenarioEvent` (built in the calling process as the slot
-        settles); ``should_skip(spec)`` is consulted once per scenario
-        when its task is built and drops the scenario when ``True``.
-        Without hooks the behaviour is exactly the hook-free campaign.
+        ``on_settle(event)`` receives each scenario's
+        :class:`ScenarioEvent`, built in the calling thread as its slot
+        settles; an exception it raises ends the campaign.
+        ``should_skip(spec)`` is consulted once per scenario when its
+        task is built and drops the scenario when ``True``.  Without
+        hooks the behaviour is exactly the hook-free campaign.
 
         ``telemetry`` (a :class:`~repro.telemetry.session.WorkerTelemetry`)
         turns on span tracing for sampled scenarios.  Spans reach the
-        caller on :class:`ScenarioEvent`\\ s, so tracing requires a
-        ``progress`` sink — with ``progress=None`` no event is built, the
-        spans would have nowhere to go and ``telemetry`` is ignored.
+        caller on :class:`ScenarioEvent`\\ s, so tracing requires an
+        ``on_settle`` sink — with ``on_settle=None`` no event is built,
+        the spans would have nowhere to go and ``telemetry`` is ignored.
         """
         if isinstance(scenarios, ScenarioGrid):
             specs: Tuple[ScenarioSpec, ...] = scenarios.compile()
@@ -571,7 +560,7 @@ class CampaignRunner:
             specs = tuple(scenarios)
         for spec in specs:
             get_kind(spec.kind)  # fail fast on unknown kinds, before executing
-        if progress is None:
+        if on_settle is None:
             telemetry = None
         if telemetry is not None and specs:
             # A stride filter over few specs can sample nothing at all;
@@ -592,8 +581,7 @@ class CampaignRunner:
         seconds_at = [0.0] * len(specs)
         supervisor = Supervisor(
             retry=self._retry_policy(), faults=self.faults, stats=stats,
-            record=_recorder(specs, outcomes_at, seconds_at, on_outcome,
-                             progress),
+            record=_recorder(specs, outcomes_at, seconds_at, on_settle),
             telemetry=telemetry, max_outstanding=max(2, workers * 2),
             dispatch=dispatch)
         tasks = _tasks(specs, size, should_skip)

@@ -26,7 +26,7 @@ matter how many times its task crashes, hangs, raises or is re-queued:
 
 Task functions return ``(outcomes, timings, payloads)``, one entry per
 spec.  A slot's payload is opaque here — the campaign runner ships each
-scenario's worker pid and spans in it and builds the progress event
+scenario's worker pid and spans in it and builds the settled event
 from it — and settles with its outcome: the first result wins, so the
 payload of a retried or late duplicate task is dropped with its
 outcome.  A quarantined slot settles with no payload (``None``), since

@@ -1,10 +1,10 @@
 """The append-only JSONL log: classified read, heal and atomic rewrite.
 
-Every log kept on disk — the JSONL result store, the campaign journal,
-the Chrome trace and the metrics dump — is appended in whole lines, one
-flushed ``write`` at a time, so a SIGKILL tears at most the final line.
-This module is the one place that tells such a kill artefact from real
-damage (``FORMATS.md`` gives each format's rules):
+The JSONL result store, the campaign journal and the metrics dump are
+appended in whole lines, one flushed ``write`` at a time, so a SIGKILL
+tears at most the final line; the Chrome trace is written whole by
+:func:`rewrite`.  This module is the one place that tells such a kill
+artefact from real damage (``FORMATS.md`` gives each format's rules):
 
 * blank lines are skipped;
 * an unreadable final line with no newline after it is a **torn
@@ -22,26 +22,26 @@ or raises ``ValueError``, ``KeyError``, ``TypeError`` or
 
 One classifier, :class:`_Scan`, sits behind every entry point.  It
 takes the log one line at a time, split at ``b"\\n"`` only, and holds
-nothing but the values ``accept`` keeps.  :func:`heal` and
-:func:`read_file` stream the file from disk, so memory does not grow
-with a log's history: a writer's open with an ``accept`` that keeps
-nothing validates every line and holds one line at a time, and a
-reader holds only the records it returns.  :func:`read` classifies
-bytes a caller already holds (compaction, the trace reader).
+nothing but the values ``accept`` keeps.  Both entry points stream the
+file from disk, so memory does not grow with a log's history: a
+writer's open (:func:`heal`) with an ``accept`` that keeps nothing
+validates every line and holds one line at a time, and a reader
+(:func:`read`, on a file its caller opened) holds only the records it
+returns.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, List, Tuple
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, List, Tuple
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["heal", "loads", "read", "read_file", "rewrite"]
+__all__ = ["heal", "loads", "read", "rewrite"]
 
 _UNREADABLE = (ValueError, KeyError, TypeError, ConfigurationError)
 
@@ -52,27 +52,27 @@ def loads(line: bytes) -> Any:
 
 
 class _Scan:
-    """One pass of the line classifier over ``lines``.
+    """One pass of the line classifier over the open binary file
+    ``lines``, from where it stands to its end.
 
-    ``lines`` yields the log's lines one at a time, split at ``b"\\n"``
-    only, each with its newline (a binary file or :class:`io.BytesIO`;
-    only the final line can lack one).  ``line_number`` and ``offset``
-    place the first of them in the file.  Iterating yields ``accept``'s
-    kept values in file order and holds nothing else.  Once it is
-    exhausted, ``good_until`` is the offset just past the last good
-    line, ``torn`` says whether a torn tail followed it, and
-    ``unterminated`` whether that last good line lacks its newline.
+    The file yields the log's lines one at a time, split at ``b"\\n"``
+    only, each with its newline (only the final line can lack one).
+    ``line_number`` is the number of the first of them.  Iterating
+    yields ``accept``'s kept values in file order and holds nothing
+    else.  Once it is exhausted, ``good_until`` is the offset just past
+    the last good line, ``torn`` says whether a torn tail followed it,
+    and ``unterminated`` whether that last good line lacks its newline.
     """
 
-    def __init__(self, lines: Iterable[bytes], accept: Callable[[Any], Any],
+    def __init__(self, lines: BinaryIO, accept: Callable[[Any], Any],
                  corrupt: str, decode: Callable[[bytes], Any] = loads, *,
-                 line_number: int = 1, offset: int = 0):
+                 line_number: int = 1):
         self._lines = lines
         self._accept = accept
         self._corrupt = corrupt
         self._decode = decode
         self._line_number = line_number
-        self.good_until = offset
+        self.good_until = lines.tell()
         self.torn = False
         self.unterminated = False
 
@@ -102,38 +102,28 @@ class _Scan:
 
 
 def read(
-    data: bytes,
+    lines: BinaryIO,
     accept: Callable[[Any], Any],
     corrupt: str,
     *,
     decode: Callable[[bytes], Any] = loads,
-    start: int = 0,
+    line_number: int = 1,
 ) -> Tuple[List[Any], int]:
-    """Classify the lines of ``data`` from byte offset ``start``.
+    """Classify the lines of the open binary file ``lines``, one at a
+    time, from where it stands to its end; the file is only read, never
+    healed.
 
     Returns ``accept``'s values for the kept lines, in file order, and
-    the offset just past the last good line.  ``corrupt`` starts the
-    error for an unreadable line that is not the torn tail (``"corrupt
-    campaign journal <path>: unreadable record"``); the line number and
-    the cause are appended.  ``decode`` turns a stripped line into what
-    ``accept`` sees.
+    the offset just past the last good line; it holds nothing else,
+    neither the file's bytes nor its lines.  A caller that has read a
+    header first passes the number of the next line.  ``corrupt`` starts
+    the error for an unreadable line that is not the torn tail
+    (``"corrupt campaign journal <path>: unreadable record"``); the line
+    number and the cause are appended.  ``decode`` turns a stripped line
+    into what ``accept`` sees.
     """
-    lines = io.BytesIO(data)  # shares ``data``'s buffer; no copy
-    lines.seek(start)
-    scan = _Scan(lines, accept, corrupt, decode,
-                 line_number=data.count(b"\n", 0, start) + 1, offset=start)
+    scan = _Scan(lines, accept, corrupt, decode, line_number=line_number)
     return list(scan), scan.good_until
-
-
-def read_file(path: Path, accept: Callable[[Any], Any],
-              corrupt: str) -> Tuple[Any, ...]:
-    """:func:`read` the file at ``path`` from disk, one line at a time.
-
-    Returns ``accept``'s kept values and holds nothing else: neither the
-    file's bytes nor its lines.  The file is only read, never healed.
-    """
-    with open(path, "rb") as lines:
-        return tuple(_Scan(lines, accept, corrupt))
 
 
 def heal(path: Path, accept: Callable[[Any], Any], corrupt: str) -> List[Any]:
@@ -160,21 +150,26 @@ def heal(path: Path, accept: Callable[[Any], Any], corrupt: str) -> List[Any]:
     return records
 
 
-def rewrite(path: Path, data: bytes) -> None:
-    """Replace ``path``'s bytes atomically: temp file, fsync,
-    ``os.replace``.  A kill leaves the old bytes or the new ones."""
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".compact"
-    )
+def rewrite(path: Path, chunks: Iterable[bytes]) -> None:
+    """Replace ``path``'s bytes with ``chunks``, in order, atomically:
+    temp file, fsync, ``os.replace``.  A kill leaves the old bytes or
+    the new ones.  The chunks are written as they come, so the rewrite
+    holds one at a time.
+
+    The new file keeps the old one's permissions; a first write gets
+    what a plain ``open`` gives (the temp file is opened that way, in a
+    private temp directory, not by ``mkstemp``, which makes it 0600).
+    """
+    tmp_dir = tempfile.mkdtemp(
+        dir=str(path.parent), prefix=path.name, suffix=".rewrite")
+    tmp_name = os.path.join(tmp_dir, path.name)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with open(tmp_name, "xb") as handle:
+            handle.writelines(chunks)
             handle.flush()
             os.fsync(handle.fileno())
+        if path.exists():
+            shutil.copymode(path, tmp_name)
         os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    finally:
+        shutil.rmtree(tmp_dir, ignore_errors=True)

@@ -262,8 +262,10 @@ def read_journal(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no campaign journal at {path}")
-    return jsonlog.read_file(
-        path, _accept, f"corrupt campaign journal {path}: unreadable record")
+    with open(path, "rb") as lines:
+        records, _ = jsonlog.read(
+            lines, _accept, f"corrupt campaign journal {path}: unreadable record")
+    return tuple(records)
 
 
 def record_elapsed(record: Dict[str, Any]) -> Optional[float]:

@@ -28,13 +28,20 @@ triggers.  The positions served without running share one ``cached``
 record that lists their fingerprints with their summed usage: one for
 the store hits, written right after the lookup and before anything
 runs, and one more after the run for duplicate positions, when there
-are any.  Journal records for executed scenarios are appended on the
-calling thread, right after the wrapped runner hands over each outcome
-for persistence: the runner builds each event once, when its slot
-settles, so each executed position yields exactly one ``ran`` record,
-whatever retries or worker deaths the campaign survived.  Progress
-reporters and telemetry still receive one ``cached=True`` event per
-served position.
+are any.  Progress reporters and telemetry still receive one
+``cached=True`` event per served position.
+
+Each executed position reaches the wrapped runner's ``on_settle`` hook
+once, as one event on the calling thread, whatever retries or worker
+deaths the campaign survived: it is stored, shown to the policy,
+journaled as one ``ran`` record and shown to the observers, in that
+order.  A failed store write is logged and counted and the outcome kept
+in memory, since the store is a cache (a
+:class:`~repro.exceptions.ConfigurationError` raises).  A failed journal
+write raises and ends the campaign as a kill would, leaving a valid
+journal without a ``campaign-finish``; a rerun resumes from the store.
+An error an observer (telemetry or progress reporter) raises on any
+event, executed or served, is contained and logged once per campaign.
 """
 
 from __future__ import annotations
@@ -168,14 +175,9 @@ class CachingRunner:
             # one would.
             get_kind(spec.kind)
 
+        # Memoised on each spec: an event built from the same instance
+        # reads its digest back without a second sha256.
         fingerprints = [fingerprint_spec(spec) for spec in specs]
-        # Executed outcomes come back carrying *copies* of their specs
-        # (they crossed the pool's pickle boundary), so the per-instance
-        # fingerprint memo cannot serve them.  This map re-keys the
-        # digests computed above by spec equality — a dataclass hash,
-        # not a second sha256 — which is what keeps "no spec is hashed
-        # twice per campaign" true end to end.
-        fp_by_spec: Dict[ScenarioSpec, str] = dict(zip(specs, fingerprints))
         outcomes_by_fp: Dict[str, ScenarioOutcome] = self.store.get_many(specs)
 
         campaign = uuid.uuid4().hex[:12]
@@ -191,24 +193,26 @@ class CachingRunner:
             # which is what makes traces joinable against the ledger.
             self.telemetry.begin(campaign, len(specs))
 
-        observed = self.telemetry is not None or self.progress is not None
+        # Telemetry (metrics + span collection) first, reporter last.
+        observers = [observer for observer in (
+            self.telemetry.on_event if self.telemetry is not None else None,
+            self.progress) if observer is not None]
+        failing: set = set()
 
         def notify(event: ScenarioEvent) -> None:
-            # Telemetry (metrics + span collection) first, reporter last.
-            if self.telemetry is not None:
-                self.telemetry.on_event(event)
-            if self.progress is not None:
-                self.progress(event)
-
-        def emit(event: ScenarioEvent) -> None:
-            # Journal first (provenance is the record).  Executed
-            # scenarios arrive here once each, right after ``persist``.
-            if self.journal is not None:
-                self.journal.scenario_event(campaign, event)
-            notify(event)
-
-        inner_progress = (
-            emit if self.journal is not None or observed else None)
+            # The one place observer errors are contained, for executed
+            # and served positions alike: watching a campaign never
+            # changes what it computes or records.
+            for index, observer in enumerate(observers):
+                try:
+                    observer(event)
+                except Exception:  # noqa: BLE001 - observers never break a campaign
+                    if index not in failing:
+                        failing.add(index)
+                        _log.warning(
+                            "campaign observer %r failed on %s; its later "
+                            "failures in this campaign are not logged",
+                            observer, event.label, exc_info=True)
 
         def serve(served: List[Tuple[ScenarioSpec, str, ScenarioOutcome]]) -> None:
             # Positions settled without running: one ``cached`` journal
@@ -218,7 +222,7 @@ class CachingRunner:
                     campaign, [fingerprint for _, fingerprint, _ in served],
                     ResourceUsage.of_outcomes(
                         outcome for _, _, outcome in served))
-            if observed:
+            if observers:
                 for spec, _, outcome in served:
                     notify(ScenarioEvent.of(spec, outcome, cached=True))
 
@@ -253,22 +257,17 @@ class CachingRunner:
         executed_fps: set = set()
         store_write_failures = 0
 
-        def persist(outcome: ScenarioOutcome, seconds: float) -> None:
+        def settle(event: ScenarioEvent) -> None:
+            # One executed position, once: store, policy, journal, then
+            # the observers, under the error rules of the module docstring.
             nonlocal store_write_failures
-            fingerprint = fp_by_spec.get(outcome.spec)
-            if fingerprint is None:  # pragma: no cover - defensive only
-                fingerprint = fingerprint_spec(outcome.spec)
-            quarantined = (
-                outcome.verdict == "error"
-                and (outcome.error or "").startswith("QuarantineError")
-            )
-            if quarantined:
-                # Quarantine is infrastructure history, not a property
-                # of the scenario: keep it out of the cache so a future
-                # run (or a resume) re-attempts the spec instead of
-                # replaying the infrastructure failure as a hit.
-                pass
-            else:
+            fingerprint, outcome = event.fingerprint, event.outcome
+            # Quarantine is infrastructure history, not a property of the
+            # scenario: it stays out of the cache so a future run (or a
+            # resume) re-attempts the spec instead of replaying the
+            # infrastructure failure as a hit.
+            if not (outcome.verdict == "error"
+                    and (outcome.error or "").startswith("QuarantineError")):
                 try:
                     self.store.put(fingerprint, outcome)
                 except ConfigurationError:
@@ -290,11 +289,13 @@ class CachingRunner:
             executed_fps.add(fingerprint)
             if self.policy is not None:
                 self.policy.observe(outcome)
+            if self.journal is not None:
+                self.journal.scenario_event(campaign, event)
+            notify(event)
 
         inner = self.runner.run(
             pending,
-            on_outcome=persist,
-            progress=inner_progress,
+            on_settle=settle,
             should_skip=self.policy.should_skip if self.policy is not None else None,
             telemetry=(
                 self.telemetry.worker_telemetry()

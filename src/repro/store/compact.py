@@ -98,12 +98,6 @@ def _row_line(line: bytes) -> Tuple[Any, bytes]:
     return jsonlog.loads(line), line
 
 
-def _accept_row_line(decoded: Tuple[Any, bytes]) -> Tuple[Optional[str], bytes]:
-    record, line = decoded
-    row = read_row(record)
-    return (row[0] if row else None), line
-
-
 def compact_jsonl(path: Union[str, Path], *, dry_run: bool = False) -> CompactReport:
     """Compact one JSONL store file.
 
@@ -113,36 +107,52 @@ def compact_jsonl(path: Union[str, Path], *, dry_run: bool = False) -> CompactRe
     are dropped, and of duplicate current-schema rows the *last* wins
     (the semantics appends already have through the in-memory index).
     Kept lines are preserved byte-for-byte, in their original relative
-    order.
+    order.  The file is streamed: the pass holds the last line of each
+    live fingerprint and nothing else, and never joins them.
     """
     path = Path(path)
-    data = path.read_bytes() if path.exists() else b""
-    rows, good_until = jsonlog.read(
-        data, _accept_row_line,
-        f"corrupt result store {path}: unreadable record", decode=_row_line)
-    last_for_fp = {digest: index for index, (digest, _) in enumerate(rows)
-                   if digest is not None}
-    live = set(last_for_fp.values())
-    compacted = [line for index, (_, line) in enumerate(rows) if index in live]
-    dropped_schema = sum(1 for digest, _ in rows if digest is None)
-    deduped = len(rows) - dropped_schema - len(compacted)
-    tail_healed = len(data) - good_until
+    # Last line per live fingerprint, in the order of last occurrences:
+    # a re-put pops its digest and re-inserts it at the end.
+    last: Dict[str, bytes] = {}
+    dropped_schema = deduped = 0
 
-    new_data = b"".join(line + b"\n" for line in compacted)
+    def keep_last(decoded: Tuple[Any, bytes]) -> None:
+        nonlocal dropped_schema, deduped
+        record, line = decoded
+        row = read_row(record)
+        if row is None:
+            dropped_schema += 1
+            return
+        if last.pop(row[0], None) is not None:
+            deduped += 1
+        last[row[0]] = line
+
+    bytes_before = good_until = 0
+    if path.exists():
+        with open(path, "rb") as lines:
+            _, good_until = jsonlog.read(
+                lines, keep_last,
+                f"corrupt result store {path}: unreadable record",
+                decode=_row_line)
+            # The bytes classified, not a size taken before the pass: a
+            # store appended to meanwhile still reports consistently.
+            bytes_before = lines.tell()
+    tail_healed = bytes_before - good_until
+    changed = bool(dropped_schema or deduped or tail_healed)
     report = CompactReport(
         path=str(path),
         backend="jsonl",
-        rows_kept=len(compacted),
+        rows_kept=len(last),
         rows_dropped_schema=dropped_schema,
         rows_deduped=deduped,
         tail_bytes_healed=tail_healed,
-        bytes_before=len(data),
-        bytes_after=len(new_data) if (dropped_schema or deduped or tail_healed)
-        else len(data),
+        bytes_before=bytes_before,
+        bytes_after=(sum(len(line) + 1 for line in last.values())
+                     if changed else bytes_before),
         dry_run=dry_run,
     )
-    if not dry_run and report.changed:
-        jsonlog.rewrite(path, new_data)
+    if not dry_run and changed:
+        jsonlog.rewrite(path, (line + b"\n" for line in last.values()))
     return report
 
 

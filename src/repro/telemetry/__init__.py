@@ -46,7 +46,6 @@ Typical use::
 
 from repro.telemetry.export import (
     TELEMETRY_SCHEMA_VERSION,
-    ChromeTraceWriter,
     append_metrics,
     read_metrics,
     read_trace,
@@ -89,7 +88,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     # export
-    "ChromeTraceWriter",
     "span_to_trace_event",
     "write_trace",
     "read_trace",

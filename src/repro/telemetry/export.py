@@ -1,32 +1,31 @@
-"""Trace and metrics exporters: torn-tail-safe files tools can open.
+"""Trace and metrics exporters: kill-safe files tools can open.
 
-Two formats, both written one flushed line at a time so a SIGKILL tears
-at most the final line (the same discipline as the JSONL result store
-and the campaign journal):
+Two formats, both read through :mod:`repro.jsonlog`'s line classifier
+(an unreadable final line is dropped, unreadable data mid-file raises)
+one line at a time, so a read holds only the records it returns:
 
-* **Chrome trace-event JSON** — :class:`ChromeTraceWriter` emits the
+* **Chrome trace-event JSON** — :func:`write_trace` writes the
   trace-event array format that Perfetto and ``chrome://tracing`` load
   directly: a ``[`` header line, then one complete (``"ph": "X"``)
-  event object per line, comma-terminated.  The format explicitly
-  tolerates a missing closing bracket, which is exactly what makes an
-  append-only, kill-safe trace file *also* a valid trace file.
-  :func:`read_trace` applies :mod:`repro.jsonlog`'s torn-tail
-  classification: an unreadable final line is dropped, unreadable data
-  mid-file raises.
+  event object per line, comma-terminated, never closed (the format
+  tolerates the missing bracket).  The whole file is written in one
+  atomic :func:`repro.jsonlog.rewrite`, so a kill leaves the old trace
+  or the new one.  :func:`read_trace` checks the header, then streams
+  the events.
 
 * **Metrics JSONL** — :func:`append_metrics` appends one
   schema-versioned JSON object per snapshot (a whole
   :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` keyed by
-  campaign id), healing a torn tail first; :func:`read_metrics` reads
-  them back with the same torn-tail tolerance.
+  campaign id) in one flushed write, healing a torn tail first, so a
+  SIGKILL tears at most the final line; :func:`read_metrics` reads them
+  back with the same torn-tail tolerance.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro import jsonlog
 from repro.exceptions import ConfigurationError
@@ -34,7 +33,6 @@ from repro.telemetry.spans import SpanRecord
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
-    "ChromeTraceWriter",
     "span_to_trace_event",
     "write_trace",
     "read_trace",
@@ -46,7 +44,7 @@ __all__ = [
 #: rows of other versions.
 TELEMETRY_SCHEMA_VERSION = 1
 
-_TRACE_HEADER = "[\n"
+_TRACE_HEADER = b"[\n"
 
 
 def span_to_trace_event(record: SpanRecord) -> Dict[str, Any]:
@@ -73,53 +71,25 @@ def span_to_trace_event(record: SpanRecord) -> Dict[str, Any]:
     }
 
 
-class ChromeTraceWriter:
-    """Incremental, kill-safe writer for one Chrome trace file.
-
-    Each ``write`` is one flushed line; ``close`` is idempotent and the
-    writer is a context manager.  The file is truncated on open — a
-    trace describes one session, re-running overwrites it.
-    """
-
-    def __init__(self, path: Union[str, Path]):
-        self._path = Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._file = self._path.open("w", encoding="utf-8")
-        self._file.write(_TRACE_HEADER)
-        self._file.flush()
-
-    @property
-    def path(self) -> Path:
-        return self._path
-
-    def write(self, record: SpanRecord) -> None:
-        line = json.dumps(span_to_trace_event(record), sort_keys=True) + ",\n"
-        with self._lock:
-            self._file.write(line)
-            self._file.flush()
-
-    def write_all(self, records) -> None:
-        for record in records:
-            self.write(record)
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._file.closed:
-                self._file.close()
-
-    def __enter__(self) -> "ChromeTraceWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+def _trace_lines(records) -> Iterator[bytes]:
+    yield _TRACE_HEADER
+    for record in records:
+        yield (json.dumps(span_to_trace_event(record), sort_keys=True)
+               + ",\n").encode("utf-8")
 
 
 def write_trace(path: Union[str, Path], records) -> Path:
-    """Write ``records`` as one Chrome trace file; returns the path."""
-    with ChromeTraceWriter(path) as writer:
-        writer.write_all(records)
-        return writer.path
+    """Write ``records`` as one Chrome trace file; returns the path.
+
+    The header and every event line go to disk in one atomic
+    :func:`repro.jsonlog.rewrite`, one line at a time: a kill leaves the
+    old file or the new one, and a rewrite replaces what an earlier one
+    wrote.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    jsonlog.rewrite(path, _trace_lines(records))
+    return path
 
 
 _CLOSE = object()  # what a "]" line decodes to
@@ -151,15 +121,15 @@ def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no trace file at {path}")
-    data = path.read_bytes()
-    header = data.partition(b"\n")[0]
-    if header.strip() not in (b"[", b"[]"):
-        raise ConfigurationError(
-            f"{path} is not a Chrome trace-event file (missing '[' header)"
-        )
-    events, _ = jsonlog.read(
-        data, _accept_event, f"corrupt trace file {path}: unreadable event",
-        decode=_decode_event, start=len(header) + 1)
+    with open(path, "rb") as lines:
+        header = lines.readline()
+        if header.strip() not in (b"[", b"[]"):
+            raise ConfigurationError(
+                f"{path} is not a Chrome trace-event file (missing '[' header)"
+            )
+        events, _ = jsonlog.read(
+            lines, _accept_event, f"corrupt trace file {path}: unreadable event",
+            decode=_decode_event, line_number=2)
     return tuple(events)
 
 
@@ -218,5 +188,8 @@ def read_metrics(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no metrics dump at {path}")
-    return jsonlog.read_file(
-        path, _accept_metrics, f"corrupt metrics dump {path}: unreadable record")
+    with open(path, "rb") as lines:
+        records, _ = jsonlog.read(
+            lines, _accept_metrics,
+            f"corrupt metrics dump {path}: unreadable record")
+    return tuple(records)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.telemetry.export import ChromeTraceWriter, append_metrics
+from repro.telemetry.export import append_metrics, write_trace
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BOUNDS,
     MetricsRegistry,
@@ -300,9 +300,8 @@ class TelemetrySession:
             "cache_hit_rate": round(self.cache_hit_rate(), 4),
         }
         if self.config.trace_path is not None:
-            with ChromeTraceWriter(self.config.trace_path) as writer:
-                writer.write_all(self.spans())
-            summary["trace_path"] = str(writer.path)
+            summary["trace_path"] = str(
+                write_trace(self.config.trace_path, self.spans()))
         if self.config.metrics_path is not None and self.campaign is not None:
             path = append_metrics(
                 self.config.metrics_path, self.campaign, self.metrics.snapshot(),

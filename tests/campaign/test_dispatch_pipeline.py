@@ -124,7 +124,7 @@ class TestTaskSplit:
         CampaignRunner(**kwargs).run(
             SPECS[:5],
             should_skip=lambda spec: calls.append(("skip", spec)),
-            on_outcome=lambda o, s: calls.append(("outcome", o.spec)),
+            on_settle=lambda e: calls.append(("outcome", e.spec)),
         )
         assert calls == [(what, spec) for spec in SPECS[:5]
                          for what in ("skip", "outcome")]
@@ -189,7 +189,7 @@ class TestEventsPerPosition:
         plan = FaultPlan(seed=11, raise_rate=0.25)
         events = []
         result = CampaignRunner(faults=plan, retry=FAST_RETRY, **kwargs).run(
-            SPECS, progress=events.append)
+            SPECS, on_settle=events.append)
         assert result.fault_stats.task_retries > 0
         assert sorted(e.label for e in events) == sorted(s.label() for s in SPECS)
         spec_by_label = {s.label(): s for s in SPECS}
@@ -211,7 +211,7 @@ class TestEventsPerPosition:
         CampaignRunner(**kwargs).run(SPECS)
         assert built == []
         events = []
-        result = CampaignRunner(**kwargs).run(SPECS, progress=events.append)
+        result = CampaignRunner(**kwargs).run(SPECS, on_settle=events.append)
         # Built in this process, from the caller's own spec instances.
         assert sorted(map(id, built)) == sorted(map(id, SPECS))
         seconds = {o.spec.label(): s
@@ -226,7 +226,7 @@ class TestEventsPerPosition:
         plan = FaultPlan(poison_labels=(poisoned.label(),))
         events = []
         result = CampaignRunner(faults=plan, retry=FAST_RETRY, **kwargs).run(
-            SPECS, progress=events.append)
+            SPECS, on_settle=events.append)
         assert result.fault_stats.quarantined == 1
         assert sorted(e.label for e in events) == sorted(s.label() for s in SPECS)
         (bad,) = [e for e in events if e.label == poisoned.label()]
@@ -242,7 +242,7 @@ class TestEventsPerPosition:
         plan = FaultPlan(poison_labels=(poisoned.label(),))
         events = []
         result = CampaignRunner(faults=plan, retry=FAST_RETRY, **kwargs).run(
-            SPECS, progress=events.append,
+            SPECS, on_settle=events.append,
             telemetry=WorkerTelemetry(campaign="quarantine"))
         (bad,) = [e for e in events if e.label == poisoned.label()]
         (outcome,) = [o for o in result.outcomes if o.spec == poisoned]

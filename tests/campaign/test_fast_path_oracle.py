@@ -275,13 +275,9 @@ class TestPinnedGrid:
         from repro.store import CollectingProgressReporter
 
         reporter = CollectingProgressReporter()
-        delivered = []
-        result = CampaignRunner().run(
-            pinned_specs(), progress=reporter,
-            on_outcome=lambda outcome, seconds: delivered.append(seconds))
+        result = CampaignRunner().run(pinned_specs(), on_settle=reporter)
         seconds = list(result.scenario_seconds)
         assert len(seconds) == len(result.outcomes)
-        assert delivered == seconds
         assert [event.seconds for event in reporter.events] == seconds
         assert len(set(seconds)) > 1  # not one shared mean per group
 

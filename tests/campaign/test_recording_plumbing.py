@@ -229,7 +229,7 @@ class TestResourceUsagePlumbing:
         specs = theorem8_specs([4], **PINNED_KWARGS)
         reporter = CollectingProgressReporter()
         result = CampaignRunner(backend=backend, workers=workers).run(
-            specs, progress=reporter)
+            specs, on_settle=reporter)
         by_fp = {fingerprint_spec(o.spec): o for o in result.outcomes}
         events = reporter.events
         assert len(events) == len(specs)

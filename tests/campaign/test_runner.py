@@ -161,7 +161,8 @@ class TestResultJsonRoundTrip:
 class TestRunnerHooks:
     def test_on_outcome_streams_every_outcome_in_order(self):
         seen = []
-        result = CampaignRunner().run(SPECS, on_outcome=lambda o, s: seen.append(o))
+        result = CampaignRunner().run(
+            SPECS, on_settle=lambda e: seen.append(e.outcome))
         assert seen == list(result.outcomes)
 
     def test_process_backend_delivers_on_outcome_in_parent(self):
@@ -169,7 +170,7 @@ class TestRunnerHooks:
 
         pids = []
         result = CampaignRunner(backend="process", workers=2, chunk_size=5).run(
-            SPECS, on_outcome=lambda o, s: pids.append(os.getpid())
+            SPECS, on_settle=lambda e: pids.append(os.getpid())
         )
         assert len(pids) == len(result.outcomes)
         assert set(pids) == {os.getpid()}  # persistence happens in the caller
@@ -187,7 +188,7 @@ class TestRunnerHooks:
     def test_progress_events_cover_the_campaign(self):
         events = []
         result = CampaignRunner(backend="process", workers=2, chunk_size=4).run(
-            SPECS, progress=events.append
+            SPECS, on_settle=events.append
         )
         assert len(events) == len(result.outcomes)
         assert {e.verdict for e in events} == {o.verdict for o in result.outcomes}
@@ -198,24 +199,22 @@ class TestRunnerHooks:
         CampaignRunner(backend="process", workers=2, chunk_size=1),
         CampaignRunner(backend="process", workers=2, chunk_size=4),
     ], ids=["serial", "process-1", "process"])
-    def test_progress_runs_on_the_calling_thread_after_on_outcome(self, runner):
+    def test_on_settle_runs_once_per_slot_on_the_calling_thread(self, runner):
         # The delivery contract: events ride back on task results, so
-        # every progress call happens on the caller's thread, right
-        # after its own slot's on_outcome — per task, not per scenario.
+        # every on_settle call happens on the caller's thread, once per
+        # slot, with that slot's outcome — per task, not per scenario.
         calls = []
         result = runner.run(
             SPECS,
-            on_outcome=lambda o, s: calls.append(
-                ("outcome", o.spec.label(), threading.get_ident())),
-            progress=lambda e: calls.append(
-                ("progress", e.label, threading.get_ident())),
+            on_settle=lambda e: calls.append(
+                (e.label, e.outcome, threading.get_ident())),
         )
         assert {thread for _, _, thread in calls} == {threading.get_ident()}
-        assert len(calls) == 2 * len(result.outcomes)
-        for outcome_call, progress_call in zip(calls[::2], calls[1::2]):
-            assert outcome_call[0] == "outcome"
-            assert progress_call[:2] == ("progress", outcome_call[1])
-        assert {label for _, label, _ in calls} == {s.label() for s in SPECS}
+        assert len(calls) == len(result.outcomes)
+        assert sorted(label for label, _, _ in calls) == sorted(
+            s.label() for s in SPECS)
+        by_label = {o.spec.label(): o for o in result.outcomes}
+        assert all(outcome == by_label[label] for label, outcome, _ in calls)
 
     def test_workers_reports_the_pool_size_started(self):
         # One 3-spec chunk ships one task to a one-process pool, whatever

@@ -34,7 +34,7 @@ def test_idle_worker_kill_degrades_to_in_process_execution():
     baseline = CampaignRunner().run(specs)
     killed = []
 
-    def kill_idle_workers(outcome, seconds):
+    def kill_idle_workers(event):
         if killed:
             return
         # While the caller sits in this hook nothing new is submitted,
@@ -48,7 +48,7 @@ def test_idle_worker_kill_degrades_to_in_process_execution():
 
     result = CampaignRunner(
         backend="process", workers=2, chunk_size=1, retry=RETRY,
-    ).run(specs, on_outcome=kill_idle_workers)
+    ).run(specs, on_settle=kill_idle_workers)
 
     assert len(killed) >= 2  # this campaign's two workers
     assert result == baseline

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import errno
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.campaign import CampaignRunner, ScenarioSpec, theorem8_specs
 from repro.exceptions import ConfigurationError
-from repro.store import CachingRunner, MemoryResultStore, fingerprint_spec
+from repro.provenance import CampaignJournal, read_journal, replay_ledger
+from repro.store import CachingRunner, MemoryResultStore, fingerprint_spec, open_store
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)
 COLD = CampaignRunner().run(SPECS)
@@ -141,3 +148,65 @@ class TestStatsAndEdgeCases:
         )
         with pytest.raises(ConfigurationError):
             CachingRunner(MemoryResultStore()).run([spec])
+
+
+class FullDiskJournal(CampaignJournal):
+    """A journal whose disk fills up at the second ``ran`` record."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.ran = 0
+
+    def _append(self, record):
+        if record.get("decision") == "ran":
+            self.ran += 1
+            if self.ran == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        super()._append(record)
+
+
+def _report_journal(path: Path) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run(
+        [sys.executable, "-m", "repro.report", "--journal", str(path)],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestJournalFailure:
+    """A journal that cannot record stops the campaign as a kill does:
+    the error propagates, the journal keeps a valid prefix with no
+    ``campaign-finish``, and a rerun resumes from the store."""
+
+    def test_failed_append_stops_the_campaign_and_a_rerun_resumes(
+            self, tmp_path, backend_runner):
+        specs = SPECS[:5]
+        store_path = tmp_path / "store.sqlite"
+        journal_path = tmp_path / "journal.jsonl"
+        with FullDiskJournal(journal_path) as journal, CachingRunner(
+                open_store(store_path), backend_runner,
+                journal=journal) as runner:
+            with pytest.raises(OSError, match="No space left on device"):
+                runner.run(specs)
+        failed = runner.last_campaign_id
+        assert not [record for record in read_journal(journal_path)
+                    if record["type"] == "campaign-finish"
+                    and record["campaign"] == failed]
+        report = _report_journal(journal_path)
+        assert report.returncode == 0, report.stderr
+
+        with CachingRunner(open_store(store_path), backend_runner,
+                           journal=journal_path) as rerun:
+            result = rerun.run(specs)
+        assert result == CampaignRunner().run(specs)
+        ledger = replay_ledger(read_journal(journal_path)).campaigns[
+            rerun.last_campaign_id]
+        assert ledger.finished
+        assert ledger.ran + ledger.cached + ledger.skipped == ledger.total
+        assert ledger.total == len(specs)
+        # Both positions the failed campaign settled were stored: the
+        # put comes before the journal append.
+        assert ledger.cached == 2
+        assert _report_journal(journal_path).returncode == 0

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from dataclasses import replace
 
 import pytest
 
-from repro.campaign import CampaignRunner, theorem8_specs
+from repro.campaign import CampaignRunner, theorem8_solvable_grid, theorem8_specs
 from repro.exceptions import ConfigurationError
 from repro.store import JsonlResultStore, SqliteResultStore, fingerprint_spec
-from repro.store.compact import compact_store, main
+from repro.store.compact import compact_jsonl, compact_store, main
+from repro.store.jsonl import read_row
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)
 OUTCOMES = CampaignRunner().run(SPECS).outcomes[:4]
@@ -83,6 +85,28 @@ class TestCompactJsonl:
         assert report.rows_dropped_schema == 2 and report.rows_deduped == 1
         assert path.read_bytes() == before
 
+    def test_dry_run_beside_a_live_append_reports_the_bytes_it_read(
+            self, tmp_path, monkeypatch):
+        # A campaign appends while the pass reads: the report counts the
+        # bytes it classified, so it never shows a negative heal.
+        path = tmp_path / "store.jsonl"
+        with JsonlResultStore(path) as store:
+            for outcome in OUTCOMES:
+                store.put(fingerprint_spec(outcome.spec), outcome)
+        appended = []
+
+        def read_row_then_append(record):
+            if not appended:
+                with path.open("ab") as handle:
+                    handle.write(b"\n")
+                appended.append(True)
+            return read_row(record)
+
+        monkeypatch.setattr("repro.store.compact.read_row", read_row_then_append)
+        report = compact_jsonl(path, dry_run=True)
+        assert report.tail_bytes_healed == 0 and not report.changed
+        assert report.bytes_before == report.bytes_after
+
     def test_idempotent(self, tmp_path):
         path = tmp_path / "store.jsonl"
         _write_messy_jsonl(path)
@@ -125,6 +149,32 @@ class TestCompactJsonl:
         report = compact_store(path)
         assert report.tail_bytes_healed == len(b'{"fp": "torn')
         assert path.read_bytes() == b""
+
+
+class TestCompactMemory:
+    def test_dry_run_peaks_at_the_rows_it_keeps_not_the_files_history(
+            self, tmp_path, traced_memory):
+        # The 858 specs of Theorem 8's n=10 grid (crash schedules of
+        # every length), written once and appended ten times: the pass
+        # holds the last line of each fingerprint, so the nine
+        # superseded copies cost no memory.
+        specs = theorem8_solvable_grid(
+            [10], seeds=(1, 2), recording="verdict-only").compile()
+        rows = len(specs)
+        once = tmp_path / "once.jsonl"
+        with JsonlResultStore(once, commit_batch=256) as store:
+            for spec in specs:
+                store.put(fingerprint_spec(spec), replace(OUTCOMES[0], spec=spec))
+        ten = tmp_path / "ten.jsonl"
+        ten.write_bytes(once.read_bytes() * 10)
+        report_once, _, peak_once = traced_memory(
+            lambda: compact_jsonl(once, dry_run=True))
+        report_ten, _, peak_ten = traced_memory(
+            lambda: compact_jsonl(ten, dry_run=True))
+        assert report_once.rows_kept == report_ten.rows_kept == rows
+        assert report_ten.rows_deduped == 9 * rows
+        assert report_ten.bytes_after == once.stat().st_size
+        assert peak_ten < 1.25 * peak_once + 256 * 1024
 
 
 class TestCompactSqlite:

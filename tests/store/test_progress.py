@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import io
+import logging
 import os
 
 import pytest
 
 from repro.campaign import CampaignRunner, ScenarioEvent, theorem8_specs
+from repro.provenance import read_journal, replay_ledger
 from repro.provenance.usage import ResourceUsage
 from repro.store import (
     CachingRunner,
@@ -17,6 +19,7 @@ from repro.store import (
     ProgressReporter,
 )
 from repro.store.fingerprint import fingerprint_spec
+from repro.telemetry import TelemetrySession
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)
 
@@ -117,14 +120,85 @@ class TestEventStream:
         for event in cached_events:
             _assert_identity_and_usage(event, SPECS[0], result.outcomes[0])
 
-    def test_progress_exceptions_never_break_the_campaign(self):
-        class ExplodingReporter(CollectingProgressReporter):
-            def on_event(self, event):
-                raise RuntimeError("reporting is broken")
 
-        caching = CachingRunner(MemoryResultStore(), progress=ExplodingReporter())
-        result = caching.run(SPECS[:5])
-        assert len(result.outcomes) == 5  # outcomes unaffected
+class RaisingReporter(CollectingProgressReporter):
+    def on_event(self, event):
+        super().on_event(event)
+        raise RuntimeError("reporting is broken")
+
+
+class RaisingSession(TelemetrySession):
+    def on_event(self, event):
+        raise RuntimeError("telemetry is broken")
+
+
+OBSERVERS = {
+    "reporter": lambda: {"progress": RaisingReporter()},
+    "telemetry": lambda: {"telemetry": RaisingSession()},
+}
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@pytest.fixture
+def caching_warnings():
+    """The warnings ``CachingRunner`` logs while the test runs."""
+    handler = _Records()
+    logger = logging.getLogger("repro.store.caching")
+    logger.addHandler(handler)
+    try:
+        yield handler.records
+    finally:
+        logger.removeHandler(handler)
+
+
+# Each run settles its positions by another path: all executed, all
+# served from a warm store, or executed once and replayed as duplicates.
+RUNS = {
+    "cold": (SPECS[:5], False),
+    "warm": (SPECS, True),
+    "duplicates": ([SPECS[0], SPECS[0], SPECS[1], SPECS[0]], False),
+}
+
+
+class TestRaisingObservers:
+    """An observer that raises is contained on every path a position
+    settles by and changes neither the outcomes nor the journal."""
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    @pytest.mark.parametrize("observer", sorted(OBSERVERS))
+    def test_outcomes_and_journal_equal_a_quiet_runs(
+            self, observer, run, tmp_path, caching_warnings):
+        specs, warm = RUNS[run]
+        store = MemoryResultStore()
+        quiet = CachingRunner(store).run(specs)
+        if not warm:
+            store = MemoryResultStore()
+        journal = tmp_path / "journal.jsonl"
+        with CachingRunner(store, journal=journal,
+                           **OBSERVERS[observer]()) as runner:
+            loud = runner.run(specs)
+        assert loud.outcomes == quiet.outcomes
+        assert runner.last_stats.cached == (len(specs) if warm else 0)
+        ledger = replay_ledger(read_journal(journal)).campaigns[
+            runner.last_campaign_id]
+        assert ledger.finished
+        assert ledger.ran + ledger.cached + ledger.skipped == ledger.total
+        assert ledger.total == len(specs)
+        assert len(caching_warnings) == 1  # once per campaign, not per event
+
+    def test_a_raising_telemetry_session_still_feeds_the_reporter(self):
+        reporter = CollectingProgressReporter()
+        CachingRunner(MemoryResultStore(), telemetry=RaisingSession(),
+                      progress=reporter).run(SPECS[:5])
+        assert reporter.snapshot()["completed"] == 5
 
 
 class TestLogReporter:

@@ -142,7 +142,7 @@ class TestSharedExecutionSpans:
         specs = theorem8_specs(PINNED_GRID, **PINNED_KWARGS)
         events = []
         CampaignRunner(backend="process", workers=2, chunk_size=24).run(
-            specs, progress=events.append,
+            specs, on_settle=events.append,
             telemetry=WorkerTelemetry(campaign="c" * 12, stride=1))
         # Tasks settle in completion order; each position settles once.
         assert sorted(e.spec.label() for e in events) == sorted(

@@ -11,7 +11,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.telemetry import (
-    ChromeTraceWriter,
     MetricsRegistry,
     PhaseAccumulator,
     Tracer,
@@ -94,9 +93,31 @@ class TestChromeTrace:
     def test_writer_truncates_on_reopen(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         write_trace(path, _records())
-        with ChromeTraceWriter(path) as writer:
-            assert writer.path == path
+        assert write_trace(path, ()) == path
         assert read_trace(path) == ()
+
+    def test_write_holds_one_line_at_a_time(self, tmp_path, traced_memory):
+        # The atomic rewrite is fed line by line: writing 20,000 spans
+        # peaks under a bound the trace's size does not move.
+        records = _records(scenarios=1) * 5_000
+        path, _, peak = traced_memory(
+            lambda: write_trace(tmp_path / "trace.jsonl", records))
+        assert len(read_trace(path)) == len(records) == 20_000
+        assert path.stat().st_size > 3 * 1024 * 1024
+        assert peak < 256 * 1024
+
+    def test_read_holds_only_the_events_it_returns(
+            self, tmp_path, traced_memory):
+        # A 20,000-span trace: the read streams the file after its
+        # header, so it peaks at the events it returns plus a bound the
+        # file's size does not move.
+        path = write_trace(tmp_path / "trace.jsonl", _records(scenarios=1))
+        header, *lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(header + b"".join(lines) * (20_000 // len(lines)))
+        events, held, peak = traced_memory(lambda: read_trace(path))
+        assert len(events) == 20_000
+        assert path.stat().st_size > 3 * 1024 * 1024
+        assert peak - held < 1024 * 1024
 
 
 class TestMetricsDump:

@@ -76,7 +76,7 @@ class TestCampaignNeverTracesZero:
         stride = _empty_stride(specs)
         reporter = CollectingProgressReporter()
         CampaignRunner(backend=backend, workers=workers).run(
-            specs, progress=reporter,
+            specs, on_settle=reporter,
             telemetry=WorkerTelemetry(campaign="strided", stride=stride))
         traced = [event for event in reporter.events if event.spans]
         assert traced, "a strided campaign must still trace >= 1 scenario"
@@ -88,7 +88,7 @@ class TestCampaignNeverTracesZero:
         def traced_labels(backend, workers):
             reporter = CollectingProgressReporter()
             CampaignRunner(backend=backend, workers=workers).run(
-                specs, progress=reporter,
+                specs, on_settle=reporter,
                 telemetry=WorkerTelemetry(campaign="strided", stride=stride))
             return sorted(e.label for e in reporter.events if e.spans)
 

@@ -10,12 +10,13 @@ three places, and these tests pin the differences:
 * compaction leaves a complete final record that lacks only its newline
   as it is (nothing to drop, so no rewrite); the other writers add the
   newline when they heal;
-* the Chrome trace has no version and no heal (its writer truncates on
-  open), and an empty trace file is not a trace at all.
+* the Chrome trace has no version and no heal (its writer replaces the
+  whole file atomically), and an empty trace file is not a trace at all.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import sqlite3
 from dataclasses import dataclass
@@ -424,7 +425,7 @@ class TestTraceHeader:
 
 
 class TestPrimitive:
-    """The shared operations themselves, on bare bytes."""
+    """The shared operations themselves, on bare bytes in a file."""
 
     @staticmethod
     def _accept(record):
@@ -434,24 +435,36 @@ class TestPrimitive:
 
     def test_read_reports_the_good_prefix(self):
         data = b'{"k": 1}\n\n  {"k": 2}  \n{"k"'
-        records, good_until = jsonlog.read(data, self._accept, "corrupt log")
+        records, good_until = jsonlog.read(
+            io.BytesIO(data), self._accept, "corrupt log")
         assert records == [1, 2]
         assert good_until == len(data) - len(b'{"k"')
 
     def test_read_from_an_offset_numbers_lines_from_the_file_start(self):
-        data = b'header\n{"k": 1}\n{}\n{"k": 3}\n'
+        lines = io.BytesIO(b'header\n{"k": 1}\n{}\n{"k": 3}\n')
+        lines.readline()
         with pytest.raises(ConfigurationError, match="on line 3"):
-            jsonlog.read(data, self._accept, "corrupt log", start=7)
+            jsonlog.read(lines, self._accept, "corrupt log", line_number=2)
+
+    def test_read_from_an_offset_measures_the_good_prefix_from_the_file_start(self):
+        data = b'header\n{"k": 1}\n{"k"'
+        lines = io.BytesIO(data)
+        lines.readline()
+        records, good_until = jsonlog.read(
+            lines, self._accept, "corrupt log", line_number=2)
+        assert records == [1]
+        assert good_until == len(data) - len(b'{"k"')
 
     def test_error_names_the_line_and_the_cause(self):
         with pytest.raises(ConfigurationError,
                            match=r"^corrupt log on line 2 \(no k\)$"):
-            jsonlog.read(b'{"k": 1}\n{}\n{"k": 3}\n', self._accept,
-                         "corrupt log")
+            jsonlog.read(io.BytesIO(b'{"k": 1}\n{}\n{"k": 3}\n'),
+                         self._accept, "corrupt log")
 
     def test_unreadable_final_line_with_its_newline_raises(self):
         with pytest.raises(ConfigurationError, match="on line 2"):
-            jsonlog.read(b'{"k": 1}\n{"k"\n', self._accept, "corrupt log")
+            jsonlog.read(io.BytesIO(b'{"k": 1}\n{"k"\n'), self._accept,
+                         "corrupt log")
 
     @pytest.mark.parametrize("data, healed", [
         (b'{"k": 1}\n{"k"', b'{"k": 1}\n'),
@@ -474,6 +487,16 @@ class TestPrimitive:
     def test_rewrite_swaps_the_bytes_and_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_bytes(b"old\n")
-        jsonlog.rewrite(path, b"new\n")
+        jsonlog.rewrite(path, [b"new\n"])
         assert path.read_bytes() == b"new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["log.jsonl"]
+
+    def test_rewrite_keeps_the_permissions_a_plain_write_keeps(self, tmp_path):
+        plain = tmp_path / "plain.jsonl"
+        plain.write_bytes(b"")
+        fresh = tmp_path / "fresh.jsonl"
+        jsonlog.rewrite(fresh, [b"new\n"])
+        assert fresh.stat().st_mode == plain.stat().st_mode
+        fresh.chmod(0o640)
+        jsonlog.rewrite(fresh, [b"newer\n"])
+        assert fresh.stat().st_mode & 0o777 == 0o640
