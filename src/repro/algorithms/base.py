@@ -108,7 +108,7 @@ def broadcast(
     tuple of point-to-point messages produced within one step.
     """
     excluded = set(exclude)
-    return tuple(Outgoing(receiver=p, payload=payload) for p in processes if p not in excluded)
+    return tuple([Outgoing(p, payload) for p in processes if p not in excluded])
 
 
 class Algorithm(abc.ABC):

@@ -23,14 +23,18 @@ source component and the protocol is the FLP consensus algorithm for
 initially dead processes; with ``L = n - f`` it is the paper's k-set
 agreement protocol, correct whenever ``k >= floor(n / (n - f))``, i.e.
 exactly on the solvable side of Theorem 8.
+
+:meth:`TwoStageKnowledgeProtocol.step` is the scalar executor's hot path
+on every Section VI run, so it builds one state per step and skips the
+decision attempts that cannot succeed (see its docstring for why).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
-from repro.algorithms.base import Algorithm, ProcessState, StepOutput, broadcast
+from repro.algorithms.base import Algorithm, Outgoing, ProcessState, StepOutput
 from repro.exceptions import ConfigurationError
 from repro.graphs.knowledge_graph import decide_from_reports
 from repro.types import ProcessId, Value
@@ -112,70 +116,85 @@ class TwoStageKnowledgeProtocol(Algorithm):
         delivered: Tuple[object, ...],
         fd_output: Optional[object] = None,
     ) -> StepOutput:
-        """One atomic step: absorb messages, advance stages, decide."""
+        """One atomic step: absorb messages, advance stages, decide.
+
+        One state per step: the new state is built by one constructor
+        call.  ``heard_stage1`` is rebuilt only when a stage-1 message
+        arrives (each one names a new sender), and ``reports`` only when
+        a new report does; otherwise the step reuses them.
+
+        A decision is attempted only when the step brought a new report
+        *and* the process holds at least ``L`` reports.  The decision
+        depends only on the report set, so a step without a new report
+        cannot newly complete the knowledge closure.  And the owner's
+        closure holds the owner and its at least ``L - 1`` predecessors,
+        each of which must have reported; one report covers one process,
+        so with fewer than ``L`` reports :meth:`_try_decide` always
+        returns ``None``.
+        """
         if state.has_decided:
-            return StepOutput(state=state)
+            return StepOutput(state)
 
-        processes = tuple(range(1, self.n + 1))
-        outgoing = []
-        heard = set(state.heard_stage1)
-        reports = set(state.reports)
-
+        pid = state.pid
+        heard = state.heard_stage1
+        reports = state.reports
+        senders = []
+        received = []
         for message in delivered:
             payload = message.payload
             kind = payload[0]
             if kind == "S1":
-                heard.add(payload[1])
+                senders.append(payload[1])
             elif kind == "S2":
                 _kind, sender, predecessors, value = payload
-                reports.add((sender, tuple(predecessors), value))
-
-        new_reports = len(reports) != len(state.reports)
-        new_state = replace(
-            state, heard_stage1=frozenset(heard), reports=frozenset(reports)
-        )
-
-        if not new_state.sent_stage1:
-            outgoing.extend(
-                broadcast(processes, ("S1", state.pid), exclude=(state.pid,))
-            )
-            new_state = replace(new_state, sent_stage1=True)
-
-        if new_state.stage == 1 and new_state.sent_stage1:
-            if len(new_state.heard_stage1 - {state.pid}) >= self.threshold - 1:
-                predecessors = tuple(sorted(new_state.heard_stage1 - {state.pid}))
-                own_report: Report = (state.pid, predecessors, state.proposal)
-                reports = set(new_state.reports)
-                reports.add(own_report)
-                outgoing.extend(
-                    broadcast(
-                        processes,
-                        ("S2", state.pid, predecessors, state.proposal),
-                        exclude=(state.pid,),
-                    )
-                )
-                new_state = replace(
-                    new_state,
-                    stage=2,
-                    sent_stage2=True,
-                    predecessors=predecessors,
-                    reports=frozenset(reports),
-                )
+                received.append((sender, tuple(predecessors), value))
+        if senders:
+            heard = heard.union(senders)
+        new_reports = False
+        if received:
+            grown = reports.union(received)
+            if len(grown) != len(reports):
+                reports = grown
                 new_reports = True
 
-        # The decision depends only on the report set, so a step that
-        # brought no new report cannot newly complete the closure — skip
-        # the (O(edges)) attempt instead of recomputing the same "not yet".
-        if new_state.stage == 2 and new_reports:
-            decision = self._try_decide(new_state)
-            if decision is not None:
-                new_state = new_state.decide(decision)
+        messages: Tuple[Outgoing, ...] = ()
+        if not state.sent_stage1:
+            messages = self._broadcast(pid, ("S1", pid))
 
-        return StepOutput(state=new_state, messages=tuple(outgoing))
+        stage = state.stage
+        sent_stage2 = state.sent_stage2
+        predecessors = state.predecessors
+        if stage == 1 and len(heard) - (pid in heard) >= self.threshold - 1:
+            predecessors = tuple(sorted(heard - {pid}))
+            reports = reports.union(((pid, predecessors, state.proposal),))
+            messages += self._broadcast(
+                pid, ("S2", pid, predecessors, state.proposal)
+            )
+            stage = 2
+            sent_stage2 = True
+            new_reports = True
+
+        decision = state.decision
+        if new_reports and stage == 2 and len(reports) >= self.threshold:
+            value = self._try_decide(pid, reports)
+            if value is not None:
+                decision = value
+
+        return StepOutput(
+            TwoStageState(
+                pid, state.proposal, decision, stage, True, sent_stage2,
+                heard, predecessors, reports,
+            ),
+            messages,
+        )
+
+    def _broadcast(self, pid: ProcessId, payload: object) -> Tuple[Outgoing, ...]:
+        """``payload`` to every other process of ``1..n``, in id order."""
+        return tuple([Outgoing(p, payload) for p in range(1, self.n + 1) if p != pid])
 
     # -- decision ------------------------------------------------------------
 
-    def _try_decide(self, state: TwoStageState) -> Optional[Value]:
+    def _try_decide(self, owner: ProcessId, reports: FrozenSet[Report]) -> Optional[Value]:
         """Return the decision value once the knowledge closure is complete.
 
         Works directly on the raw report tuples via
@@ -187,10 +206,10 @@ class TwoStageKnowledgeProtocol(Algorithm):
         """
         heard_from = {}
         values = {}
-        for process, predecessors, value in state.reports:
+        for process, predecessors, value in reports:
             heard_from[process] = predecessors
             values[process] = value
-        return decide_from_reports(state.pid, heard_from, values)
+        return decide_from_reports(owner, heard_from, values)
 
     # -- documentation helpers -------------------------------------------------
 

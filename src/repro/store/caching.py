@@ -41,7 +41,11 @@ in memory, since the store is a cache (a
 write raises and ends the campaign as a kill would, leaving a valid
 journal without a ``campaign-finish``; a rerun resumes from the store.
 An error an observer (telemetry or progress reporter) raises on any
-event, executed or served, is contained and logged once per campaign.
+event, executed or served, or the reporter raises when the campaign
+starts or finishes, is contained and logged once per campaign and
+observer, with its traceback.  The telemetry session's ``begin`` and
+``finish`` are not observers' hooks: ``finish`` writes the trace and
+metrics exports the caller configured, so a failed export raises.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.campaign.grid import ScenarioGrid
 from repro.campaign.runner import CampaignResult, CampaignRunner, ScenarioEvent
@@ -128,8 +132,9 @@ class CachingRunner:
         Each ``run`` begins a campaign on it (same correlation id as the
         journal's), feeds it the live event stream — metrics parent-side,
         spans collected from sampled workers — and finishes it, writing
-        any configured trace/metrics exports.  The caller keeps ownership
-        of the session and can inspect or re-export it afterwards.
+        any configured trace/metrics exports; a failed export raises
+        out of ``run``.  The caller keeps ownership of the session and
+        can inspect or re-export it afterwards.
 
     After each ``run``, :attr:`last_stats` holds the run's
     :class:`CacheStats` and :attr:`last_campaign_id` the journal id of
@@ -197,22 +202,26 @@ class CachingRunner:
         observers = [observer for observer in (
             self.telemetry.on_event if self.telemetry is not None else None,
             self.progress) if observer is not None]
+        reporter_index = len(observers) - 1  # it is last, when there is one
         failing: set = set()
 
+        def contain(index: int, call: Callable[..., object], *args: object) -> None:
+            # The one place observer errors are contained: every event,
+            # executed or served, and the reporter's campaign start and
+            # finish.  Watching a campaign never changes what it computes
+            # or records, and never costs the caller its result.
+            try:
+                call(*args)
+            except Exception:  # noqa: BLE001 - observers never break a campaign
+                if index not in failing:
+                    failing.add(index)
+                    _log.warning(
+                        "campaign observer %r failed; its later failures in "
+                        "this campaign are not logged", call, exc_info=True)
+
         def notify(event: ScenarioEvent) -> None:
-            # The one place observer errors are contained, for executed
-            # and served positions alike: watching a campaign never
-            # changes what it computes or records.
             for index, observer in enumerate(observers):
-                try:
-                    observer(event)
-                except Exception:  # noqa: BLE001 - observers never break a campaign
-                    if index not in failing:
-                        failing.add(index)
-                        _log.warning(
-                            "campaign observer %r failed on %s; its later "
-                            "failures in this campaign are not logged",
-                            observer, event.label, exc_info=True)
+                contain(index, observer, event)
 
         def serve(served: List[Tuple[ScenarioSpec, str, ScenarioOutcome]]) -> None:
             # Positions settled without running: one ``cached`` journal
@@ -227,7 +236,7 @@ class CachingRunner:
                     notify(ScenarioEvent.of(spec, outcome, cached=True))
 
         if self.progress is not None:
-            self.progress.campaign_started(len(specs))
+            contain(reporter_index, self.progress.campaign_started, len(specs))
         # Cached outcomes are observed first (in spec order): a violation
         # already in the store certifies its point before anything runs,
         # and the reporter sees cache hits as zero-cost events.
@@ -356,7 +365,7 @@ class CachingRunner:
                 store_io=self.store.io_stats())
             self.telemetry.finish(stats=stats_payload)
         if self.progress is not None:
-            self.progress.campaign_finished()
+            contain(reporter_index, self.progress.campaign_finished)
 
         return CampaignResult(
             outcomes=merged,

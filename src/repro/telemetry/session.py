@@ -279,7 +279,9 @@ class TelemetrySession:
         Idempotent per ``begin``: :class:`~repro.store.caching.CachingRunner`
         finishes the session at the end of each ``run``, so a caller
         asking for the summary afterwards gets the cached one instead of
-        a duplicate export.
+        a duplicate export.  An export that fails raises, also out of
+        ``CachingRunner.run``: the caller configured it, unlike an
+        observer's hook, whose errors the runner contains.
         """
         if self._summary is not None:
             return self._summary

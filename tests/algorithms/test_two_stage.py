@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from typing import Optional, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.base import StepOutput, broadcast
 from repro.algorithms.flp_consensus import FLPConsensus
 from repro.algorithms.kset_initial_crash import KSetInitialCrash
-from repro.algorithms.two_stage import TwoStageKnowledgeProtocol
+from repro.algorithms.two_stage import Report, TwoStageKnowledgeProtocol, TwoStageState
 from repro.core.ksetagreement import KSetAgreementProblem
 from repro.exceptions import ConfigurationError
 from repro.failure_detectors.base import FailurePattern
+from repro.graphs.knowledge_graph import decide_from_reports
 from repro.models.initial_crash import initial_crash_model
-from repro.simulation.executor import ExecutionSettings, execute
+from repro.simulation.executor import ExecutionSettings, RecordingPolicy, execute
 from repro.simulation.scheduler import RandomScheduler, RoundRobinScheduler
+from repro.types import Value
 
 
 class TestConfigurationValidation:
@@ -137,3 +142,158 @@ class TestKSetInitialCrash:
         run, _ = run_protocol(6, 4, dead={5, 6})
         # threshold is 2, four alive processes: at most 2 source components
         assert 1 <= len(run.distinct_decisions()) <= 2
+
+
+class _ReferenceStep:
+    """The protocol's step as it was before it built one state per step.
+
+    Kept verbatim (a ``dataclasses.replace`` chain, fresh sets every
+    step, a decision attempt on every step with a new report) as the
+    reference the current step is held to.
+    """
+
+    def step(
+        self,
+        state: TwoStageState,
+        delivered: Tuple[object, ...],
+        fd_output: Optional[object] = None,
+    ) -> StepOutput:
+        """One atomic step: absorb messages, advance stages, decide."""
+        if state.has_decided:
+            return StepOutput(state=state)
+
+        processes = tuple(range(1, self.n + 1))
+        outgoing = []
+        heard = set(state.heard_stage1)
+        reports = set(state.reports)
+
+        for message in delivered:
+            payload = message.payload
+            kind = payload[0]
+            if kind == "S1":
+                heard.add(payload[1])
+            elif kind == "S2":
+                _kind, sender, predecessors, value = payload
+                reports.add((sender, tuple(predecessors), value))
+
+        new_reports = len(reports) != len(state.reports)
+        new_state = replace(
+            state, heard_stage1=frozenset(heard), reports=frozenset(reports)
+        )
+
+        if not new_state.sent_stage1:
+            outgoing.extend(
+                broadcast(processes, ("S1", state.pid), exclude=(state.pid,))
+            )
+            new_state = replace(new_state, sent_stage1=True)
+
+        if new_state.stage == 1 and new_state.sent_stage1:
+            if len(new_state.heard_stage1 - {state.pid}) >= self.threshold - 1:
+                predecessors = tuple(sorted(new_state.heard_stage1 - {state.pid}))
+                own_report: Report = (state.pid, predecessors, state.proposal)
+                reports = set(new_state.reports)
+                reports.add(own_report)
+                outgoing.extend(
+                    broadcast(
+                        processes,
+                        ("S2", state.pid, predecessors, state.proposal),
+                        exclude=(state.pid,),
+                    )
+                )
+                new_state = replace(
+                    new_state,
+                    stage=2,
+                    sent_stage2=True,
+                    predecessors=predecessors,
+                    reports=frozenset(reports),
+                )
+                new_reports = True
+
+        # The decision depends only on the report set, so a step that
+        # brought no new report cannot newly complete the closure — skip
+        # the (O(edges)) attempt instead of recomputing the same "not yet".
+        if new_state.stage == 2 and new_reports:
+            decision = self._try_decide(new_state)
+            if decision is not None:
+                new_state = new_state.decide(decision)
+
+        return StepOutput(state=new_state, messages=tuple(outgoing))
+
+    def _try_decide(self, state: TwoStageState) -> Optional[Value]:
+        """Return the decision value once the knowledge closure is complete.
+
+        Works directly on the raw report tuples via
+        :func:`repro.graphs.knowledge_graph.decide_from_reports` — the
+        per-attempt :class:`KnowledgeGraph` (one frozenset per report,
+        rebuilt on every stage-2 step) was the dominant allocation of a
+        Section VI run.  Reports are write-once per process, so the
+        graph's conflicting-report validation has nothing to detect here.
+        """
+        heard_from = {}
+        values = {}
+        for process, predecessors, value in state.reports:
+            heard_from[process] = predecessors
+            values[process] = value
+        return decide_from_reports(state.pid, heard_from, values)
+
+
+class ReferenceKSet(_ReferenceStep, KSetInitialCrash):
+    pass
+
+
+class ReferenceFLP(_ReferenceStep, FLPConsensus):
+    pass
+
+
+@st.composite
+def protocol_runs(draw):
+    """A Section VI or FLP run: n <= 12, an admissible initial-crash set,
+    either scheduler and a budget that may truncate."""
+    n = draw(st.integers(1, 12))
+    consensus = draw(st.booleans())
+    f = draw(st.integers(0, (n - 1) // 2 if consensus else n - 1))
+    dead = draw(st.sets(st.integers(1, n), max_size=f))
+    proposals = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    scheduler = None
+    if draw(st.booleans()):
+        scheduler = dict(
+            seed=draw(st.integers(0, 2 ** 16)),
+            delivery_bias=draw(st.floats(0.0, 1.0)),
+            max_delay=draw(st.integers(0, 30)),
+        )
+    max_steps = draw(st.one_of(st.integers(1, 60), st.integers(61, 2_000)))
+    return consensus, n, f, dead, proposals, scheduler, max_steps
+
+
+def _full_run(algorithm_class, n, f, dead, proposals, scheduler, max_steps):
+    model = initial_crash_model(n, f)
+    return execute(
+        algorithm_class(n, f), model, dict(zip(model.processes, proposals)),
+        adversary=(RandomScheduler(**scheduler) if scheduler is not None
+                   else RoundRobinScheduler()),
+        failure_pattern=FailurePattern.initially_dead(model.processes, dead),
+        settings=ExecutionSettings(
+            max_steps=max_steps, recording=RecordingPolicy.FULL),
+    )
+
+
+class TestStepEqualsReference:
+    """The one-state step is the pre-rewrite step, event for event."""
+
+    @given(protocol_runs())
+    def test_full_run_equals_the_reference_steps_run(self, case):
+        consensus, n, f, dead, proposals, scheduler, max_steps = case
+        current, reference = (
+            (FLPConsensus, ReferenceFLP) if consensus
+            else (KSetInitialCrash, ReferenceKSet))
+        run = _full_run(current, n, f, dead, proposals, scheduler, max_steps)
+        expected = _full_run(reference, n, f, dead, proposals, scheduler, max_steps)
+        event("truncated" if run.truncated else
+              "completed" if run.completed else "stopped")
+        assert run.events == expected.events  # every state_after included
+        assert run.decisions() == expected.decisions()
+        assert run.completed == expected.completed
+        assert run.truncated == expected.truncated
+        assert run.undelivered == expected.undelivered
+        assert (run.step_count, run.sent_total, run.delivered_total) == (
+            expected.step_count, expected.sent_total, expected.delivered_total)

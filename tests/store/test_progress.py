@@ -127,6 +127,17 @@ class RaisingReporter(CollectingProgressReporter):
         raise RuntimeError("reporting is broken")
 
 
+class RaisingStartReporter(CollectingProgressReporter):
+    def campaign_started(self, total):
+        super().campaign_started(total)
+        raise RuntimeError("start hook broken")
+
+
+class RaisingFinishReporter(CollectingProgressReporter):
+    def campaign_finished(self):
+        raise RuntimeError("finish hook broken")
+
+
 class RaisingSession(TelemetrySession):
     def on_event(self, event):
         raise RuntimeError("telemetry is broken")
@@ -134,6 +145,8 @@ class RaisingSession(TelemetrySession):
 
 OBSERVERS = {
     "reporter": lambda: {"progress": RaisingReporter()},
+    "reporter-start": lambda: {"progress": RaisingStartReporter()},
+    "reporter-finish": lambda: {"progress": RaisingFinishReporter()},
     "telemetry": lambda: {"telemetry": RaisingSession()},
 }
 
@@ -170,7 +183,8 @@ RUNS = {
 
 class TestRaisingObservers:
     """An observer that raises is contained on every path a position
-    settles by and changes neither the outcomes nor the journal."""
+    settles by, and when the campaign starts or finishes, and changes
+    neither the outcomes nor the journal."""
 
     @pytest.mark.parametrize("run", list(RUNS))
     @pytest.mark.parametrize("observer", sorted(OBSERVERS))
@@ -193,6 +207,12 @@ class TestRaisingObservers:
         assert ledger.ran + ledger.cached + ledger.skipped == ledger.total
         assert ledger.total == len(specs)
         assert len(caching_warnings) == 1  # once per campaign, not per event
+
+    def test_a_reporter_whose_start_raises_still_sees_every_event(self):
+        reporter = RaisingStartReporter()
+        CachingRunner(MemoryResultStore(), progress=reporter).run(SPECS[:5])
+        assert reporter.snapshot()["completed"] == 5
+        assert len(reporter.events) == 5
 
     def test_a_raising_telemetry_session_still_feeds_the_reporter(self):
         reporter = CollectingProgressReporter()
