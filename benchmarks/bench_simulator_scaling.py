@@ -30,6 +30,15 @@ sizes the pinned-grid test does not reach).  Headlines land in
 like E13; the file and key names predate the fast path and are kept so
 the committed baseline keeps gating.
 
+Every speed-up and overhead ratio here compares engines timed by
+:func:`_best_alternating`: each round times every engine of the
+comparison once, in turn, and each engine keeps its best of
+:data:`ROUNDS` rounds.  A timed run takes tens of milliseconds, so a
+slow phase of a small shared host can outlast a best of three taken one
+engine after the other and land on one side of the ratio only;
+alternating puts every engine through the same phases, and more rounds
+give each a quiet one.
+
 ``test_telemetry_overhead`` guards both sides of the telemetry layer's
 hot-path promise.  *Telemetry off* costs one ``current_tracer()`` call
 per execution and a ``None`` check per step — any creep there erodes
@@ -45,6 +54,7 @@ classifies it lower-is-better.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import pytest
 
@@ -84,13 +94,24 @@ def run_once_legacy(n: int):
     return legacy_execute(algorithm, model, {p: p for p in model.processes})
 
 
-def _best_of(fn, *args, reps=3):
-    best, result = float("inf"), None
-    for _ in range(reps):
-        started = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - started)
-    return best, result
+#: Alternating rounds per comparison; each engine keeps its best round.
+ROUNDS = 7
+
+
+def _best_alternating(*engines):
+    """Time the zero-argument ``engines`` in turn, once per round.
+
+    Returns one ``(best_seconds, result)`` pair per engine, in argument
+    order, where ``result`` is the engine's last return value.
+    """
+    best = [float("inf")] * len(engines)
+    results = [None] * len(engines)
+    for _ in range(ROUNDS):
+        for index, engine in enumerate(engines):
+            started = time.perf_counter()
+            results[index] = engine()
+            best[index] = min(best[index], time.perf_counter() - started)
+    return list(zip(best, results))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -127,10 +148,11 @@ def test_recording_policy_speedup(benchmark):
         rows = []
         payload = {}
         for n in SPEEDUP_SIZES:
-            legacy_seconds, legacy_run = _best_of(run_once_legacy, n)
-            full_seconds, full_run = _best_of(run_once, n, RecordingPolicy.FULL)
-            verdict_seconds, verdict_run = _best_of(
-                run_once, n, RecordingPolicy.VERDICT_ONLY)
+            ((legacy_seconds, legacy_run), (full_seconds, full_run),
+             (verdict_seconds, verdict_run)) = _best_alternating(
+                partial(run_once_legacy, n),
+                partial(run_once, n, RecordingPolicy.FULL),
+                partial(run_once, n, RecordingPolicy.VERDICT_ONLY))
             # identical executions, whatever the engine or policy
             assert verdict_run.completed and full_run.completed and legacy_run.completed
             assert verdict_run.decisions() == full_run.decisions() == legacy_run.decisions()
@@ -204,10 +226,10 @@ def test_batch_kernel_speedup(benchmark):
         payload = {}
         for n in SPEEDUP_SIZES:
             specs = fast_path_specs(n)
-            scalar_seconds, scalar_outcomes = _best_of(
-                lambda s=specs: [scalar_outcome(spec) for spec in s])
-            fast_seconds, fast_outcomes = _best_of(
-                lambda s=specs: [run_scenario(spec) for spec in s])
+            (scalar_seconds, scalar_outcomes), (fast_seconds, fast_outcomes) = (
+                _best_alternating(
+                    lambda s=specs: [scalar_outcome(spec) for spec in s],
+                    lambda s=specs: [run_scenario(spec) for spec in s]))
             # The scalar executor is the oracle: bit-identical outcomes,
             # not merely equal verdicts.
             assert fast_outcomes == scalar_outcomes
@@ -257,9 +279,10 @@ def test_telemetry_overhead(benchmark):
         rows = []
         payload = {}
         for n in SPEEDUP_SIZES:
-            verdict_seconds, verdict_run = _best_of(
-                run_once, n, RecordingPolicy.VERDICT_ONLY)
-            traced_seconds, (traced_run, spans) = _best_of(run_once_traced, n)
+            (verdict_seconds, verdict_run), (traced_seconds, (traced_run, spans)) = (
+                _best_alternating(
+                    partial(run_once, n, RecordingPolicy.VERDICT_ONLY),
+                    partial(run_once_traced, n)))
             # Telemetry observes; it must never influence the schedule.
             assert traced_run.decisions() == verdict_run.decisions()
             assert traced_run.length == verdict_run.length

@@ -36,7 +36,7 @@ from repro.store import (
     CachingRunner,
     EarlyStopPolicy,
     LogProgressReporter,
-    ScenarioFingerprint,
+    fingerprint_spec,
     open_store,
 )
 
@@ -45,7 +45,7 @@ def main() -> None:
     n_values = [4, 5]
     specs = theorem8_specs(n_values, seeds=(1,), max_steps=6_000)
     print(f"campaign: {len(specs)} scenarios over n={n_values}")
-    print(f"  example fingerprint: {ScenarioFingerprint.of(specs[0]).short}… "
+    print(f"  example fingerprint: {fingerprint_spec(specs[0])[:12]}… "
           f"<- {specs[0].label()}")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -37,18 +37,23 @@ persistent store (:mod:`repro.store`) builds on:
   Adaptive budgets (:class:`repro.store.EarlyStopPolicy`) use this to
   stop sampling a sweep point once its outcome is certified.
 
-The process backend keeps at most ``2 × workers`` chunks outstanding
-instead of issuing one bulk ``pool.map``: results arrive as they
-complete, which keeps ``on_settle`` persistence incremental and lets
-``should_skip`` see the outcomes observed so far when deciding whether a
-later chunk still needs to run.  The supervisor bounds every wait,
-gives in-flight chunks deadlines, re-queues the work of dead or hung
-workers under the runner's :class:`~repro.faults.plan.RetryPolicy`,
-bisects persistently failing chunks down to the guilty spec (which is
-quarantined into an ``"error"`` outcome), and degrades a broken pool to
-in-process execution instead of aborting.  The optional
-``CampaignRunner(faults=FaultPlan(...))`` injects deterministic chaos
-through the same machinery — see :mod:`repro.faults`.
+The runner decides the backend, the worker count and the chunking; the
+supervisor owns the pool from fork to teardown.  It keeps at most
+``2 × workers`` chunks outstanding instead of issuing one bulk
+``pool.map``: results arrive as they complete, which keeps
+``on_settle`` persistence incremental and lets ``should_skip`` see the
+outcomes observed so far when deciding whether a later chunk still
+needs to run.  The supervisor bounds every wait, gives in-flight chunks
+deadlines, re-queues the work of dead or hung workers under the
+runner's :class:`~repro.faults.plan.RetryPolicy`, bisects persistently
+failing chunks down to the guilty spec (which is quarantined into an
+``"error"`` outcome), and degrades a broken pool to in-process
+execution instead of aborting.  A task is a pure function of its
+arguments: the telemetry slice, the fault plan and whether it runs in a
+pool worker all arrive with each call, and workers hold no state of
+their own.  The optional ``CampaignRunner(faults=FaultPlan(...))``
+injects deterministic chaos through the same machinery — see
+:mod:`repro.faults`.
 
 The executor is CPU-bound pure Python, so the process backend is the one
 that scales with cores; there is deliberately no thread backend (the GIL
@@ -58,10 +63,7 @@ would serialise it anyway).
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -74,7 +76,6 @@ from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultPlan, FaultStats, RetryPolicy
 from repro.faults.supervisor import DispatchStats, Supervisor
 from repro.provenance.usage import ResourceUsage
-from repro.telemetry.logs import get_logger
 from repro.telemetry.session import WorkerTelemetry
 from repro.telemetry.spans import SpanRecord, Tracer, activated
 
@@ -196,31 +197,6 @@ def _run_sharing(spec: ScenarioSpec, runs: Optional[RunMemo]) -> ScenarioOutcome
         return ScenarioOutcome.from_error(spec, exc)
 
 
-_log = get_logger("campaign.runner")
-
-#: Worker-side telemetry slice (campaign id + sampling stride).  ``None``
-#: unless the campaign runs with telemetry; spans travel on task results.
-_WORKER_TELEMETRY: Optional[WorkerTelemetry] = None
-
-#: Worker-side fault plan.  ``None`` in the calling process and on
-#: fault-free campaigns; pool workers receive the campaign's plan at fork.
-_WORKER_FAULTS: Optional[FaultPlan] = None
-
-#: ``True`` only inside pool worker processes.  Gates the worker-level
-#: fault kinds (crash/hang): injecting them into the calling process
-#: would take the campaign down instead of exercising the supervisor.
-_IN_POOL_WORKER = False
-
-
-def _init_worker(telemetry: Optional[WorkerTelemetry] = None,
-                 faults: Optional[FaultPlan] = None) -> None:
-    """Pool initializer: install this worker's telemetry slice and chaos."""
-    global _WORKER_TELEMETRY, _WORKER_FAULTS, _IN_POOL_WORKER
-    _WORKER_TELEMETRY = telemetry
-    _WORKER_FAULTS = faults
-    _IN_POOL_WORKER = True
-
-
 #: What a task ships back per scenario: the pid of the process that ran
 #: it and the spans it recorded (empty unless sampled).
 Shipped = Tuple[int, Tuple[SpanRecord, ...]]
@@ -231,6 +207,7 @@ def _run_batch(
     telemetry: Optional[WorkerTelemetry] = None,
     attempt: int = 1,
     faults: Optional[FaultPlan] = None,
+    in_worker: bool = False,
 ) -> Tuple[List[ScenarioOutcome], List[float], List[Shipped]]:
     """Task entry point: run a chunk of specs, timing each scenario.
 
@@ -245,12 +222,14 @@ def _run_batch(
     built here:
     the parent builds each :class:`ScenarioEvent` from its own spec when
     the slot settles, so only plain data crosses the pool pipe in
-    either direction.  The calling process passes ``telemetry`` and
-    ``faults`` explicitly; pool workers leave them ``None`` and fall
-    back to the settings :func:`_init_worker` installed.  ``attempt`` is
-    the supervisor's retry count for this submission: planned faults
-    fire *before* a scenario executes, so a crashed or raising task
-    never produced a partial outcome for the scenario that triggered it.
+    either direction.  The supervisor passes every setting as an
+    argument, inline and on the pool alike: ``telemetry`` and
+    ``faults`` are the campaign's, ``attempt`` is its retry count for
+    this submission, and ``in_worker`` is ``True`` only in a pool
+    worker, the one place a worker-level fault (crash, hang) may fire
+    without taking the campaign down.  Planned faults fire *before* a
+    scenario executes, so a crashed or raising task never produced a
+    partial outcome for the scenario that triggered it.
 
     For each *sampled* scenario a fresh :class:`Tracer` is activated
     around the execution — the scenario root span nests the executor's
@@ -259,8 +238,6 @@ def _run_batch(
     entry.  Unsampled scenarios run with no ambient tracer at all, the
     same zero-overhead path as telemetry-off campaigns.
     """
-    telem = telemetry if telemetry is not None else _WORKER_TELEMETRY
-    plan = faults if faults is not None else _WORKER_FAULTS
     pid = os.getpid()
     outcomes: List[ScenarioOutcome] = []
     timings: List[float] = []
@@ -268,12 +245,12 @@ def _run_batch(
     # A one-spec task has nothing to share: it runs the reference path.
     runs: Optional[RunMemo] = {} if len(specs) > 1 else None
     for spec in specs:
-        if plan is not None:
-            plan.perform(spec, attempt, in_worker=_IN_POOL_WORKER)
+        if faults is not None:
+            faults.perform(spec, attempt, in_worker=in_worker)
         spans: Tuple[SpanRecord, ...] = ()
         started = time.perf_counter()
-        if telem is not None and telem.samples(spec):
-            tracer = Tracer(trace_id=telem.campaign)
+        if telemetry is not None and telemetry.samples(spec):
+            tracer = Tracer(trace_id=telemetry.campaign)
             with activated(tracer):
                 with tracer.span(
                     "scenario", label=spec.label(), kind=spec.kind,
@@ -573,23 +550,19 @@ class CampaignRunner:
             size = self._effective_chunk_size(len(specs), workers)
         else:  # serial and single-worker runs: one spec per task
             size = 1
-        stats = FaultStats()
-        dispatch = DispatchStats()
         # Slots are filled by position as they settle; two flat lists
         # keep the bookkeeping of a large campaign small.
         outcomes_at: List[Optional[ScenarioOutcome]] = [None] * len(specs)
         seconds_at = [0.0] * len(specs)
         supervisor = Supervisor(
-            retry=self._retry_policy(), faults=self.faults, stats=stats,
+            retry=self.retry, faults=self.faults,
             record=_recorder(specs, outcomes_at, seconds_at, on_settle),
-            telemetry=telemetry, max_outstanding=max(2, workers * 2),
-            dispatch=dispatch)
+            telemetry=telemetry)
         tasks = _tasks(specs, size, should_skip)
         started = time.perf_counter()
         if workers > 1 and specs:
-            workers = self._run_on_pool(
-                supervisor, tasks, min(workers, -(-len(specs) // size)),
-                telemetry)
+            workers = supervisor.run_pool(
+                tasks, min(workers, -(-len(specs) // size)))
         else:
             supervisor.run_inline(tasks)
         elapsed = time.perf_counter() - started
@@ -601,8 +574,8 @@ class CampaignRunner:
             workers=workers,
             elapsed_seconds=elapsed,
             scenario_seconds=tuple(seconds_at[i] for i in settled),
-            fault_stats=stats,
-            dispatch_stats=dispatch,
+            fault_stats=supervisor.stats,
+            dispatch_stats=supervisor.dispatch,
         )
 
     # -- internals ---------------------------------------------------------
@@ -618,82 +591,3 @@ class CampaignRunner:
         if total == 0:
             return 1
         return max(1, -(-total // max(1, workers * 4)))
-
-    def _retry_policy(self) -> RetryPolicy:
-        return self.retry if self.retry is not None else RetryPolicy()
-
-    def _run_on_pool(
-        self,
-        supervisor: Supervisor,
-        tasks: Iterator[Tuple],
-        processes: int,
-        telemetry: Optional[WorkerTelemetry],
-    ) -> int:
-        """Run ``tasks`` on a pool of ``processes`` workers; return the
-        pool size actually started (1 when the host forbids forking).
-
-        The supervisor owns the dispatch loop — bounded waits, per-task
-        deadlines, retry/bisection/quarantine, worker-death re-queueing,
-        in-process degradation when the pool breaks — while this method
-        owns the pool's lifecycle: fork context, worker initializer
-        (telemetry slice + fault plan) and uniform, deadlock-free
-        teardown.  Tasks cross the pipe as plain pickled spec tuples and
-        come back as plain ``(outcomes, timings, shipped)`` data.
-        """
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        else:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        try:
-            pool = context.Pool(
-                processes=processes,
-                initializer=_init_worker,
-                initargs=(telemetry, self.faults),
-            )
-        except (OSError, PermissionError):  # pragma: no cover - locked-down hosts
-            # Environments that forbid forking still get a correct (if
-            # serial) campaign rather than a crash.
-            supervisor.run_inline(tasks)
-            return 1
-        try:
-            supervisor.run_pool(pool, tasks)
-        finally:
-            self._teardown_pool(pool)
-        return processes
-
-    def _teardown_pool(self, pool) -> None:
-        """Uniform pool teardown, safe on every exit path.
-
-        Workers get a bounded join after ``close()``, with a logged
-        warning when they are still running.  Even ``terminate()`` gets a
-        bounded wait: a worker SIGKILLed while blocked in the shared task
-        queue's ``get()`` dies *holding* the queue's reader lock, and
-        ``Pool._terminate_pool`` then deadlocks trying to acquire it.
-        The terminate runs on a daemon thread; if it wedges, the
-        remaining workers are SIGKILLed directly and the wedged thread is
-        abandoned (every handler thread it could be waiting on is a
-        daemon too).
-        """
-        grace = self._retry_policy().teardown_grace_seconds
-        pool.close()
-        joiner = threading.Thread(target=pool.join, daemon=True)
-        joiner.start()
-        joiner.join(timeout=grace)
-        if joiner.is_alive():
-            _log.warning(
-                "pool workers still running %.1fs after close (hung or "
-                "saturated); terminating them", grace)
-        terminator = threading.Thread(target=pool.terminate, daemon=True)
-        terminator.start()
-        terminator.join(timeout=max(grace, 1.0))
-        if terminator.is_alive():  # pragma: no cover - needs a wedged queue lock
-            _log.error(
-                "pool terminate wedged — a killed worker can die holding "
-                "the shared task-queue lock; force-killing remaining "
-                "workers")
-            for proc in list(getattr(pool, "_pool", None) or []):
-                try:
-                    os.kill(proc.pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError, TypeError):
-                    pass
-            terminator.join(timeout=max(grace, 1.0))

@@ -189,7 +189,7 @@ class ScenarioSpec:
         """The full canonical identity of the scenario, as a plain tuple.
 
         This is the value the persistent store fingerprints
-        (:class:`repro.store.ScenarioFingerprint`): two specs with equal
+        (:func:`repro.store.fingerprint_spec`): two specs with equal
         identities produce equal outcomes, so one may be served from
         cache in place of the other.  Unlike :meth:`derived_seed` it
         *includes* ``max_steps`` — truncation (and therefore the outcome)

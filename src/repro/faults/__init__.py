@@ -10,7 +10,9 @@ The package has two halves:
 * :mod:`repro.faults.supervisor` — the *tolerance* side: the
   :class:`Supervisor` dispatch loop the campaign runner executes on,
   with bounded waits, per-task deadlines, worker-death detection,
-  retry/bisection and poison-spec quarantine.
+  retry/bisection and poison-spec quarantine.  It owns the worker pool
+  from fork to teardown and passes every task its telemetry slice,
+  fault plan and worker flag as arguments.
 
 ``CampaignRunner(faults=FaultPlan(...), retry=RetryPolicy(...))``
 threads both through every backend; the headline invariant (pinned in

@@ -1,10 +1,11 @@
 """The supervised dispatch loop shared by the campaign backends.
 
 :class:`Supervisor` owns the part of campaign execution that has to stay
-correct when infrastructure misbehaves: it submits tasks (``(fn, specs,
-slot indices)`` triples) to a ``multiprocessing`` pool — or runs them
-inline — and guarantees that **every slot settles exactly once**, no
-matter how many times its task crashes, hangs, raises or is re-queued:
+correct when infrastructure misbehaves.  It runs tasks (``(fn, specs,
+slot indices)`` triples) inline or on a worker pool that it owns from
+fork to teardown, and guarantees that **every slot settles exactly
+once**, no matter how many times its task crashes, hangs, raises or is
+re-queued:
 
 * every wait on the completion queue is bounded by
   :attr:`~repro.faults.plan.RetryPolicy.wake_seconds`, so a SIGKILLed
@@ -22,10 +23,16 @@ matter how many times its task crashes, hangs, raises or is re-queued:
   **bisected**, and a single spec that still fails is **quarantined**
   into an ``"error"`` outcome instead of aborting the campaign;
 * if the pool itself breaks (``apply_async`` starts raising), the
-  supervisor degrades to in-process execution and finishes the campaign.
+  supervisor degrades to in-process execution and finishes the campaign;
+* the pool's workers are forked with no initializer and no state of
+  their own, and torn down with bounded waits on every exit path.
 
-Task functions return ``(outcomes, timings, payloads)``, one entry per
-spec.  A slot's payload is opaque here — the campaign runner ships each
+A task function is called as ``fn(specs, telemetry, attempt=...,
+faults=..., in_worker=...)`` with the supervisor's telemetry slice and
+fault plan, on the pool and inline alike; ``in_worker`` is ``True`` only
+in a pool worker, where worker-level faults (crash, hang) may fire.  It
+returns ``(outcomes, timings, payloads)``, one entry per spec.  A
+slot's payload is opaque here — the campaign runner ships each
 scenario's worker pid and spans in it and builds the settled event
 from it — and settles with its outcome: the first result wins, so the
 payload of a retried or late duplicate task is dropped with its
@@ -40,8 +47,12 @@ that builds it.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
 import queue as queue_module
+import signal
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -136,13 +147,14 @@ class SupervisedTask:
 class Supervisor:
     """Fault-tolerant executor of ``(fn, specs, indices)`` tasks.
 
-    One instance supervises one campaign run: it accumulates the
-    :class:`~repro.faults.plan.FaultStats` for the run and remembers
-    which slots already settled (so retries, zombies and the in-process
-    fallback can never double-deliver an outcome or its payload).
+    One instance supervises one campaign run: it accumulates the run's
+    :class:`~repro.faults.plan.FaultStats` (:attr:`stats`) and
+    :class:`DispatchStats` (:attr:`dispatch`) and remembers which slots
+    already settled (so retries, zombies and the in-process fallback can
+    never double-deliver an outcome or its payload).
 
-    ``telemetry`` and ``faults`` are what tasks run inline are called
-    with; pool workers get the same settings from the pool initializer.
+    ``telemetry`` and ``faults`` are passed to every task call, inline
+    and on the pool alike.
     """
 
     def __init__(
@@ -150,19 +162,15 @@ class Supervisor:
         *,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
-        stats: Optional[FaultStats] = None,
         record: RecordHook,
         telemetry=None,
-        max_outstanding: int = 4,
-        dispatch: Optional[DispatchStats] = None,
     ) -> None:
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
-        self.stats = stats if stats is not None else FaultStats()
+        self.stats = FaultStats()
+        self.dispatch = DispatchStats()
         self._record = record
         self._telemetry = telemetry
-        self._max_outstanding = max(1, max_outstanding)
-        self.dispatch = dispatch if dispatch is not None else DispatchStats()
         self._log = get_logger("faults.supervisor")
         self._settled: Set[int] = set()
         self._next_id = 0
@@ -252,8 +260,8 @@ class Supervisor:
             current = stack.pop(0)
             try:
                 outcomes, timings, payloads = current.fn(
-                    current.specs, self._telemetry,
-                    attempt=current.attempt, faults=self.faults)
+                    current.specs, self._telemetry, attempt=current.attempt,
+                    faults=self.faults, in_worker=False)
             except Exception as exc:  # noqa: BLE001 - that's the job
                 # No backoff sleeps inline: injected faults are
                 # deterministic per attempt, waiting buys nothing.
@@ -263,8 +271,34 @@ class Supervisor:
 
     # -- pool execution ----------------------------------------------------
 
-    def run_pool(self, pool, tasks: Iterable[TaskSpec]) -> None:
-        """Supervised dispatch of ``tasks`` onto a multiprocessing pool.
+    def run_pool(self, tasks: Iterable[TaskSpec], processes: int) -> int:
+        """Run ``tasks`` on a pool of ``processes`` forked workers.
+
+        Returns the pool size started: ``processes``, or 1 when the host
+        cannot fork and every task ran in the calling process instead.
+        The pool lives for this call only; it is torn down on every exit
+        path, the campaign's errors included.
+        """
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+        else:  # pragma: no cover - non-POSIX platforms
+            context = multiprocessing.get_context()
+        try:
+            pool = context.Pool(processes=processes)
+        except OSError:
+            # Environments that forbid forking still get a correct (if
+            # serial) campaign rather than a crash.
+            self.run_inline(tasks)
+            return 1
+        try:
+            self._feed(pool, tasks, 2 * processes)
+        finally:
+            self._teardown_pool(pool)
+        return processes
+
+    def _feed(self, pool, tasks: Iterable[TaskSpec], outstanding: int) -> None:
+        """Supervised dispatch of ``tasks`` onto ``pool``, keeping at most
+        ``outstanding`` of them in flight.
 
         Never blocks unboundedly: the completion wait is capped at
         ``wake_seconds``, after which worker liveness and task deadlines
@@ -296,7 +330,9 @@ class Supervisor:
             task_id = task.task_id
             try:
                 pool.apply_async(
-                    task.fn, (task.specs,), {"attempt": task.attempt},
+                    task.fn, (task.specs, self._telemetry),
+                    {"attempt": task.attempt, "faults": self.faults,
+                     "in_worker": True},
                     callback=lambda result, t=task_id: done.put((t, result, None)),
                     error_callback=lambda exc, t=task_id: done.put((t, None, exc)),
                 )
@@ -330,7 +366,7 @@ class Supervisor:
 
         try:
             while True:
-                while len(inflight) < self._max_outstanding:
+                while len(inflight) < outstanding:
                     task = next_ready()
                     if task is None:
                         break
@@ -432,6 +468,43 @@ class Supervisor:
                                    attempt=task.attempt)
             waiting.extend(self._after_failure(
                 clone, TimeoutError("no result before task deadline")))
+
+    def _teardown_pool(self, pool) -> None:
+        """Uniform pool teardown, safe on every exit path.
+
+        Workers get a bounded join after ``close()``, with a logged
+        warning when they are still running.  Even ``terminate()`` gets a
+        bounded wait: a worker SIGKILLed while blocked in the shared task
+        queue's ``get()`` dies *holding* the queue's reader lock, and
+        ``Pool._terminate_pool`` then deadlocks trying to acquire it.
+        The terminate runs on a daemon thread; if it wedges, the
+        remaining workers are SIGKILLed directly and the wedged thread is
+        abandoned (every handler thread it could be waiting on is a
+        daemon too).
+        """
+        grace = self.retry.teardown_grace_seconds
+        pool.close()
+        joiner = threading.Thread(target=pool.join, daemon=True)
+        joiner.start()
+        joiner.join(timeout=grace)
+        if joiner.is_alive():
+            self._log.warning(
+                "pool workers still running %.1fs after close (hung or "
+                "saturated); terminating them", grace)
+        terminator = threading.Thread(target=pool.terminate, daemon=True)
+        terminator.start()
+        terminator.join(timeout=max(grace, 1.0))
+        if terminator.is_alive():  # pragma: no cover - needs a wedged queue lock
+            self._log.error(
+                "pool terminate wedged — a killed worker can die holding "
+                "the shared task-queue lock; force-killing remaining "
+                "workers")
+            for pid in self._pool_pids(pool) or ():
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except (ProcessLookupError, PermissionError, TypeError):
+                    pass  # already gone, or not started (no pid yet)
+            terminator.join(timeout=max(grace, 1.0))
 
     @staticmethod
     def _pool_pids(pool) -> Optional[Set[int]]:

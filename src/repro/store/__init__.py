@@ -38,7 +38,7 @@ resume with no code of its own.
 
 from repro.store.base import ResultStore, open_store
 from repro.store.caching import CacheStats, CachingRunner
-from repro.store.fingerprint import SCHEMA_VERSION, ScenarioFingerprint, fingerprint_spec
+from repro.store.fingerprint import SCHEMA_VERSION, fingerprint_spec
 from repro.store.jsonl import JsonlResultStore
 from repro.store.memory import MemoryResultStore
 from repro.store.policy import EarlyStopPolicy, point_key
@@ -51,7 +51,6 @@ from repro.store.sqlite import SqliteResultStore
 
 __all__ = [
     "SCHEMA_VERSION",
-    "ScenarioFingerprint",
     "fingerprint_spec",
     "ResultStore",
     "open_store",

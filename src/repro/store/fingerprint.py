@@ -1,12 +1,12 @@
 """Content-addressed scenario identity.
 
-A :class:`ScenarioFingerprint` is the stable sha256 of a scenario's full
-canonical identity (:meth:`repro.campaign.spec.ScenarioSpec.identity`),
-using the same ``repr``-of-a-canonical-tuple blob construction as
-:meth:`~repro.campaign.spec.ScenarioSpec.derived_seed`.  Its digest
-string, which :func:`fingerprint_spec` returns, is the key under which
-the persistent store files outcomes, which gives the cache its
-correctness argument for free:
+:func:`fingerprint_spec` returns the stable sha256 digest of a
+scenario's full canonical identity
+(:meth:`repro.campaign.spec.ScenarioSpec.identity`), using the same
+``repr``-of-a-canonical-tuple blob construction as
+:meth:`~repro.campaign.spec.ScenarioSpec.derived_seed`.  That digest
+string is the key under which the persistent store files outcomes,
+which gives the cache its correctness argument for free:
 
 * **Stability.**  The identity tuple contains only canonicalised plain
   data (sorted crash pairs, sorted params), so the fingerprint does not
@@ -25,12 +25,10 @@ correctness argument for free:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from repro.campaign.spec import ScenarioSpec
-from repro.exceptions import ConfigurationError
 
-__all__ = ["SCHEMA_VERSION", "ScenarioFingerprint", "fingerprint_spec"]
+__all__ = ["SCHEMA_VERSION", "fingerprint_spec"]
 
 #: Bump on any change to ``ScenarioSpec``'s fields, their meaning, or the
 #: canonicalisation behind :meth:`ScenarioSpec.identity` — stored results
@@ -43,32 +41,6 @@ __all__ = ["SCHEMA_VERSION", "ScenarioFingerprint", "fingerprint_spec"]
 #: next to a separate spec field, so version-3 rows are dead rows that
 #: every read skips and compaction drops.
 SCHEMA_VERSION = 4
-
-
-@dataclass(frozen=True)
-class ScenarioFingerprint:
-    """A 64-hex-character sha256 digest naming one scenario's identity."""
-
-    digest: str
-
-    def __post_init__(self) -> None:
-        if len(self.digest) != 64 or any(c not in "0123456789abcdef" for c in self.digest):
-            raise ConfigurationError(
-                f"a scenario fingerprint is 64 lowercase hex characters, got {self.digest!r}"
-            )
-
-    @classmethod
-    def of(cls, spec: ScenarioSpec) -> "ScenarioFingerprint":
-        """Fingerprint a spec (stable across processes and sessions)."""
-        return cls(fingerprint_spec(spec))
-
-    @property
-    def short(self) -> str:
-        """A 12-character prefix for logs and progress lines."""
-        return self.digest[:12]
-
-    def __str__(self) -> str:
-        return self.digest
 
 
 def fingerprint_spec(spec: ScenarioSpec) -> str:

@@ -20,7 +20,7 @@ without a policy.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 from repro.campaign.spec import ScenarioOutcome, ScenarioSpec
 from repro.exceptions import ConfigurationError
@@ -31,7 +31,7 @@ _VERDICTS = frozenset({"ok", "violation", "error"})
 
 
 def point_key(spec: ScenarioSpec) -> Tuple[str, int, int, int]:
-    """Default grouping: one budget per ``(kind, n, f, k)``.
+    """A spec's budget group: one budget per ``(kind, n, f, k)``.
 
     The kind is part of the key on purpose: the solvable and impossible
     constructions of a border sweep share parameter points but answer
@@ -50,20 +50,18 @@ class EarlyStopPolicy:
         border-sweep case, where one violation settles the point).
         ``"error"`` is deliberately not a certifier by default: an
         execution failure is evidence of nothing.
-    key:
-        Maps a spec to its budget group (default: :func:`point_key`).
 
-    The policy is driven by the campaign machinery: ``observe`` for every
-    outcome (cached and fresh, in the calling process), ``should_skip``
-    once per pending scenario at dispatch time.  Both run on the
-    caller's thread — no locking needed.
+    Each spec's budget group is its :func:`point_key`.  The policy is
+    driven by the campaign machinery: ``observe`` for every outcome
+    (cached and fresh, in the calling process), ``should_skip`` once per
+    pending scenario at dispatch time.  Both run on the caller's thread
+    — no locking needed.
     """
 
     def __init__(
         self,
         *,
         stop_on: Iterable[str] = ("violation",),
-        key: Callable[[ScenarioSpec], Hashable] = point_key,
     ):
         self._stop_on = frozenset(stop_on)
         unknown = self._stop_on - _VERDICTS
@@ -72,7 +70,6 @@ class EarlyStopPolicy:
                 f"stop_on must be a non-empty subset of {sorted(_VERDICTS)}, "
                 f"got {sorted(stop_on)!r}"
             )
-        self._key = key
         self._certified: Dict[Hashable, str] = {}
         self._skipped: List[ScenarioSpec] = []
 
@@ -81,11 +78,11 @@ class EarlyStopPolicy:
     def observe(self, outcome: ScenarioOutcome) -> None:
         """Record an outcome; a ``stop_on`` verdict certifies its point."""
         if outcome.verdict in self._stop_on:
-            self._certified.setdefault(self._key(outcome.spec), outcome.verdict)
+            self._certified.setdefault(point_key(outcome.spec), outcome.verdict)
 
     def should_skip(self, spec: ScenarioSpec) -> bool:
         """Skip (and record) a scenario whose point is already certified."""
-        if self._key(spec) in self._certified:
+        if point_key(spec) in self._certified:
             self._skipped.append(spec)
             return True
         return False

@@ -51,6 +51,9 @@ class TestQuarantineSurfacing:
             telemetry=telemetry,
         )
         result = runner.run(SPECS)
+        # Close the journal only: closing a MemoryResultStore clears the
+        # rows the callers read afterwards.
+        runner.journal.close()
         return poisoned, journal_path, telemetry, runner, result
 
     def test_quarantine_reaches_result_journal_and_telemetry(self, tmp_path):
@@ -151,8 +154,9 @@ class TestFaultyStoreTolerance:
         faulty = FaultyStore(MemoryResultStore(),
                              FaultPlan(store_failure_rate=1.0))
         journal_path = tmp_path / "journal.jsonl"
-        runner = CachingRunner(faulty, CampaignRunner(), journal=journal_path)
-        runner.run(SPECS)
+        with CachingRunner(faulty, CampaignRunner(),
+                           journal=journal_path) as runner:
+            runner.run(SPECS)
         replay = replay_ledger(read_journal(journal_path))
         ledger = replay.campaigns[runner.last_campaign_id]
         assert ledger.stats.get("store_write_failures") == len(SPECS)
@@ -195,7 +199,7 @@ class TestChaoticCachingEquality:
             journal=journal_path,
         )
         result = runner.run(SPECS)
-        store.close()
+        runner.close()
         assert result == BASELINE
         assert result.fault_stats.task_retries >= 1
 

@@ -1,18 +1,23 @@
-"""Supervisor unit contracts: settle-once, retry, bisect, quarantine.
+"""Supervisor unit contracts: settle-once, retry, bisect, quarantine,
+and the pool it owns.
 
-These exercise the supervision state machine in-process with scripted
-task functions — no pool, no fault plan — so each transition (retry
-with backoff accounting, bisection re-attribution, quarantine as an
-``"error"`` outcome) is pinned in isolation from the chaos machinery.
+Most of these exercise the supervision state machine in-process with
+scripted task functions — no pool, no fault plan — so each transition
+(retry with backoff accounting, bisection re-attribution, quarantine as
+an ``"error"`` outcome) is pinned in isolation from the chaos machinery.
+``TestPoolOwnership`` pins what a task learns of where it runs and the
+campaign that a host unable to fork still completes.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
-from repro.campaign import theorem8_specs
+from repro.campaign import CampaignRunner, theorem8_specs
 from repro.campaign.spec import ScenarioOutcome
-from repro.faults import FaultStats, RetryPolicy, Supervisor
+from repro.faults import RetryPolicy, Supervisor
 from repro.faults.supervisor import QuarantineError
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)[:6]
@@ -65,12 +70,10 @@ class TestInline:
             return [_ok(s) for s in specs], [0.0] * len(specs), [None] * len(specs)
 
         results = {}
-        stats = FaultStats()
-        supervisor = Supervisor(retry=_policy(), stats=stats,
-                                record=_recorder(results))
+        supervisor = Supervisor(retry=_policy(), record=_recorder(results))
         supervisor.run_inline([(flaky, tuple(SPECS), tuple(range(len(SPECS))))])
         assert calls == [1, 2]
-        assert stats.task_retries == 1
+        assert supervisor.stats.task_retries == 1
         assert len(results) == len(SPECS)
 
     def test_persistent_chunk_failure_bisects_to_the_guilty_spec(self):
@@ -82,13 +85,12 @@ class TestInline:
             return [_ok(s) for s in specs], [0.0] * len(specs), [None] * len(specs)
 
         results = {}
-        stats = FaultStats()
-        supervisor = Supervisor(retry=_policy(max_attempts=2), stats=stats,
+        supervisor = Supervisor(retry=_policy(max_attempts=2),
                                 record=_recorder(results))
         supervisor.run_inline([(poisoned, tuple(SPECS), tuple(range(len(SPECS))))])
 
-        assert stats.quarantined == 1
-        assert stats.bisections >= 1
+        assert supervisor.stats.quarantined == 1
+        assert supervisor.stats.bisections >= 1
         assert len(results) == len(SPECS)  # nothing lost, nothing doubled
         bad = results[2]
         assert bad.verdict == "error"
@@ -104,13 +106,12 @@ class TestInline:
             raise RuntimeError("never works")
 
         results = {}
-        stats = FaultStats()
-        supervisor = Supervisor(retry=_policy(max_attempts=3), stats=stats,
+        supervisor = Supervisor(retry=_policy(max_attempts=3),
                                 record=_recorder(results))
         supervisor.run_inline([(always_fails, (SPECS[0],), (0,))])
         assert attempts == [1, 2, 3]
-        assert stats.task_retries == 2
-        assert stats.quarantined == 1
+        assert supervisor.stats.task_retries == 2
+        assert supervisor.stats.quarantined == 1
         assert results[0].verdict == "error"
         assert "never works" in results[0].error
 
@@ -148,6 +149,37 @@ class TestInline:
     def test_empty_tasks_are_skipped(self):
         supervisor = Supervisor(retry=_policy(), record=_recorder({}))
         supervisor.run_inline([(lambda *a, **k: ([], [], []), (), ())])
+
+
+def _where(specs, telemetry=None, *, attempt=1, faults=None, in_worker=False):
+    """A scripted task whose outcome for each slot is its ``in_worker``.
+
+    Module-level, so a pool can ship it by reference.
+    """
+    return [in_worker] * len(specs), [0.0] * len(specs), [None] * len(specs)
+
+
+class TestPoolOwnership:
+    def test_only_pool_tasks_are_told_they_run_in_a_worker(self):
+        tasks = [(_where, tuple(SPECS[i:i + 2]), tuple(range(i, i + 2)))
+                 for i in range(0, len(SPECS), 2)]
+        pooled, inline = {}, {}
+        supervisor = Supervisor(retry=_policy(), record=_recorder(pooled))
+        assert supervisor.run_pool(tasks, 2) == 2
+        assert pooled == {index: True for index in range(len(SPECS))}
+        assert supervisor.dispatch.tasks_shipped == len(tasks)
+        Supervisor(retry=_policy(), record=_recorder(inline)).run_inline(tasks)
+        assert inline == {index: False for index in range(len(SPECS))}
+
+    def test_a_host_that_cannot_fork_runs_the_campaign_inline(self, monkeypatch):
+        def no_fork(*args, **kwargs):
+            raise OSError("fork forbidden")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", no_fork)
+        result = CampaignRunner(backend="process", workers=2).run(SPECS)
+        assert result == CampaignRunner().run(SPECS)
+        assert result.workers == 1
+        assert not result.dispatch_stats.any()
 
 
 class TestQuarantineError:

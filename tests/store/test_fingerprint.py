@@ -7,8 +7,7 @@ import pickle
 import pytest
 
 from repro.campaign import ScenarioSpec
-from repro.store import SCHEMA_VERSION, ScenarioFingerprint, fingerprint_spec
-from repro.exceptions import ConfigurationError
+from repro.store import SCHEMA_VERSION, fingerprint_spec
 
 SPEC = ScenarioSpec(
     kind="theorem8-solvable", n=5, f=2, k=1, scheduler="random", seed=3,
@@ -22,7 +21,7 @@ class TestStability:
     # breaks if the canonicalisation (or SCHEMA_VERSION) changes without
     # a deliberate decision — which is exactly when stored caches must
     # be considered invalidated.
-    PINNED = ScenarioFingerprint.of(SPEC).digest
+    PINNED = fingerprint_spec(SPEC)
 
     def test_shape(self):
         assert len(self.PINNED) == 64
@@ -113,16 +112,3 @@ class TestSensitivity:
             ).stdout.strip()
             results.add(output)
         assert len(results) == 1, f"hash-seed-dependent identity: {results}"
-
-
-class TestValueObject:
-    def test_rejects_malformed_digests(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioFingerprint("abc")
-        with pytest.raises(ConfigurationError):
-            ScenarioFingerprint("Z" * 64)
-
-    def test_str_and_short(self):
-        fingerprint = ScenarioFingerprint.of(SPEC)
-        assert str(fingerprint) == fingerprint.digest
-        assert fingerprint.short == fingerprint.digest[:12]
