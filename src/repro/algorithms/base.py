@@ -77,20 +77,40 @@ class ProcessState:
         return dataclasses.replace(self, decision=value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Outgoing:
-    """One message produced by the message sending function."""
+    """One message produced by the message sending function.
+
+    Built once per message sent, so, like
+    :class:`~repro.simulation.message.Message`, its constructor fills
+    the instance dict directly instead of calling ``object.__setattr__``
+    per field; the dataclass is otherwise as generated.
+    """
 
     receiver: ProcessId
     payload: object
 
+    def __init__(self, receiver: ProcessId, payload: object) -> None:
+        attrs = self.__dict__
+        attrs["receiver"] = receiver
+        attrs["payload"] = payload
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class StepOutput:
-    """Result of one atomic step: the new state plus outgoing messages."""
+    """Result of one atomic step: the new state plus outgoing messages.
+
+    Built once per step; its constructor fills the instance dict
+    directly, as :class:`Outgoing`'s does.
+    """
 
     state: ProcessState
     messages: Tuple[Outgoing, ...] = ()
+
+    def __init__(self, state: ProcessState, messages: Tuple[Outgoing, ...] = ()) -> None:
+        attrs = self.__dict__
+        attrs["state"] = state
+        attrs["messages"] = messages
 
 
 def send(receiver: ProcessId, payload: object) -> Outgoing:

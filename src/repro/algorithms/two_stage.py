@@ -26,18 +26,22 @@ exactly on the solvable side of Theorem 8.
 
 :meth:`TwoStageKnowledgeProtocol.step` is the scalar executor's hot path
 on every Section VI run, so it builds one state per step and skips the
-decision attempts that cannot succeed (see its docstring for why).
+decision attempts that cannot succeed (see its docstring for why).  A
+decision attempt walks the owner's knowledge closure once; the
+source-component pass then runs once per distinct complete closure per
+execution, because the protocol instance caches each closure's decision
+under the closure's reports (see ``_try_decide``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.algorithms.base import Algorithm, Outgoing, ProcessState, StepOutput
 from repro.exceptions import ConfigurationError
-from repro.graphs.knowledge_graph import decide_from_reports
-from repro.types import ProcessId, Value
+from repro.graphs.knowledge_graph import closure_decision, complete_closure
+from repro.types import UNDECIDED, ProcessId, Value
 
 __all__ = ["TwoStageState", "TwoStageKnowledgeProtocol"]
 
@@ -45,7 +49,7 @@ __all__ = ["TwoStageState", "TwoStageKnowledgeProtocol"]
 Report = Tuple[ProcessId, Tuple[ProcessId, ...], Value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwoStageState(ProcessState):
     """Local state of the two-stage protocol.
 
@@ -62,6 +66,11 @@ class TwoStageState(ProcessState):
         in-neighbourhood in the knowledge graph ``G``).
     reports:
         Stage-2 reports received so far (including the process's own).
+
+    Every step builds one state, so the constructor fills the instance
+    dict directly instead of calling ``object.__setattr__`` per field;
+    the dataclass is otherwise as generated, and :meth:`decide` still
+    goes through ``dataclasses.replace``.
     """
 
     stage: int = 1
@@ -70,6 +79,29 @@ class TwoStageState(ProcessState):
     heard_stage1: FrozenSet[ProcessId] = frozenset()
     predecessors: Tuple[ProcessId, ...] = ()
     reports: FrozenSet[Report] = frozenset()
+
+    def __init__(
+        self,
+        pid: ProcessId,
+        proposal: Value,
+        decision: Value = UNDECIDED,
+        stage: int = 1,
+        sent_stage1: bool = False,
+        sent_stage2: bool = False,
+        heard_stage1: FrozenSet[ProcessId] = frozenset(),
+        predecessors: Tuple[ProcessId, ...] = (),
+        reports: FrozenSet[Report] = frozenset(),
+    ) -> None:
+        attrs = self.__dict__
+        attrs["pid"] = pid
+        attrs["proposal"] = proposal
+        attrs["decision"] = decision
+        attrs["stage"] = stage
+        attrs["sent_stage1"] = sent_stage1
+        attrs["sent_stage2"] = sent_stage2
+        attrs["heard_stage1"] = heard_stage1
+        attrs["predecessors"] = predecessors
+        attrs["reports"] = reports
 
 
 class TwoStageKnowledgeProtocol(Algorithm):
@@ -82,6 +114,10 @@ class TwoStageKnowledgeProtocol(Algorithm):
     threshold:
         The value ``L``; the protocol waits for ``L - 1`` stage-1 messages
         from other processes.  Must satisfy ``1 <= L <= n``.
+
+    An instance keeps one cache: the decisions of the complete knowledge
+    closures it has met (see :meth:`_try_decide`).  It never changes a
+    step's result, and :meth:`initial_state` empties it.
     """
 
     requires_failure_detector = False
@@ -96,18 +132,24 @@ class TwoStageKnowledgeProtocol(Algorithm):
         self.n = n
         self.threshold = threshold
         self.name = name or f"two-stage(L={threshold})"
+        self._decisions: Dict[FrozenSet[Report], Optional[Value]] = {}
 
     # -- protocol ------------------------------------------------------------
 
     def initial_state(
         self, pid: ProcessId, processes: Sequence[ProcessId], proposal: Value
     ) -> TwoStageState:
-        """Initial state; the process set must match the configured ``n``."""
+        """Initial state; the process set must match the configured ``n``.
+
+        Also empties the decision cache, so that it does not grow from
+        one execution to the next.
+        """
         if len(processes) != self.n:
             raise ConfigurationError(
                 f"{self.name} was configured for n={self.n} but the system has "
                 f"{len(processes)} processes"
             )
+        self._decisions.clear()
         return TwoStageState(pid=pid, proposal=proposal)
 
     def step(
@@ -197,19 +239,33 @@ class TwoStageKnowledgeProtocol(Algorithm):
     def _try_decide(self, owner: ProcessId, reports: FrozenSet[Report]) -> Optional[Value]:
         """Return the decision value once the knowledge closure is complete.
 
-        Works directly on the raw report tuples via
-        :func:`repro.graphs.knowledge_graph.decide_from_reports` — the
-        per-attempt :class:`KnowledgeGraph` (one frozenset per report,
-        rebuilt on every stage-2 step) was the dominant allocation of a
-        Section VI run.  Reports are write-once per process, so the
-        graph's conflicting-report validation has nothing to detect here.
+        Walks the owner's closure over the raw report tuples once
+        (:func:`~repro.graphs.knowledge_graph.complete_closure`) and
+        returns ``None`` while a required report is missing.  The
+        decision of a complete closure depends on the closure's
+        ``(pid, predecessors, value)`` reports alone
+        (:func:`~repro.graphs.knowledge_graph.closure_decision`), so it
+        is cached under the frozenset of those reports, and the
+        source-component pass runs only on a miss: the processes of a run
+        that complete the same closure pay for one pass between them.
+        The key is exact, so an entry is right for every owner and every
+        execution that meets the same reports (a bivalence exploration
+        steps states of many executions on one instance); emptying the
+        cache in :meth:`initial_state` only bounds its size.  Reports are
+        write-once per process, so when the closure has as many members
+        as there are reports, the key is ``reports`` itself.
         """
-        heard_from = {}
-        values = {}
-        for process, predecessors, value in reports:
-            heard_from[process] = predecessors
-            values[process] = value
-        return decide_from_reports(owner, heard_from, values)
+        heard_from = {process: predecessors for process, predecessors, _value in reports}
+        closure = complete_closure(owner, heard_from)
+        if closure is None:
+            return None
+        key = (reports if len(closure) == len(reports)
+               else frozenset([report for report in reports if report[0] in closure]))
+        value = self._decisions.get(key)
+        if value is None:
+            values = {process: proposal for process, _predecessors, proposal in reports}
+            value = self._decisions[key] = closure_decision(closure, heard_from, values)
+        return value
 
     # -- documentation helpers -------------------------------------------------
 

@@ -290,13 +290,14 @@ class Supervisor:
             # serial) campaign rather than a crash.
             self.run_inline(tasks)
             return 1
+        abandoned = False
         try:
-            self._feed(pool, tasks, 2 * processes)
+            abandoned = self._feed(pool, tasks, 2 * processes)
         finally:
-            self._teardown_pool(pool)
+            self._teardown_pool(pool, abandoned)
         return processes
 
-    def _feed(self, pool, tasks: Iterable[TaskSpec], outstanding: int) -> None:
+    def _feed(self, pool, tasks: Iterable[TaskSpec], outstanding: int) -> bool:
         """Supervised dispatch of ``tasks`` onto ``pool``, keeping at most
         ``outstanding`` of them in flight.
 
@@ -304,6 +305,11 @@ class Supervisor:
         ``wake_seconds``, after which worker liveness and task deadlines
         are re-checked.  On pool breakage the remaining work is finished
         in-process (:attr:`FaultStats.pool_failures` counts it).
+
+        Returns, once every slot has settled, whether it gave up on a
+        task whose result never came: a zombie (lost with a dead worker,
+        or hung) or an in-flight task of a broken pool.  The pool may
+        still hold such a task.
         """
         done: "queue_module.SimpleQueue" = queue_module.SimpleQueue()
         inflight: Dict[int, SupervisedTask] = {}
@@ -379,7 +385,7 @@ class Supervisor:
                         if delay > 0:
                             time.sleep(min(delay, self.retry.wake_seconds))
                         continue
-                    return  # all slots settled, nothing pending
+                    return bool(zombies)  # all slots settled, nothing pending
                 try:
                     task_id, result, exc = done.get(timeout=self.retry.wake_seconds)
                 except queue_module.Empty:
@@ -430,6 +436,7 @@ class Supervisor:
                             self._new_task(fn, tuple(specs), tuple(indices)))
             for task in leftovers:
                 self._run_inline_one(task)
+            return True
 
     def _check_liveness(self, pool, inflight: Dict[int, SupervisedTask],
                         zombies: Dict[int, Tuple[int, ...]],
@@ -469,11 +476,16 @@ class Supervisor:
             waiting.extend(self._after_failure(
                 clone, TimeoutError("no result before task deadline")))
 
-    def _teardown_pool(self, pool) -> None:
+    def _teardown_pool(self, pool, abandoned: bool = False) -> None:
         """Uniform pool teardown, safe on every exit path.
 
         Workers get a bounded join after ``close()``, with a logged
-        warning when they are still running.  Even ``terminate()`` gets a
+        warning when they are still running.  A pool that still holds an
+        ``abandoned`` task (see :meth:`_feed`) skips the join: its worker
+        handler stops the workers only once every task has reported, which
+        a dead worker's task never does, so the join could only wait out
+        the grace.  Every slot has settled by then, so nothing is lost by
+        going straight to ``terminate()``.  Even ``terminate()`` gets a
         bounded wait: a worker SIGKILLed while blocked in the shared task
         queue's ``get()`` dies *holding* the queue's reader lock, and
         ``Pool._terminate_pool`` then deadlocks trying to acquire it.
@@ -484,13 +496,14 @@ class Supervisor:
         """
         grace = self.retry.teardown_grace_seconds
         pool.close()
-        joiner = threading.Thread(target=pool.join, daemon=True)
-        joiner.start()
-        joiner.join(timeout=grace)
-        if joiner.is_alive():
-            self._log.warning(
-                "pool workers still running %.1fs after close (hung or "
-                "saturated); terminating them", grace)
+        if not abandoned:
+            joiner = threading.Thread(target=pool.join, daemon=True)
+            joiner.start()
+            joiner.join(timeout=grace)
+            if joiner.is_alive():
+                self._log.warning(
+                    "pool workers still running %.1fs after close (hung or "
+                    "saturated); terminating them", grace)
         terminator = threading.Thread(target=pool.terminate, daemon=True)
         terminator.start()
         terminator.join(timeout=max(grace, 1.0))

@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
 from repro.graphs.digraph import DiGraph
 from repro.types import ProcessId, Value
 
-__all__ = ["KnowledgeGraph", "decide_from_reports"]
+__all__ = ["KnowledgeGraph", "closure_decision", "complete_closure", "decide_from_reports"]
 
 
 def _required_closure(
@@ -114,6 +114,62 @@ def _source_components(
     return sources
 
 
+def complete_closure(
+    owner: ProcessId, heard_from: Mapping[ProcessId, Iterable[ProcessId]]
+) -> Optional[Set[ProcessId]]:
+    """The owner's in-edge-transitive closure, or ``None`` while incomplete.
+
+    The closure is the set of processes whose reports the owner's
+    decision needs.  The walk stops at the first required process with
+    no in-edge list in ``heard_from`` (its report has not arrived).
+    """
+    if owner not in heard_from:
+        return None
+    required: Set[ProcessId] = {owner}
+    frontier = [owner]
+    while frontier:
+        for pred in heard_from[frontier.pop()]:
+            if pred not in required:
+                if pred not in heard_from:
+                    return None
+                required.add(pred)
+                frontier.append(pred)
+    return required
+
+
+def _decision_component(
+    required: Set[ProcessId],
+    heard_from: Mapping[ProcessId, Iterable[ProcessId]],
+) -> Optional[FrozenSet[ProcessId]]:
+    """The source component of a complete closure with the smallest member."""
+    candidates = _source_components(required, heard_from)
+    if not candidates:  # pragma: no cover - owner always reaches itself
+        return None
+    return min(candidates, key=min)
+
+
+def closure_decision(
+    required: Set[ProcessId],
+    heard_from: Mapping[ProcessId, Iterable[ProcessId]],
+    values: Mapping[ProcessId, Value],
+) -> Optional[Value]:
+    """The Section VI decision value of a complete closure.
+
+    ``required`` is what :func:`complete_closure` returned.  The value
+    is the proposal of the smallest process in any source component of
+    the closure, so it depends on the reports of the closure's members
+    and on nothing else: not on the owner, and not on reports from
+    outside the closure.
+    """
+    component = _decision_component(required, heard_from)
+    if component is None:  # pragma: no cover - owner always reaches itself
+        return None
+    representative = min(component)
+    if representative not in values:  # pragma: no cover - defensive
+        return None
+    return values[representative]
+
+
 def decide_from_reports(
     owner: ProcessId,
     heard_from: Mapping[ProcessId, Iterable[ProcessId]],
@@ -123,24 +179,20 @@ def decide_from_reports(
 
     Equivalent to loading the reports into a :class:`KnowledgeGraph` and
     calling :meth:`KnowledgeGraph.decision_value`, but without allocating
-    the graph or coercing the predecessor lists into frozensets — this is
-    the per-step decision attempt of the two-stage protocol, the hottest
-    computation of a Section VI run.  Returns ``None`` while the owner's
-    transitive closure is incomplete.
+    the graph or coercing the predecessor lists into frozensets.  Returns
+    ``None`` while the owner's transitive closure is incomplete.
+
+    This is the one definition of the decision rule, in two halves:
+    :func:`complete_closure` walks the closure once, and
+    :func:`closure_decision` runs the source-component pass on it.  The
+    two-stage protocol calls the halves itself, so that it can look the
+    closure's reports up before paying for the pass
+    (:meth:`~repro.algorithms.two_stage.TwoStageKnowledgeProtocol._try_decide`).
     """
-    if owner not in heard_from:
+    required = complete_closure(owner, heard_from)
+    if required is None:
         return None
-    required = _required_closure(owner, heard_from)
-    for process in required:
-        if process not in heard_from:
-            return None
-    candidates = _source_components(required, heard_from)
-    if not candidates:  # pragma: no cover - owner always reaches itself
-        return None
-    representative = min(min(candidates, key=min))
-    if representative not in values:  # pragma: no cover - defensive
-        return None
-    return values[representative]
+    return closure_decision(required, heard_from, values)
 
 
 @dataclass
@@ -234,13 +286,10 @@ class KnowledgeGraph:
         allocations per deciding process — the dominant cost of a
         Section VI run) reduces to one strongly-connected-components pass.
         """
-        required = _required_closure(self.owner, self.heard_from)
-        if any(p not in self.heard_from for p in required):
+        required = complete_closure(self.owner, self.heard_from)
+        if required is None:
             return None  # incomplete: some required report is still missing
-        candidates = _source_components(required, self.heard_from)
-        if not candidates:  # pragma: no cover - owner always reaches itself
-            return None
-        return min(candidates, key=min)
+        return _decision_component(required, self.heard_from)
 
     def decision_value(self) -> Optional[Value]:
         """The Section VI decision value, or ``None`` while incomplete.

@@ -12,7 +12,7 @@ the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.algorithms.base import ProcessState
@@ -22,7 +22,7 @@ from repro.types import ProcessId, Time
 __all__ = ["StepEvent"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepEvent:
     """One atomic step of one process.
 
@@ -43,6 +43,10 @@ class StepEvent:
         The process's local state after the step.
     newly_decided:
         ``True`` when the write-once output was set in this very step.
+
+    A FULL recording builds one event per step, so the constructor fills
+    the instance dict directly instead of calling ``object.__setattr__``
+    per field; the dataclass is otherwise as generated.
     """
 
     time: Time
@@ -52,6 +56,25 @@ class StepEvent:
     sent: Tuple[Message, ...]
     state_after: ProcessState
     newly_decided: bool = False
+
+    def __init__(
+        self,
+        time: Time,
+        pid: ProcessId,
+        delivered: Tuple[Message, ...],
+        fd_output: Optional[object],
+        sent: Tuple[Message, ...],
+        state_after: ProcessState,
+        newly_decided: bool = False,
+    ) -> None:
+        attrs = self.__dict__
+        attrs["time"] = time
+        attrs["pid"] = pid
+        attrs["delivered"] = delivered
+        attrs["fd_output"] = fd_output
+        attrs["sent"] = sent
+        attrs["state_after"] = state_after
+        attrs["newly_decided"] = newly_decided
 
     @property
     def senders_heard(self) -> Tuple[ProcessId, ...]:

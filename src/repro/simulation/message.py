@@ -29,7 +29,7 @@ from repro.types import ProcessId, Time
 __all__ = ["Message", "MessageBuffer"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Message:
     """A single message in flight or delivered.
 
@@ -43,6 +43,12 @@ class Message:
         Arbitrary algorithm-defined content.
     sent_at:
         The time (global step index) of the sending step.
+
+    One message is built per message sent, so the constructor is written
+    by hand: it fills the instance dict directly, where the generated
+    frozen ``__init__`` calls ``object.__setattr__`` once per field.  The
+    dataclass is otherwise as generated (eq, hash, ``replace``,
+    pickling, ``FrozenInstanceError`` on assignment).
     """
 
     msg_id: int
@@ -50,6 +56,17 @@ class Message:
     receiver: ProcessId
     payload: object
     sent_at: Time
+
+    def __init__(
+        self, msg_id: int, sender: ProcessId, receiver: ProcessId,
+        payload: object, sent_at: Time,
+    ) -> None:
+        attrs = self.__dict__
+        attrs["msg_id"] = msg_id
+        attrs["sender"] = sender
+        attrs["receiver"] = receiver
+        attrs["payload"] = payload
+        attrs["sent_at"] = sent_at
 
     def __repr__(self) -> str:
         return (

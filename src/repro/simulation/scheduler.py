@@ -265,17 +265,26 @@ class LazyAdversaryView:
         return self._buffer.pending_for(pid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepDirective:
     """The adversary's choice for the next step.
 
     ``deliver`` lists the identifiers of messages (currently pending for
     ``pid``) that the step consumes; an empty tuple is a legitimate step
     with no message receptions.
+
+    Built once per step; its constructor fills the instance dict
+    directly instead of calling ``object.__setattr__`` per field, and
+    the dataclass is otherwise as generated.
     """
 
     pid: ProcessId
     deliver: Tuple[int, ...] = ()
+
+    def __init__(self, pid: ProcessId, deliver: Tuple[int, ...] = ()) -> None:
+        attrs = self.__dict__
+        attrs["pid"] = pid
+        attrs["deliver"] = deliver
 
 
 class Adversary(abc.ABC):
@@ -319,7 +328,7 @@ class RoundRobinScheduler(Adversary):
         pid = self._pick_next(candidates)
         self._last = pid
         deliver = tuple(m.msg_id for m in view.pending_for(pid))
-        return StepDirective(pid=pid, deliver=deliver)
+        return StepDirective(pid, deliver)
 
     def _pick_next(self, candidates: Tuple[ProcessId, ...]) -> ProcessId:
         if self._last is None:
@@ -365,7 +374,7 @@ class RandomScheduler(Adversary):
             overdue = (time - message.sent_at) >= self.max_delay
             if overdue or self._rng.random() < self.delivery_bias:
                 deliver.append(message.msg_id)
-        return StepDirective(pid=pid, deliver=tuple(deliver))
+        return StepDirective(pid, tuple(deliver))
 
     def describe(self) -> str:
         return f"RandomScheduler(bias={self.delivery_bias}, max_delay={self.max_delay})"

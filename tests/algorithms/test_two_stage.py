@@ -20,7 +20,7 @@ from repro.failure_detectors.base import FailurePattern
 from repro.graphs.knowledge_graph import decide_from_reports
 from repro.models.initial_crash import initial_crash_model
 from repro.simulation.executor import ExecutionSettings, RecordingPolicy, execute
-from repro.simulation.scheduler import RandomScheduler, RoundRobinScheduler
+from repro.simulation.scheduler import Adversary, RandomScheduler, RoundRobinScheduler
 from repro.types import Value
 
 
@@ -245,36 +245,61 @@ class ReferenceFLP(_ReferenceStep, FLPConsensus):
     pass
 
 
+def executions(n, f):
+    """One execution of an ``(n, f)`` protocol: an admissible initial-crash
+    set, proposals, either scheduler and a budget that may truncate."""
+    schedulers = st.one_of(st.none(), st.fixed_dictionaries(dict(
+        seed=st.integers(0, 2 ** 16),
+        delivery_bias=st.floats(0.0, 1.0),
+        max_delay=st.integers(0, 30),
+    )))
+    return st.tuples(
+        st.sets(st.integers(1, n), max_size=f),
+        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+        schedulers,
+        st.one_of(st.integers(1, 60), st.integers(61, 2_000)),
+    )
+
+
 @st.composite
-def protocol_runs(draw):
-    """A Section VI or FLP run: n <= 12, an admissible initial-crash set,
-    either scheduler and a budget that may truncate."""
+def protocols(draw):
+    """``(consensus, n, f)`` of an FLP or Section VI protocol, n <= 12."""
     n = draw(st.integers(1, 12))
     consensus = draw(st.booleans())
-    f = draw(st.integers(0, (n - 1) // 2 if consensus else n - 1))
-    dead = draw(st.sets(st.integers(1, n), max_size=f))
-    proposals = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
-    scheduler = None
-    if draw(st.booleans()):
-        scheduler = dict(
-            seed=draw(st.integers(0, 2 ** 16)),
-            delivery_bias=draw(st.floats(0.0, 1.0)),
-            max_delay=draw(st.integers(0, 30)),
-        )
-    max_steps = draw(st.one_of(st.integers(1, 60), st.integers(61, 2_000)))
-    return consensus, n, f, dead, proposals, scheduler, max_steps
+    return consensus, n, draw(st.integers(0, (n - 1) // 2 if consensus else n - 1))
 
 
-def _full_run(algorithm_class, n, f, dead, proposals, scheduler, max_steps):
+@st.composite
+def protocol_runs(draw):
+    """A Section VI or FLP run."""
+    consensus, n, f = draw(protocols())
+    return (consensus, n, f, *draw(executions(n, f)))
+
+
+def _adversary(scheduler) -> Adversary:
+    return (RandomScheduler(**scheduler) if scheduler is not None
+            else RoundRobinScheduler())
+
+
+def _full_run(algorithm, n, f, dead, proposals, max_steps, adversary):
     model = initial_crash_model(n, f)
     return execute(
-        algorithm_class(n, f), model, dict(zip(model.processes, proposals)),
-        adversary=(RandomScheduler(**scheduler) if scheduler is not None
-                   else RoundRobinScheduler()),
+        algorithm, model, dict(zip(model.processes, proposals)),
+        adversary=adversary,
         failure_pattern=FailurePattern.initially_dead(model.processes, dead),
         settings=ExecutionSettings(
             max_steps=max_steps, recording=RecordingPolicy.FULL),
     )
+
+
+def _assert_same_run(run, expected):
+    assert run.events == expected.events  # every state_after included
+    assert run.decisions() == expected.decisions()
+    assert run.completed == expected.completed
+    assert run.truncated == expected.truncated
+    assert run.undelivered == expected.undelivered
+    assert (run.step_count, run.sent_total, run.delivered_total) == (
+        expected.step_count, expected.sent_total, expected.delivered_total)
 
 
 class TestStepEqualsReference:
@@ -286,14 +311,74 @@ class TestStepEqualsReference:
         current, reference = (
             (FLPConsensus, ReferenceFLP) if consensus
             else (KSetInitialCrash, ReferenceKSet))
-        run = _full_run(current, n, f, dead, proposals, scheduler, max_steps)
-        expected = _full_run(reference, n, f, dead, proposals, scheduler, max_steps)
+        run = _full_run(current(n, f), n, f, dead, proposals, max_steps,
+                        _adversary(scheduler))
+        expected = _full_run(reference(n, f), n, f, dead, proposals, max_steps,
+                             _adversary(scheduler))
         event("truncated" if run.truncated else
               "completed" if run.completed else "stopped")
-        assert run.events == expected.events  # every state_after included
-        assert run.decisions() == expected.decisions()
-        assert run.completed == expected.completed
-        assert run.truncated == expected.truncated
-        assert run.undelivered == expected.undelivered
-        assert (run.step_count, run.sent_total, run.delivered_total) == (
-            expected.step_count, expected.sent_total, expected.delivered_total)
+        _assert_same_run(run, expected)
+
+
+class _Nesting(Adversary):
+    """``inner``'s schedule, with ``nested()`` run before the first step
+    at or after time ``at``."""
+
+    def __init__(self, inner: Adversary, at: int, nested) -> None:
+        self._inner = inner
+        self._at = at
+        self._nested = nested
+
+    def next_step(self, view):
+        if self._nested is not None and view.time >= self._at:
+            nested, self._nested = self._nested, None
+            nested()
+        return self._inner.next_step(view)
+
+
+@st.composite
+def shared_instance_runs(draw):
+    """Two to four executions of one protocol, each with the step at
+    which the next one starts inside it."""
+    consensus, n, f = draw(protocols())
+    runs = draw(st.lists(st.tuples(executions(n, f), st.integers(1, 10)),
+                         min_size=2, max_size=4))
+    return consensus, n, f, runs
+
+
+class TestDecisionCacheIsExact:
+    """One instance's cached closure decisions are right in any execution.
+
+    The protocol caches each complete closure's decision under the
+    closure's reports.  A bivalence exploration steps states of many
+    executions on one instance, so the cache must not rely on
+    ``initial_state`` emptying it: here each execution starts inside the
+    previous one, which then resumes with the nested execution's
+    closures in the cache.
+    """
+
+    @given(shared_instance_runs())
+    def test_a_reused_instance_runs_as_fresh_instances_do(self, case):
+        consensus, n, f, runs = case
+        protocol = FLPConsensus if consensus else KSetInitialCrash
+        shared = protocol(n, f)
+        got = [None] * len(runs)
+
+        def run(index):
+            (dead, proposals, scheduler, max_steps), at = runs[index]
+            adversary = _adversary(scheduler)
+            last = index + 1 == len(runs)
+            if not last:
+                adversary = _Nesting(adversary, min(at, max_steps),
+                                     lambda: run(index + 1))
+            got[index] = _full_run(
+                shared, n, f, dead, proposals, max_steps, adversary)
+            if not last and got[index + 1] is None:
+                event("an outer run ended before its nested run started")
+                run(index + 1)
+
+        run(0)
+        for ((dead, proposals, scheduler, max_steps), _at), run_ in zip(runs, got):
+            expected = _full_run(protocol(n, f), n, f, dead, proposals,
+                                 max_steps, _adversary(scheduler))
+            _assert_same_run(run_, expected)

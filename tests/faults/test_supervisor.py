@@ -11,13 +11,14 @@ campaign that a host unable to fork still completes.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 
 import pytest
 
 from repro.campaign import CampaignRunner, theorem8_specs
 from repro.campaign.spec import ScenarioOutcome
-from repro.faults import RetryPolicy, Supervisor
+from repro.faults import FaultPlan, RetryPolicy, Supervisor
 from repro.faults.supervisor import QuarantineError
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)[:6]
@@ -180,6 +181,45 @@ class TestPoolOwnership:
         assert result == CampaignRunner().run(SPECS)
         assert result.workers == 1
         assert not result.dispatch_stats.any()
+
+
+class _Messages(logging.Handler):
+    """Collects the messages logged to the logger it is attached to."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+class TestTeardown:
+    def test_a_worker_death_does_not_wait_out_the_teardown_grace(self):
+        """A dead worker's task never leaves the pool's result cache, so
+        a join after ``close()`` cannot return: teardown must go straight
+        to ``terminate()`` rather than wait out the grace."""
+        specs = theorem8_specs([4], seeds=(1,))
+        grace = 3.0
+        logger = logging.getLogger("repro.faults.supervisor")
+        handler = _Messages()
+        level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.WARNING)
+        try:
+            result = CampaignRunner(
+                backend="process", workers=2, chunk_size=4,
+                retry=_policy(teardown_grace_seconds=grace),
+                faults=FaultPlan(seed=31, crash_rate=0.1),
+            ).run(specs)
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        assert result.fault_stats.worker_deaths >= 1
+        assert result.elapsed_seconds < grace / 2
+        assert result == CampaignRunner().run(specs)
+        assert not [message for message in handler.messages
+                    if "after close" in message]
 
 
 class TestQuarantineError:
