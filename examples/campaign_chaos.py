@@ -41,7 +41,7 @@ from repro.store.compact import compact_store
 
 RETRY = RetryPolicy(
     max_attempts=3, backoff_seconds=0.02, task_timeout_seconds=10.0,
-    death_grace_seconds=0.5, wake_seconds=0.05, teardown_grace_seconds=1.0,
+    teardown_grace_seconds=1.0,
 )
 
 
@@ -72,6 +72,9 @@ def main() -> None:
         result = runner.run(specs)
         assert result == baseline, "chaos must never change outcomes"
         stats = result.fault_stats
+        # The plan hangs nothing: a worker's death is seen on its
+        # sentinel, never guessed from a deadline.
+        assert stats.task_timeouts == 0, "a death was attributed by timeout"
         print(f"chaos:     equal to baseline under "
               f"{stats.worker_deaths} worker death(s), "
               f"{stats.task_retries} retr{'y' if stats.task_retries == 1 else 'ies'}, "

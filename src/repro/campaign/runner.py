@@ -38,22 +38,23 @@ persistent store (:mod:`repro.store`) builds on:
   stop sampling a sweep point once its outcome is certified.
 
 The runner decides the backend, the worker count and the chunking; the
-supervisor owns the pool from fork to teardown.  It keeps at most
-``2 × workers`` chunks outstanding instead of issuing one bulk
-``pool.map``: results arrive as they complete, which keeps
-``on_settle`` persistence incremental and lets ``should_skip`` see the
-outcomes observed so far when deciding whether a later chunk still
-needs to run.  The supervisor bounds every wait, gives in-flight chunks
-deadlines, re-queues the work of dead or hung workers under the
-runner's :class:`~repro.faults.plan.RetryPolicy`, bisects persistently
-failing chunks down to the guilty spec (which is quarantined into an
-``"error"`` outcome), and degrades a broken pool to in-process
-execution instead of aborting.  A task is a pure function of its
-arguments: the telemetry slice, the fault plan and whether it runs in a
-pool worker all arrive with each call, and workers hold no state of
-their own.  The optional ``CampaignRunner(faults=FaultPlan(...))``
-injects deterministic chaos through the same machinery — see
-:mod:`repro.faults`.
+supervisor owns the workers from fork to teardown.  Each worker holds
+at most two chunks, the one it runs and one queued behind it, and
+results arrive as they complete, which keeps ``on_settle`` persistence
+incremental and lets ``should_skip`` see the outcomes observed so far
+when deciding whether a later chunk still needs to run.  The
+supervisor knows which chunks each worker holds: it retries the chunk
+of a worker that died, kills a worker whose chunk overruns its
+deadline, retries under the runner's
+:class:`~repro.faults.plan.RetryPolicy`, bisects persistently failing
+chunks down to the guilty spec (which is quarantined into an
+``"error"`` outcome), and finishes the campaign in-process instead of
+aborting when no replacement worker can be forked.  A task is a pure
+function of its arguments: the telemetry slice, the fault plan and
+whether it runs in a pool worker all arrive with each call, and
+workers hold no state of their own.  The optional
+``CampaignRunner(faults=FaultPlan(...))`` injects deterministic chaos
+through the same machinery — see :mod:`repro.faults`.
 
 The executor is CPU-bound pure Python, so the process backend is the one
 that scales with cores; there is deliberately no thread backend (the GIL
@@ -485,7 +486,7 @@ class CampaignRunner:
     retry:
         The :class:`~repro.faults.plan.RetryPolicy` governing the
         supervised dispatch loop (attempts, backoff, per-task deadlines,
-        worker-death grace).  Defaults to ``RetryPolicy()``.  Every
+        teardown grace).  Defaults to ``RetryPolicy()``.  Every
         backend is supervised: real worker deaths are survived whether
         or not chaos is injected.
     """

@@ -8,11 +8,12 @@ The package has two halves:
   :class:`RetryPolicy` and :class:`FaultStats` that parameterise and
   report surviving it.
 * :mod:`repro.faults.supervisor` — the *tolerance* side: the
-  :class:`Supervisor` dispatch loop the campaign runner executes on,
-  with bounded waits, per-task deadlines, worker-death detection,
-  retry/bisection and poison-spec quarantine.  It owns the worker pool
-  from fork to teardown and passes every task its telemetry slice,
-  fault plan and worker flag as arguments.
+  :class:`Supervisor` dispatch loop the campaign runner executes on.
+  It forks its workers, each on a pipe of its own, so it knows which
+  tasks a dead or overrunning worker held; it retries exactly those,
+  bisects, and quarantines poison specs.  It owns the workers from
+  fork to teardown and passes every task its telemetry slice, fault
+  plan and worker flag as arguments.
 
 ``CampaignRunner(faults=FaultPlan(...), retry=RetryPolicy(...))``
 threads both through every backend; the headline invariant (pinned in

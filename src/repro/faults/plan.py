@@ -99,27 +99,18 @@ class RetryPolicy:
         Base delay before a retry; attempt ``a`` waits
         ``backoff_seconds * 2**(a - 1)``.
     task_timeout_seconds:
-        Per-task deadline.  A task with no result by its deadline is
-        presumed lost (worker dead or wedged) and re-queued; a late
-        result is still accepted and deduplicated.  This is what makes
-        every wait in the dispatch loop bounded.
-    death_grace_seconds:
-        When a worker death is detected, in-flight deadlines are
-        tightened to ``now + death_grace_seconds`` — the lost task is
-        re-queued after a short grace instead of a full timeout.
-    wake_seconds:
-        The supervisor's tick: how long one ``done.get`` may block
-        before liveness checks run again.
+        Per-task deadline, counted from when the task reaches the head
+        of its worker's queue.  A task still running at its deadline
+        has its worker killed and is retried like a task whose worker
+        died; this is what bounds every wait in the dispatch loop.
     teardown_grace_seconds:
-        How long teardown waits for workers to exit voluntarily before
-        terminating them (hung workers are killed, never waited out).
+        How long a worker idle at teardown gets to exit after its stop
+        message before it is killed (busy workers are killed at once).
     """
 
     max_attempts: int = 3
     backoff_seconds: float = 0.05
     task_timeout_seconds: float = 300.0
-    death_grace_seconds: float = 2.0
-    wake_seconds: float = 0.1
     teardown_grace_seconds: float = 5.0
 
     def __post_init__(self) -> None:
@@ -128,7 +119,6 @@ class RetryPolicy:
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
         for name in ("backoff_seconds", "task_timeout_seconds",
-                     "death_grace_seconds", "wake_seconds",
                      "teardown_grace_seconds"):
             value = getattr(self, name)
             if value <= 0 and name != "backoff_seconds":

@@ -2,30 +2,28 @@
 
 :class:`Supervisor` owns the part of campaign execution that has to stay
 correct when infrastructure misbehaves.  It runs tasks (``(fn, specs,
-slot indices)`` triples) inline or on a worker pool that it owns from
-fork to teardown, and guarantees that **every slot settles exactly
-once**, no matter how many times its task crashes, hangs, raises or is
-re-queued:
+slot indices)`` triples) inline or on worker processes that it forks,
+feeds and stops itself, and guarantees that **every slot settles
+exactly once**, no matter how many times its task crashes, hangs,
+raises or is re-queued:
 
-* every wait on the completion queue is bounded by
-  :attr:`~repro.faults.plan.RetryPolicy.wake_seconds`, so a SIGKILLed
-  worker (whose ``apply_async`` callbacks never fire) can never park the
-  campaign in an indefinite ``get()``;
-* every in-flight task carries a deadline; a task with no result by its
-  deadline is presumed lost and re-queued, while the original stays
-  known as a *zombie* so a late result is still accepted — first
-  completion wins, the settled-slot set makes the loser a no-op;
-* worker deaths are detected by polling the pool's worker pids; a death
-  tightens all in-flight deadlines to a short grace, so lost chunks are
-  re-queued promptly instead of after a full timeout;
+* every worker has a pipe of its own and holds at most two tasks: the
+  one it runs and one queued behind it.  The supervisor waits on the
+  pipes of busy workers and the sentinels of all workers, so a death
+  names the worker that died, and the worker names the tasks it held;
+* a worker death retries the task that worker was running and queues
+  the one behind it again, unchanged.  A task still running
+  ``task_timeout_seconds`` after it reached the head of its worker's
+  queue has its worker killed, and is retried the same way.  A
+  replacement worker is forked in both cases;
 * failures are retried under the :class:`~repro.faults.plan.RetryPolicy`
   with exponential backoff; a task that exhausts its attempts is
   **bisected**, and a single spec that still fails is **quarantined**
   into an ``"error"`` outcome instead of aborting the campaign;
-* if the pool itself breaks (``apply_async`` starts raising), the
-  supervisor degrades to in-process execution and finishes the campaign;
-* the pool's workers are forked with no initializer and no state of
-  their own, and torn down with bounded waits on every exit path.
+* if a replacement worker cannot be forked, the supervisor finishes the
+  campaign in-process;
+* on every exit path each worker is stopped and reaped and each pipe
+  closed: an idle worker is asked to exit, a busy one is killed.
 
 A task function is called as ``fn(specs, telemetry, attempt=...,
 faults=..., in_worker=...)`` with the supervisor's telemetry slice and
@@ -34,10 +32,10 @@ in a pool worker, where worker-level faults (crash, hang) may fire.  It
 returns ``(outcomes, timings, payloads)``, one entry per spec.  A
 slot's payload is opaque here — the campaign runner ships each
 scenario's worker pid and spans in it and builds the settled event
-from it — and settles with its outcome: the first result wins, so the
-payload of a retried or late duplicate task is dropped with its
-outcome.  A quarantined slot settles with no payload (``None``), since
-no task ever returned for it.
+from it — and settles with its outcome, once: a result for a slot that
+already settled is dropped with its payload.  A quarantined slot
+settles with no payload (``None``), since no task ever returned for
+it.
 
 The module deliberately imports nothing from :mod:`repro.campaign` at
 the top level — the campaign runner imports *it* — so the one campaign
@@ -48,13 +46,12 @@ that builds it.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
-import queue as queue_module
-import signal
+import queue
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.faults.plan import FaultPlan, FaultStats, RetryPolicy
@@ -80,12 +77,12 @@ class DispatchStats:
     in the calling process ships nothing, so its stats stay zero.
 
     ``queue_seconds`` is the summed per-task dispatch latency: time from
-    submission to result callback minus the in-worker scenario seconds —
-    queue wait, (un)pickling and callback delivery together.
+    sending a task to reading its reply minus the in-worker scenario
+    seconds — time queued behind the worker's running task, (un)pickling
+    and the wait for the parent to read the reply together.
     ``wire_bytes`` is the pickled size of each shipped spec tuple, and
-    ``encode_seconds`` the time of that one ``pickle.dumps`` — the same
-    encoding the pool's task-handler thread does in the parent before a
-    task crosses the pipe.
+    ``encode_seconds`` the time of that one ``pickle.dumps``: those
+    bytes are what crosses the worker's pipe.
     """
 
     tasks_shipped: int = 0
@@ -121,20 +118,15 @@ class QuarantineError(RuntimeError):
     """A spec failed persistently and was quarantined by the supervisor."""
 
 
-class _PoolBroken(RuntimeError):
-    """Internal: the pool rejected a submission; degrade to in-process."""
-
-
 class SupervisedTask:
     """One submission-unit tracked by the supervisor."""
 
-    __slots__ = ("task_id", "fn", "specs", "indices", "attempt",
+    __slots__ = ("fn", "specs", "indices", "attempt",
                  "eligible_at", "deadline", "submitted_at")
 
-    def __init__(self, task_id: int, fn: Callable, specs: Tuple,
+    def __init__(self, fn: Callable, specs: Tuple,
                  indices: Tuple[int, ...], attempt: int = 1,
                  eligible_at: float = 0.0) -> None:
-        self.task_id = task_id
         self.fn = fn
         self.specs = specs
         self.indices = indices
@@ -144,14 +136,69 @@ class SupervisedTask:
         self.submitted_at = 0.0
 
 
+@dataclass
+class _Worker:
+    """A forked worker, the parent's end of its pipe, and the tasks sent
+    to it whose replies have not been read: ``held[0]`` is running and
+    ``held[1]``, if any, is queued behind it."""
+
+    process: Any
+    conn: Any
+    held: List[SupervisedTask] = field(default_factory=list)
+
+
+def _serve(conn, inherited, telemetry, faults) -> None:
+    """A worker's loop: run each ``(fn, pickled specs, attempt)`` task it
+    receives and send back ``(True, result)`` or ``(False, exception)``.
+
+    It first closes the parent's pipe ends that the fork copied, its own
+    included; otherwise its pipe would never read as closed when the
+    parent dies.  A reader thread keeps taking tasks off the pipe while
+    one runs, so the parent never blocks sending a queued task to a
+    worker that is itself blocked sending a reply the parent has not
+    read yet.  A reply that cannot be pickled is sent back as an
+    exception instead.  The loop ends on a stop message (``None``) or
+    when the parent's end closes.
+    """
+    for end in inherited:
+        end.close()
+    inbox: "queue.SimpleQueue" = queue.SimpleQueue()
+    threading.Thread(target=_receive, args=(conn, inbox), daemon=True).start()
+    for fn, blob, attempt in iter(inbox.get, None):
+        try:
+            reply = (True, fn(pickle.loads(blob), telemetry, attempt=attempt,
+                              faults=faults, in_worker=True))
+        except Exception as exc:  # noqa: BLE001 - the parent retries it
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
+        except Exception as exc:  # noqa: BLE001 - fails the task, not the worker
+            conn.send((False, RuntimeError(
+                f"task reply cannot be pickled: {type(exc).__name__}: {exc}")))
+
+
+def _receive(conn, inbox: "queue.SimpleQueue") -> None:
+    """Move messages from ``conn`` to ``inbox`` up to a stop message,
+    standing in for one when the parent's end closes."""
+    message: Any = ()
+    while message is not None:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            message = None
+        inbox.put(message)
+
+
 class Supervisor:
     """Fault-tolerant executor of ``(fn, specs, indices)`` tasks.
 
     One instance supervises one campaign run: it accumulates the run's
     :class:`~repro.faults.plan.FaultStats` (:attr:`stats`) and
     :class:`DispatchStats` (:attr:`dispatch`) and remembers which slots
-    already settled (so retries, zombies and the in-process fallback can
-    never double-deliver an outcome or its payload).
+    already settled (so retries, re-queues and the in-process fallback
+    can never double-deliver an outcome or its payload).
 
     ``telemetry`` and ``faults`` are passed to every task call, inline
     and on the pool alike.
@@ -173,14 +220,8 @@ class Supervisor:
         self._telemetry = telemetry
         self._log = get_logger("faults.supervisor")
         self._settled: Set[int] = set()
-        self._next_id = 0
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _new_task(self, fn: Callable, specs: Tuple,
-                  indices: Tuple[int, ...], attempt: int = 1) -> SupervisedTask:
-        self._next_id += 1
-        return SupervisedTask(self._next_id, fn, specs, indices, attempt)
 
     def _settle(self, indices: Sequence[int], outcomes: Sequence,
                 timings: Sequence[float],
@@ -233,8 +274,8 @@ class Supervisor:
                 "bisecting task of %d specs after %d failed attempts (%s)",
                 len(task.specs), task.attempt, type(exc).__name__)
             return [
-                self._new_task(task.fn, task.specs[:middle], task.indices[:middle]),
-                self._new_task(task.fn, task.specs[middle:], task.indices[middle:]),
+                SupervisedTask(task.fn, task.specs[:middle], task.indices[:middle]),
+                SupervisedTask(task.fn, task.specs[middle:], task.indices[middle:]),
             ]
         self._quarantine(task, exc)
         return []
@@ -252,7 +293,7 @@ class Supervisor:
         for fn, specs, indices in tasks:
             if not specs:
                 continue
-            self._run_inline_one(self._new_task(fn, tuple(specs), tuple(indices)))
+            self._run_inline_one(SupervisedTask(fn, tuple(specs), tuple(indices)))
 
     def _run_inline_one(self, task: SupervisedTask) -> None:
         stack = [task]
@@ -272,257 +313,213 @@ class Supervisor:
     # -- pool execution ----------------------------------------------------
 
     def run_pool(self, tasks: Iterable[TaskSpec], processes: int) -> int:
-        """Run ``tasks`` on a pool of ``processes`` forked workers.
+        """Run ``tasks`` on ``processes`` forked workers.
 
-        Returns the pool size started: ``processes``, or 1 when the host
-        cannot fork and every task ran in the calling process instead.
-        The pool lives for this call only; it is torn down on every exit
-        path, the campaign's errors included.
+        Returns the number of workers started: ``processes``, or 1 when
+        the host cannot fork and every task ran in the calling process
+        instead.  The workers live for this call only; they are stopped
+        on every exit path, the campaign's errors included.
         """
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
         else:  # pragma: no cover - non-POSIX platforms
             context = multiprocessing.get_context()
+        workers: List[_Worker] = []
         try:
-            pool = context.Pool(processes=processes)
-        except OSError:
-            # Environments that forbid forking still get a correct (if
-            # serial) campaign rather than a crash.
-            self.run_inline(tasks)
-            return 1
-        abandoned = False
-        try:
-            abandoned = self._feed(pool, tasks, 2 * processes)
+            try:
+                for _ in range(processes):
+                    workers.append(self._fork(context, workers))
+            except OSError:
+                # Environments that forbid forking still get a correct (if
+                # serial) campaign rather than a crash.
+                self._stop(workers)
+                self.run_inline(tasks)
+                return 1
+            self._feed(context, workers, tasks)
         finally:
-            self._teardown_pool(pool, abandoned)
+            self._stop(workers)
         return processes
 
-    def _feed(self, pool, tasks: Iterable[TaskSpec], outstanding: int) -> bool:
-        """Supervised dispatch of ``tasks`` onto ``pool``, keeping at most
-        ``outstanding`` of them in flight.
+    def _fork(self, context, others: List[_Worker]) -> _Worker:
+        """Start one worker on a pipe of its own.
 
-        Never blocks unboundedly: the completion wait is capped at
-        ``wake_seconds``, after which worker liveness and task deadlines
-        are re-checked.  On pool breakage the remaining work is finished
-        in-process (:attr:`FaultStats.pool_failures` counts it).
-
-        Returns, once every slot has settled, whether it gave up on a
-        task whose result never came: a zombie (lost with a dead worker,
-        or hung) or an in-flight task of a broken pool.  The pool may
-        still hold such a task.
+        ``others`` are the running workers: the new worker closes its
+        copies of their pipe ends, as it does of its own parent end.
         """
-        done: "queue_module.SimpleQueue" = queue_module.SimpleQueue()
-        inflight: Dict[int, SupervisedTask] = {}
-        zombies: Dict[int, Tuple[int, ...]] = {}
+        conn, child_end = context.Pipe()
+        try:
+            process = context.Process(
+                target=_serve, daemon=True,
+                args=(child_end, [worker.conn for worker in others] + [conn],
+                      self._telemetry, self.faults))
+            process.start()
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            child_end.close()
+        return _Worker(process, conn)
+
+    def _feed(self, context, workers: List[_Worker],
+              tasks: Iterable[TaskSpec]) -> None:
+        """Supervised dispatch of ``tasks`` onto ``workers`` until every
+        slot has settled.
+
+        Every worker gets one task before any worker gets a second, and
+        none holds more than two.  Each wait ends at the first reply or
+        death, or at the earliest head-of-queue deadline or backoff
+        expiry.  A worker that died or overran its deadline is retired
+        (:meth:`_retire`) and replaced; when no replacement can be
+        forked, the remaining work finishes in-process
+        (:attr:`FaultStats.pool_failures` counts it).
+        """
         waiting: List[SupervisedTask] = []
         pending: Iterator[TaskSpec] = iter(tasks)
-        exhausted = False
-        known_pids = self._pool_pids(pool) or set()
-        # Wedge detection: a worker killed while *idle* in the shared
-        # task queue's ``get()`` dies holding the queue's reader lock,
-        # starving every other worker forever — no callback will ever
-        # arrive again.  Track when the pool last showed signs of life
-        # (a completed callback, or a submission to a pool that owed
-        # nothing) and degrade to inline execution once the silence
-        # outlasts any legitimate task.  Re-submitting lost work while
-        # results are still owed is no sign of life: the deadline →
-        # re-queue cycle of a wedged pool would otherwise keep the
-        # silence short forever.
-        last_callback = time.monotonic()
-
-        def submit(task: SupervisedTask) -> None:
-            nonlocal last_callback
-            task.deadline = time.monotonic() + self.retry.task_timeout_seconds
-            task_id = task.task_id
-            try:
-                pool.apply_async(
-                    task.fn, (task.specs, self._telemetry),
-                    {"attempt": task.attempt, "faults": self.faults,
-                     "in_worker": True},
-                    callback=lambda result, t=task_id: done.put((t, result, None)),
-                    error_callback=lambda exc, t=task_id: done.put((t, None, exc)),
-                )
-            except Exception as exc:  # pool closed/broken
-                waiting.append(task)
-                raise _PoolBroken from exc
-            self.dispatch.tasks_shipped += 1
-            self.dispatch.scenarios_shipped += len(task.specs)
-            encode_started = time.perf_counter()
-            self.dispatch.wire_bytes += len(
-                pickle.dumps(task.specs, pickle.HIGHEST_PROTOCOL))
-            self.dispatch.encode_seconds += time.perf_counter() - encode_started
-            task.submitted_at = time.monotonic()
-            if not inflight and not zombies:
-                last_callback = task.submitted_at
-            inflight[task_id] = task
 
         def next_ready() -> Optional[SupervisedTask]:
-            nonlocal exhausted
             now = time.monotonic()
             for position, candidate in enumerate(waiting):
                 if candidate.eligible_at <= now:
                     return waiting.pop(position)
-            if not exhausted:
-                for fn, specs, indices in pending:
-                    if not specs:
-                        continue
-                    return self._new_task(fn, tuple(specs), tuple(indices))
-                exhausted = True
+            for fn, specs, indices in pending:
+                if specs:
+                    return SupervisedTask(fn, tuple(specs), tuple(indices))
             return None
 
-        try:
-            while True:
-                while len(inflight) < outstanding:
-                    task = next_ready()
-                    if task is None:
-                        break
-                    submit(task)
-                if not inflight:
-                    if waiting:
-                        # Everything is backing off; sleep toward the
-                        # earliest eligibility, never past one tick.
-                        delay = min(t.eligible_at for t in waiting) - time.monotonic()
-                        if delay > 0:
-                            time.sleep(min(delay, self.retry.wake_seconds))
-                        continue
-                    return bool(zombies)  # all slots settled, nothing pending
+        while True:
+            for depth in (0, 1):
+                for worker in workers:
+                    if len(worker.held) == depth:
+                        task = next_ready()
+                        if task is not None:
+                            self._send(worker, task)
+            wake = [worker.held[0].deadline for worker in workers if worker.held]
+            if waiting and any(len(worker.held) < 2 for worker in workers):
+                wake.append(min(task.eligible_at for task in waiting))
+            if not wake:
+                return  # every slot has settled
+            ready = wait(
+                [worker.conn for worker in workers if worker.held]
+                + [worker.process.sentinel for worker in workers],
+                max(0.0, min(wake) - time.monotonic()))
+            for worker in list(workers):
+                died = (not self._drain(worker, waiting)
+                        or worker.process.sentinel in ready)
+                overran = (not died and bool(worker.held)
+                           and worker.held[0].deadline <= time.monotonic())
+                if not (died or overran):
+                    continue
+                workers.remove(worker)
+                self._retire(worker, waiting, overran)
                 try:
-                    task_id, result, exc = done.get(timeout=self.retry.wake_seconds)
-                except queue_module.Empty:
-                    self._check_liveness(pool, inflight, zombies, waiting, known_pids)
-                    wedge_after = (self.retry.task_timeout_seconds
-                                   + self.retry.death_grace_seconds)
-                    if (self.stats.worker_deaths and inflight
-                            and time.monotonic() - last_callback > wedge_after):
-                        self._log.error(
-                            "pool silent for %.1fs after a worker death — "
-                            "likely wedged on the task-queue lock the dead "
-                            "worker held; degrading to in-process execution",
-                            wedge_after)
-                        raise _PoolBroken
-                    continue
-                last_callback = time.monotonic()
-                task = inflight.pop(task_id, None)
-                if task is not None:
-                    if exc is None:
-                        outcomes, timings, payloads = result
-                        self.dispatch.queue_seconds += max(
-                            0.0,
-                            last_callback - task.submitted_at - sum(timings))
-                        self._settle(task.indices, outcomes, timings, payloads)
-                    else:
-                        waiting.extend(self._after_failure(task, exc))
-                    continue
-                zombie_indices = zombies.pop(task_id, None)
-                if zombie_indices is not None and exc is None:
-                    # A presumed-lost task completed after all: accept
-                    # the late result; already-settled slots (and their
-                    # payloads) are no-ops.
-                    self._settle(zombie_indices, *result)
-                # A zombie *failure* needs nothing: its replacement was
-                # queued when the deadline expired.
-        except _PoolBroken:
-            self.stats.pool_failures += 1
-            self._log.error(
-                "worker pool broke mid-campaign; finishing %d in-flight and "
-                "%d queued task(s) in-process",
-                len(inflight), len(waiting))
-            leftovers: List[SupervisedTask] = list(inflight.values()) + waiting
-            inflight.clear()
-            if not exhausted:
-                for fn, specs, indices in pending:
-                    if specs:
-                        leftovers.append(
-                            self._new_task(fn, tuple(specs), tuple(indices)))
-            for task in leftovers:
-                self._run_inline_one(task)
-            return True
+                    workers.append(self._fork(context, workers))
+                except OSError:
+                    self._degrade(workers, waiting, pending)
+                    return
 
-    def _check_liveness(self, pool, inflight: Dict[int, SupervisedTask],
-                        zombies: Dict[int, Tuple[int, ...]],
-                        waiting: List[SupervisedTask],
-                        known_pids: Set[int]) -> None:
-        """Detect dead workers and expired deadlines; re-queue their work."""
-        now = time.monotonic()
-        pids = self._pool_pids(pool)
-        if pids is not None:
-            dead = known_pids - pids
-            if dead:
-                self.stats.worker_deaths += len(dead)
-                self._log.warning(
-                    "%d worker(s) died (pids %s); re-queueing their work "
-                    "within %.1fs", len(dead), sorted(dead),
-                    self.retry.death_grace_seconds)
-                # The pool cannot say which task the dead worker held, so
-                # tighten every in-flight deadline: live tasks re-settle
-                # harmlessly, the lost one is re-queued after the grace.
-                cutoff = now + self.retry.death_grace_seconds
-                for task in inflight.values():
-                    task.deadline = min(task.deadline, cutoff)
-            known_pids.clear()
-            known_pids.update(pids)
-        expired = [task_id for task_id, task in inflight.items()
-                   if task.deadline <= now]
-        for task_id in expired:
-            task = inflight.pop(task_id)
-            zombies[task_id] = task.indices
+    def _send(self, worker: _Worker, task: SupervisedTask) -> None:
+        """Ship ``task`` to ``worker``, its specs pickled once."""
+        encode_started = time.perf_counter()
+        blob = pickle.dumps(task.specs, pickle.HIGHEST_PROTOCOL)
+        self.dispatch.encode_seconds += time.perf_counter() - encode_started
+        self.dispatch.tasks_shipped += 1
+        self.dispatch.scenarios_shipped += len(task.specs)
+        self.dispatch.wire_bytes += len(blob)
+        task.submitted_at = time.monotonic()
+        if not worker.held:
+            task.deadline = task.submitted_at + self.retry.task_timeout_seconds
+        # Held before it is sent: a worker that died idle refuses the
+        # task, and retiring that worker re-queues it.
+        worker.held.append(task)
+        try:
+            worker.conn.send((task.fn, blob, task.attempt))
+        except BrokenPipeError:
+            pass  # its sentinel reports the death
+
+    def _drain(self, worker: _Worker, waiting: List[SupervisedTask]) -> bool:
+        """Settle the replies ``worker`` has sent, in the order its tasks
+        ran; ``False`` when its pipe closed with a task still held."""
+        while worker.held and worker.conn.poll():
+            try:
+                ok, value = worker.conn.recv()
+            except (EOFError, OSError):
+                return False
+            task = worker.held.pop(0)
+            received = time.monotonic()
+            if worker.held:  # the queued task runs now
+                worker.held[0].deadline = received + self.retry.task_timeout_seconds
+            if ok:
+                outcomes, timings, payloads = value
+                self.dispatch.queue_seconds += max(
+                    0.0, received - task.submitted_at - sum(timings))
+                self._settle(task.indices, outcomes, timings, payloads)
+            else:
+                waiting.extend(self._after_failure(task, value))
+        return True
+
+    def _retire(self, worker: _Worker, waiting: List[SupervisedTask],
+                overran: bool) -> None:
+        """Kill and reap a worker that died or overran its deadline and
+        close its pipe; retry the task it was running and queue the one
+        behind it again, unchanged."""
+        worker.process.kill()  # a worker that already died ignores it
+        worker.process.join()
+        pid, exitcode = worker.process.pid, worker.process.exitcode
+        worker.process.close()
+        worker.conn.close()
+        if overran:
             self.stats.task_timeouts += 1
-            self._log.warning(
-                "task %d (%d spec(s), attempt %d) produced no result before "
-                "its deadline; re-queueing", task_id, len(task.specs),
-                task.attempt)
-            clone = self._new_task(task.fn, task.specs, task.indices,
-                                   attempt=task.attempt)
-            waiting.extend(self._after_failure(
-                clone, TimeoutError("no result before task deadline")))
+            failure: Exception = TimeoutError(
+                f"worker {pid} killed: no result before the task deadline")
+        else:
+            self.stats.worker_deaths += 1
+            failure = RuntimeError(f"worker {pid} died with exit code {exitcode}")
+        self._log.warning("%s holding %d task(s); replacing it",
+                          failure, len(worker.held))
+        if worker.held:
+            running, *queued = worker.held
+            waiting.extend(self._after_failure(running, failure))
+            waiting.extend(queued)
 
-    def _teardown_pool(self, pool, abandoned: bool = False) -> None:
-        """Uniform pool teardown, safe on every exit path.
+    def _degrade(self, workers: List[_Worker], waiting: List[SupervisedTask],
+                 pending: Iterator[TaskSpec]) -> None:
+        """Finish the campaign in-process: no replacement worker could be
+        forked."""
+        self.stats.pool_failures += 1
+        leftovers = [task for worker in workers for task in worker.held] + waiting
+        self._log.error(
+            "cannot fork a replacement worker; finishing %d held or queued "
+            "task(s) and the rest of the campaign in-process", len(leftovers))
+        self._stop(workers)
+        for task in leftovers:
+            self._run_inline_one(task)
+        self.run_inline(pending)
 
-        Workers get a bounded join after ``close()``, with a logged
-        warning when they are still running.  A pool that still holds an
-        ``abandoned`` task (see :meth:`_feed`) skips the join: its worker
-        handler stops the workers only once every task has reported, which
-        a dead worker's task never does, so the join could only wait out
-        the grace.  Every slot has settled by then, so nothing is lost by
-        going straight to ``terminate()``.  Even ``terminate()`` gets a
-        bounded wait: a worker SIGKILLed while blocked in the shared task
-        queue's ``get()`` dies *holding* the queue's reader lock, and
-        ``Pool._terminate_pool`` then deadlocks trying to acquire it.
-        The terminate runs on a daemon thread; if it wedges, the
-        remaining workers are SIGKILLed directly and the wedged thread is
-        abandoned (every handler thread it could be waiting on is a
-        daemon too).
+    def _stop(self, workers: List[_Worker]) -> None:
+        """Stop and reap every worker and close its pipe.
+
+        An idle worker is sent a stop message and given
+        ``teardown_grace_seconds`` to exit; a busy worker, or one that
+        overstays, is killed.
         """
-        grace = self.retry.teardown_grace_seconds
-        pool.close()
-        if not abandoned:
-            joiner = threading.Thread(target=pool.join, daemon=True)
-            joiner.start()
-            joiner.join(timeout=grace)
-            if joiner.is_alive():
-                self._log.warning(
-                    "pool workers still running %.1fs after close (hung or "
-                    "saturated); terminating them", grace)
-        terminator = threading.Thread(target=pool.terminate, daemon=True)
-        terminator.start()
-        terminator.join(timeout=max(grace, 1.0))
-        if terminator.is_alive():  # pragma: no cover - needs a wedged queue lock
-            self._log.error(
-                "pool terminate wedged — a killed worker can die holding "
-                "the shared task-queue lock; force-killing remaining "
-                "workers")
-            for pid in self._pool_pids(pool) or ():
+        for worker in workers:
+            if worker.held:
+                worker.process.kill()
+            else:
                 try:
-                    os.kill(pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError, TypeError):
-                    pass  # already gone, or not started (no pid yet)
-            terminator.join(timeout=max(grace, 1.0))
-
-    @staticmethod
-    def _pool_pids(pool) -> Optional[Set[int]]:
-        """Current worker pids, or ``None`` when the pool hides them."""
-        try:
-            return {proc.pid for proc in pool._pool}
-        except Exception:  # pragma: no cover - non-CPython pool internals
-            return None
+                    worker.conn.send(None)
+                except BrokenPipeError:
+                    pass  # it died idle
+        deadline = time.monotonic() + self.retry.teardown_grace_seconds
+        for worker in workers:
+            worker.process.join(max(0.0, deadline - time.monotonic()))
+            if worker.process.exitcode is None:
+                self._log.warning(
+                    "worker %d still running %.1fs after its stop message; "
+                    "killing it", worker.process.pid,
+                    self.retry.teardown_grace_seconds)
+                worker.process.kill()
+                worker.process.join()
+            worker.process.close()
+            worker.conn.close()
+        workers.clear()

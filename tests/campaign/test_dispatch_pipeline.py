@@ -36,7 +36,7 @@ HAMMER_SPECS = theorem8_specs([4, 5], seeds=(1,), max_steps=4_000)
 
 FAST_RETRY = RetryPolicy(
     max_attempts=3, backoff_seconds=0.01, task_timeout_seconds=5.0,
-    death_grace_seconds=0.5, wake_seconds=0.05, teardown_grace_seconds=1.0,
+    teardown_grace_seconds=1.0,
 )
 
 BACKENDS = pytest.mark.parametrize("kwargs", [

@@ -34,7 +34,7 @@ BASELINE = CampaignRunner().run(SPECS)
 
 FAST_RETRY = RetryPolicy(
     max_attempts=3, backoff_seconds=0.01, task_timeout_seconds=5.0,
-    death_grace_seconds=0.5, wake_seconds=0.05, teardown_grace_seconds=1.0,
+    teardown_grace_seconds=1.0,
 )
 
 

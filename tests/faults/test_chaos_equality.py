@@ -8,8 +8,8 @@ exactly the quarantined slots and nothing else.
 
 Every run here is also implicitly a bounded-wall-time test: the
 module-level plans use tight retry policies, and a supervisor that
-parked in an unbounded ``done.get()`` would hang the suite rather than
-pass it; the crash test asserts an explicit wall-clock ceiling too.
+parked in an unbounded wait would hang the suite rather than pass it;
+the crash and hang tests assert explicit wall-clock ceilings too.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ FAST_RETRY = RetryPolicy(
     max_attempts=3,
     backoff_seconds=0.01,
     task_timeout_seconds=5.0,
-    death_grace_seconds=0.5,
-    wake_seconds=0.05,
     teardown_grace_seconds=1.0,
 )
 
@@ -42,6 +40,21 @@ def _assert_equal_to_baseline(result):
     assert result == BASELINE
     assert [o.spec for o in result.outcomes] == [o.spec for o in BASELINE.outcomes]
     assert result.verdict_counts() == BASELINE.verdict_counts()
+
+
+def _chunks_holding(plan, specs, size, kind):
+    """How many ``size``-spec chunks of ``specs`` hold a spec that
+    ``plan`` gives a ``kind`` fault on its first attempt."""
+    return sum(
+        any(getattr(plan.decide(spec), "kind", None) == kind
+            for spec in specs[start:start + size])
+        for start in range(0, len(specs), size))
+
+
+def _quarantine_errors(result) -> int:
+    return sum(outcome.verdict == "error"
+               and outcome.error.startswith("QuarantineError")
+               for outcome in result.outcomes)
 
 
 class TestTransientChaosEquality:
@@ -85,7 +98,7 @@ class TestWorkerDeathEquality:
         # ~15% of scenarios SIGKILL their worker on first attempt; the
         # supervisor must detect the deaths, re-queue the lost chunks and
         # still produce the fault-free result — within a bounded wall
-        # time (an unbounded ``done.get`` would blow straight past it).
+        # time (an unbounded wait would blow straight past it).
         plan = FaultPlan(seed=23, crash_rate=0.15)
         started = time.monotonic()
         result = CampaignRunner(
@@ -99,18 +112,26 @@ class TestWorkerDeathEquality:
         assert elapsed < 90.0
 
     def test_hung_workers_hit_the_deadline_and_work_is_requeued(self):
+        # Only a hung task overruns its deadline, once: its retry is past
+        # the plan's fault gate.  No live task times out, so nothing is
+        # bisected, and a hung worker costs one deadline, not the hang.
         plan = FaultPlan(seed=5, hang_rate=0.1, hang_seconds=3.0)
         retry = RetryPolicy(
             max_attempts=3, backoff_seconds=0.01,
-            task_timeout_seconds=0.75, death_grace_seconds=0.5,
-            wake_seconds=0.05, teardown_grace_seconds=0.5,
+            task_timeout_seconds=0.75, teardown_grace_seconds=0.5,
         )
+        started = time.monotonic()
         result = CampaignRunner(
             backend="process", workers=2, chunk_size=4,
             faults=plan, retry=retry,
         ).run(SPECS)
+        elapsed = time.monotonic() - started
         _assert_equal_to_baseline(result)
-        assert result.fault_stats.task_timeouts >= 1
+        stats = result.fault_stats
+        assert stats.task_timeouts == _chunks_holding(plan, SPECS, 4, "hang") == 4
+        assert stats.bisections == 0
+        assert stats.quarantined == _quarantine_errors(result)
+        assert elapsed < plan.hang_seconds
 
     def test_crash_plans_are_noops_on_the_serial_backend(self):
         # No worker to kill: a serial run under a crash-only plan is the
@@ -133,6 +154,7 @@ class TestQuarantine:
                                     **kwargs).run(SPECS)
             assert result != BASELINE
             assert result.fault_stats.quarantined == 1
+            assert _quarantine_errors(result) == 1
             by_spec = {o.spec: o for o in result.outcomes}
             bad = by_spec[poisoned]
             assert bad.verdict == "error"
@@ -146,7 +168,7 @@ class TestQuarantine:
         plan = FaultPlan(poison_labels=(poisoned.label(),))
         result = CampaignRunner(backend="process", workers=2, chunk_size=16,
                                 faults=plan, retry=FAST_RETRY).run(SPECS)
-        assert result.fault_stats.quarantined == 1
+        assert result.fault_stats.quarantined == _quarantine_errors(result) == 1
         assert result.fault_stats.bisections >= 1
         errors = [o for o in result.outcomes if o.verdict == "error"
                   and o.error.startswith("QuarantineError")]

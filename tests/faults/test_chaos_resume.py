@@ -39,7 +39,7 @@ from slow_kind import slow_specs  # noqa: E402  (registers the slow kind)
 
 FAST_RETRY = RetryPolicy(
     max_attempts=4, backoff_seconds=0.01, task_timeout_seconds=3.0,
-    death_grace_seconds=0.5, wake_seconds=0.05, teardown_grace_seconds=1.0,
+    teardown_grace_seconds=1.0,
 )
 
 
@@ -108,8 +108,8 @@ runner = CachingRunner(
         backend="process", workers=2, chunk_size=1,
         faults=FaultPlan(seed=13, crash_rate=0.1),
         retry=RetryPolicy(max_attempts=4, backoff_seconds=0.01,
-                          task_timeout_seconds=10.0, death_grace_seconds=0.5,
-                          wake_seconds=0.05, teardown_grace_seconds=1.0),
+                          task_timeout_seconds=10.0,
+                          teardown_grace_seconds=1.0),
     ),
     journal=journal_path,
 )

@@ -1,11 +1,12 @@
-"""A worker killed while idle in the task queue must not stall a campaign.
+"""Workers killed while idle are replaced, and the campaign finishes on them.
 
-A pool worker waiting for its next task blocks inside the shared task
-queue's ``get()`` *holding* the queue's reader lock.  SIGKILLed there,
-it never releases the lock, so no worker — surviving or respawned — can
-ever read a task again.  The supervisor must notice that the pool owes
-results and has gone silent, and finish the campaign in-process: the
-re-queued work it keeps submitting to the dead queue is no sign of life.
+Each worker reads its tasks from a pipe of its own, so a worker
+SIGKILLed while it waits for its next task takes no lock with it that
+other workers need (a shared task queue's reader lock once did, and
+wedged the whole pool).  The supervisor sees each death on the worker's
+sentinel, queues the tasks the worker held again, forks a replacement
+and finishes the campaign on the pool: nothing degrades to in-process
+execution.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from slow_kind import slow_specs  # noqa: E402  (registers the slow kind)
 
 RETRY = RetryPolicy(
     max_attempts=3, backoff_seconds=0.01, task_timeout_seconds=1.0,
-    death_grace_seconds=0.2, wake_seconds=0.05, teardown_grace_seconds=0.5,
+    teardown_grace_seconds=0.5,
 )
 
 
-def test_idle_worker_kill_degrades_to_in_process_execution():
+def test_idle_workers_killed_mid_campaign_are_replaced_on_the_pool():
     specs = slow_specs(8, sleep_ms=20)
     baseline = CampaignRunner().run(specs)
     killed = []
@@ -37,14 +38,13 @@ def test_idle_worker_kill_degrades_to_in_process_execution():
     def kill_idle_workers(event):
         if killed:
             return
-        # While the caller sits in this hook nothing new is submitted,
-        # so both workers finish the queued tasks and block in the task
-        # queue's get() — one of them holding its reader lock.
+        # While the caller sits in this hook it reads no reply and sends
+        # no task, so both workers finish the tasks they hold and wait
+        # idle for the next one.
         time.sleep(0.3)
         for child in multiprocessing.active_children():
-            if child.name.startswith("ForkPoolWorker"):
-                os.kill(child.pid, signal.SIGKILL)
-                killed.append(child.pid)
+            os.kill(child.pid, signal.SIGKILL)
+            killed.append(child.pid)
 
     result = CampaignRunner(
         backend="process", workers=2, chunk_size=1, retry=RETRY,
@@ -52,5 +52,6 @@ def test_idle_worker_kill_degrades_to_in_process_execution():
 
     assert len(killed) >= 2  # this campaign's two workers
     assert result == baseline
+    assert result.fault_stats.worker_deaths == 2
     assert result.fault_stats.quarantined == 0
-    assert result.fault_stats.pool_failures == 1
+    assert result.fault_stats.pool_failures == 0

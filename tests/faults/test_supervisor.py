@@ -1,18 +1,23 @@
 """Supervisor unit contracts: settle-once, retry, bisect, quarantine,
-and the pool it owns.
+and the workers it owns.
 
 Most of these exercise the supervision state machine in-process with
 scripted task functions — no pool, no fault plan — so each transition
 (retry with backoff accounting, bisection re-attribution, quarantine as
 an ``"error"`` outcome) is pinned in isolation from the chaos machinery.
-``TestPoolOwnership`` pins what a task learns of where it runs and the
-campaign that a host unable to fork still completes.
+``TestPoolOwnership`` pins what a task learns of where it runs, the
+campaign that a host unable to fork still completes and pipe traffic
+larger than a pipe's buffer.  ``TestAttribution`` pins that a death
+retries exactly the task its worker ran, and ``TestTeardown`` that
+every exit path stops every worker.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
+import signal
+import threading
 
 import pytest
 
@@ -22,6 +27,11 @@ from repro.faults import FaultPlan, RetryPolicy, Supervisor
 from repro.faults.supervisor import QuarantineError
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)[:6]
+
+#: A campaign of eleven 4-spec chunks, five of which crash their worker
+#: on the first attempt under ``CRASH_PLAN``.
+CRASH_SPECS = theorem8_specs([4], seeds=(1,))
+CRASH_PLAN = FaultPlan(seed=31, crash_rate=0.1)
 
 
 def _ok(spec) -> ScenarioOutcome:
@@ -42,8 +52,7 @@ def _recorder(results, events=None):
 
 def _policy(**overrides):
     defaults = dict(max_attempts=3, backoff_seconds=0.0,
-                    task_timeout_seconds=5.0, death_grace_seconds=0.2,
-                    wake_seconds=0.02, teardown_grace_seconds=0.5)
+                    task_timeout_seconds=5.0, teardown_grace_seconds=0.5)
     defaults.update(overrides)
     return RetryPolicy(**defaults)
 
@@ -153,11 +162,23 @@ class TestInline:
 
 
 def _where(specs, telemetry=None, *, attempt=1, faults=None, in_worker=False):
-    """A scripted task whose outcome for each slot is its ``in_worker``.
+    """A scripted task whose outcome for each slot is its ``in_worker``
+    and whose payload is the slot's spec.
 
     Module-level, so a pool can ship it by reference.
     """
-    return [in_worker] * len(specs), [0.0] * len(specs), [None] * len(specs)
+    return [in_worker] * len(specs), [0.0] * len(specs), list(specs)
+
+
+def _unpicklable(specs, telemetry=None, *, attempt=1, faults=None,
+                 in_worker=False):
+    """A scripted task whose reply holds a lock, which cannot be pickled."""
+    return ([in_worker] * len(specs), [0.0] * len(specs),
+            [threading.Lock()] * len(specs))
+
+
+def _time_out(signum, frame):
+    raise TimeoutError("the campaign did not finish in time")
 
 
 class TestPoolOwnership:
@@ -176,11 +197,95 @@ class TestPoolOwnership:
         def no_fork(*args, **kwargs):
             raise OSError("fork forbidden")
 
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", no_fork)
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_fork)
         result = CampaignRunner(backend="process", workers=2).run(SPECS)
         assert result == CampaignRunner().run(SPECS)
         assert result.workers == 1
         assert not result.dispatch_stats.any()
+
+    def test_tasks_and_replies_larger_than_a_pipe_buffer_do_not_deadlock(self):
+        # A worker is sent its queued task while it runs another.  If it
+        # finishes first and blocks sending a reply that overflows the
+        # pipe, the parent must not block sending it the queued task.
+        blob = b"x" * 1_000_000
+        tasks = [(_where, (blob,), (index,)) for index in range(4)]
+        results, events = {}, []
+        previous = signal.signal(signal.SIGALRM, _time_out)
+        signal.alarm(20)
+        try:
+            Supervisor(retry=_policy(),
+                       record=_recorder(results, events)).run_pool(tasks, 1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert results == {index: True for index in range(4)}
+        assert events == [blob] * 4
+
+    def test_a_reply_that_cannot_be_pickled_fails_its_task_not_its_worker(self):
+        results = {}
+        supervisor = Supervisor(retry=_policy(max_attempts=2),
+                                record=_recorder(results))
+        supervisor.run_pool([(_unpicklable, (SPECS[0],), (0,))], 1)
+        assert supervisor.stats.worker_deaths == 0
+        assert supervisor.stats.task_retries == 1
+        assert supervisor.stats.quarantined == 1
+        assert "task reply cannot be pickled" in results[0].error
+
+
+def _chunks_holding(plan, specs, size, kind):
+    """How many ``size``-spec chunks of ``specs`` hold a spec that
+    ``plan`` gives a ``kind`` fault on its first attempt."""
+    return sum(
+        any(getattr(plan.decide(spec), "kind", None) == kind
+            for spec in specs[start:start + size])
+        for start in range(0, len(specs), size))
+
+
+def _quarantine_errors(result) -> int:
+    return sum(outcome.verdict == "error"
+               and outcome.error.startswith("QuarantineError")
+               for outcome in result.outcomes)
+
+
+class TestAttribution:
+    def test_each_death_retries_exactly_the_task_its_worker_ran(self):
+        """A worker's death names the task it held: that task alone is
+        retried, so each chunk holding a crash costs one death and one
+        retry, and no live task waits out a deadline or runs twice."""
+        crashing = _chunks_holding(CRASH_PLAN, CRASH_SPECS, 4, "crash")
+        assert crashing == 5
+        result = CampaignRunner(
+            backend="process", workers=2, chunk_size=4,
+            retry=_policy(), faults=CRASH_PLAN,
+        ).run(CRASH_SPECS)
+        stats = result.fault_stats
+        assert stats.worker_deaths == stats.task_retries == crashing
+        assert stats.task_timeouts == 0
+        assert stats.quarantined == _quarantine_errors(result) == 0
+        assert result.elapsed_seconds < 1.0
+        assert result == CampaignRunner().run(CRASH_SPECS)
+
+
+def _record_forks(monkeypatch, limit=None):
+    """The pids of the workers a campaign forks, in start order; a start
+    beyond ``limit`` raises ``OSError`` as a host out of processes would."""
+    context = multiprocessing.get_context("fork")
+    started = []
+
+    class Recorded(context.Process):
+        def start(self):
+            if limit is not None and len(started) >= limit:
+                raise OSError("fork refused")
+            super().start()
+            started.append(self.pid)
+
+    monkeypatch.setattr(context, "Process", Recorded)
+    return started
+
+
+def _running(pids):
+    return [child.pid for child in multiprocessing.active_children()
+            if child.pid in pids]
 
 
 class _Messages(logging.Handler):
@@ -196,10 +301,9 @@ class _Messages(logging.Handler):
 
 class TestTeardown:
     def test_a_worker_death_does_not_wait_out_the_teardown_grace(self):
-        """A dead worker's task never leaves the pool's result cache, so
-        a join after ``close()`` cannot return: teardown must go straight
-        to ``terminate()`` rather than wait out the grace."""
-        specs = theorem8_specs([4], seeds=(1,))
+        """Workers left idle at the end of a campaign that survived worker
+        deaths exit on their stop message; no teardown waits out the
+        grace."""
         grace = 3.0
         logger = logging.getLogger("repro.faults.supervisor")
         handler = _Messages()
@@ -210,16 +314,53 @@ class TestTeardown:
             result = CampaignRunner(
                 backend="process", workers=2, chunk_size=4,
                 retry=_policy(teardown_grace_seconds=grace),
-                faults=FaultPlan(seed=31, crash_rate=0.1),
-            ).run(specs)
+                faults=CRASH_PLAN,
+            ).run(CRASH_SPECS)
         finally:
             logger.removeHandler(handler)
             logger.setLevel(level)
         assert result.fault_stats.worker_deaths >= 1
         assert result.elapsed_seconds < grace / 2
-        assert result == CampaignRunner().run(specs)
+        assert result == CampaignRunner().run(CRASH_SPECS)
         assert not [message for message in handler.messages
-                    if "after close" in message]
+                    if "after its stop message" in message]
+
+    def test_a_finished_campaign_stops_every_worker(self, monkeypatch):
+        started = _record_forks(monkeypatch)
+        result = CampaignRunner(
+            backend="process", workers=2, chunk_size=4, retry=_policy(),
+        ).run(CRASH_SPECS)
+        assert len(started) == 2
+        assert not _running(started)
+        assert result == CampaignRunner().run(CRASH_SPECS)
+
+    def test_a_campaign_whose_settle_hook_raises_stops_every_worker(
+            self, monkeypatch):
+        started = _record_forks(monkeypatch)
+
+        def sink(event):
+            raise RuntimeError("sink failed")
+
+        with pytest.raises(RuntimeError, match="sink failed"):
+            CampaignRunner(
+                backend="process", workers=2, chunk_size=4, retry=_policy(),
+            ).run(CRASH_SPECS, on_settle=sink)
+        assert len(started) == 2
+        assert not _running(started)
+
+    def test_a_failed_replacement_fork_finishes_in_process(self, monkeypatch):
+        # Only the first two workers start: the first death's replacement
+        # cannot be forked, so the rest of the campaign runs in-process.
+        started = _record_forks(monkeypatch, limit=2)
+        result = CampaignRunner(
+            backend="process", workers=2, chunk_size=4,
+            retry=_policy(), faults=CRASH_PLAN,
+        ).run(CRASH_SPECS)
+        assert len(started) == 2
+        assert result.fault_stats.pool_failures == 1
+        assert result.fault_stats.worker_deaths >= 1
+        assert not _running(started)
+        assert result == CampaignRunner().run(CRASH_SPECS)
 
 
 class TestQuarantineError:
