@@ -62,8 +62,9 @@ def classify_campaign(n_values, result: CampaignResult) -> List[Tuple]:
 
 
 def test_corollary13_border(benchmark):
-    # The border classification consumes verdicts only; verdict-only
-    # recording skips all per-step trace allocation in the workers.
+    # The border classification consumes verdicts only.  Corollary 13's
+    # kinds run the scalar executor whatever the specs' recording name;
+    # the name is part of their identity and store fingerprints only.
     specs = corollary13_specs(N_VALUES, recording="verdict-only")
     runner = CampaignRunner(backend="process", workers=4)
 

@@ -6,30 +6,30 @@ per run) scales with the system size for the Section VI protocol under the
 fair schedule.  ``pytest-benchmark`` measures the wall-clock; the table
 reports the volume counters.
 
-On top of the absolute scaling curve, ``test_recording_policy_speedup``
-measures the zero-copy engine against the seed hot path, frozen verbatim
-in :mod:`benchmarks._legacy_executor` (eager snapshot views, per-step
-knowledge-graph rebuilds): at every ``n >= 32`` the current engine under
-``VERDICT_ONLY`` recording must be at least 3x faster while producing the
-bit-identical run.  The headline numbers land in
-``BENCH_E13_simulator_scaling.json`` (see ``$REPRO_BENCH_JSON``), which
-``benchmarks/compare_bench.py`` diffs against the committed baseline in
-CI — a >25% regression of the speedup or of the volume counters fails the
-workflow.
+On top of the absolute scaling curve, ``test_scalar_executor_speedup``
+measures the scalar executor, which records every step, against the seed
+hot path, frozen verbatim in :mod:`benchmarks._legacy_executor` (eager
+snapshot views, per-step knowledge-graph rebuilds): at every ``n >= 32``
+the current executor must be at least 3x faster while producing the
+bit-identical run.  The headline numbers, ``scalar_speedup_n*`` and the
+volume counters, land in ``BENCH_E13_simulator_scaling.json`` (see
+``$REPRO_BENCH_JSON``), which ``benchmarks/compare_bench.py`` diffs
+against the committed baseline in CI — a >25% regression of the speedup
+or of the volume counters fails the workflow.
 
 ``test_batch_kernel_speedup`` (E14) measures the next tier up: the
 bitmask fast path of :mod:`repro.simulation.bitmask_kernel`, reached the
 way campaigns reach it — ``run_scenario(spec)``, where the
-``theorem8-solvable`` kind picks the engine — on 16 VERDICT_ONLY
+``theorem8-solvable`` kind picks the engine — on 16 ``"verdict-only"``
 scenarios, against two references run on the same specs:
 
 * the scalar executor it treats as its oracle
-  (``execute_theorem8_solvable``).  The fast path must be at least 3x
-  faster at every ``n >= 32`` and produce bit-identical outcomes
-  (asserted inline — the benchmark doubles as an equivalence check at
-  sizes the pinned-grid test does not reach).  The ratio is printed but
-  not baselined: the oracle gets faster too, and a faster oracle must
-  not read as a slower fast path;
+  (``execute_theorem8_solvable``, which records the whole trace).  The
+  fast path must be at least 3x faster at every ``n >= 32`` and produce
+  bit-identical outcomes (asserted inline — the benchmark doubles as an
+  equivalence check at sizes the pinned-grid test does not reach).  The
+  ratio is printed but not baselined: the oracle gets faster too, and a
+  faster oracle must not read as a slower fast path;
 * the seed engine E13 uses, frozen in :mod:`benchmarks._legacy_executor`
   (``legacy_execute`` + ``LegacyKSet``), with equal outcomes asserted
   too.  ``seed_engine_speedup_n*``, the seed engine's time over the fast
@@ -53,9 +53,9 @@ give each a quiet one.
 ``test_telemetry_overhead`` guards both sides of the telemetry layer's
 hot-path promise.  *Telemetry off* costs one ``current_tracer()`` call
 per execution and a ``None`` check per step — any creep there erodes
-``speedup_verdict_only_n*`` against its committed baseline, so the
-disabled path is regression-guarded by the floor above without a
-separate metric.  *Telemetry on* (full phase capture, the worst case)
+``scalar_speedup_n*`` against its committed baseline, so the disabled
+path is regression-guarded by the floor above without a separate
+metric.  *Telemetry on* (full phase capture, the worst case)
 is measured here as ``telemetry_enabled_overhead_x_n{n}`` — the traced
 / untraced wall-clock ratio for the identical run — and baselined in
 ``BENCH_E13_telemetry_overhead.json``, where ``compare_bench.py``
@@ -73,14 +73,14 @@ from repro.algorithms.kset_initial_crash import KSetInitialCrash
 from repro.analysis.reporting import format_table
 from repro.analysis.run_properties import run_statistics
 from repro.models.initial_crash import initial_crash_model
-from repro.simulation.executor import ExecutionSettings, RecordingPolicy, execute
+from repro.simulation.executor import execute
 from repro.telemetry import Tracer, activated
 from benchmarks.conftest import emit, emit_json
 from benchmarks._legacy_executor import LegacyKSet, legacy_execute
 
 SIZES = [8, 16, 24, 32, 48, 64]
 SPEEDUP_SIZES = [32, 48]
-#: The acceptance floor: current engine (verdict-only) vs the seed hot path.
+#: The acceptance floor: the scalar executor vs the seed hot path.
 SPEEDUP_FLOOR = 3.0
 #: Hard ceiling for the traced/untraced ratio under full phase capture.
 #: Tracing laps a perf counter four times per step, so it cannot be free;
@@ -88,14 +88,11 @@ SPEEDUP_FLOOR = 3.0
 TELEMETRY_OVERHEAD_CEILING = 4.0
 
 
-def run_once(n: int, recording: RecordingPolicy = RecordingPolicy.FULL):
+def run_once(n: int):
     f = n // 2
     model = initial_crash_model(n, f)
     algorithm = KSetInitialCrash(n, f)
-    return execute(
-        algorithm, model, {p: p for p in model.processes},
-        settings=ExecutionSettings(recording=recording),
-    )
+    return execute(algorithm, model, {p: p for p in model.processes})
 
 
 def run_once_legacy(n: int):
@@ -152,47 +149,41 @@ def test_simulator_scaling_table(benchmark):
     assert rows[-1][1] < 20 * SIZES[-1]
 
 
-def test_recording_policy_speedup(benchmark):
-    """Zero-copy + verdict-only vs the frozen seed hot path: >= 3x at n >= 32."""
+def test_scalar_executor_speedup(benchmark):
+    """The scalar executor vs the frozen seed hot path: >= 3x at n >= 32."""
 
     def measure():
         rows = []
         payload = {}
         for n in SPEEDUP_SIZES:
-            ((legacy_seconds, legacy_run), (full_seconds, full_run),
-             (verdict_seconds, verdict_run)) = _best_alternating(
-                partial(run_once_legacy, n),
-                partial(run_once, n, RecordingPolicy.FULL),
-                partial(run_once, n, RecordingPolicy.VERDICT_ONLY))
-            # identical executions, whatever the engine or policy
-            assert verdict_run.completed and full_run.completed and legacy_run.completed
-            assert verdict_run.decisions() == full_run.decisions() == legacy_run.decisions()
-            assert verdict_run.length == full_run.length == legacy_run.length
-            assert (verdict_run.messages_sent() == full_run.messages_sent()
-                    == legacy_run.messages_sent())
-            speedup = legacy_seconds / verdict_seconds if verdict_seconds else 0.0
-            rows.append((n, round(legacy_seconds * 1e3, 2), round(full_seconds * 1e3, 2),
-                         round(verdict_seconds * 1e3, 2), round(speedup, 2)))
+            (legacy_seconds, legacy_run), (scalar_seconds, scalar_run) = (
+                _best_alternating(partial(run_once_legacy, n),
+                                  partial(run_once, n)))
+            # identical executions on either engine
+            assert scalar_run.completed and legacy_run.completed
+            assert scalar_run.decisions() == legacy_run.decisions()
+            assert scalar_run.length == legacy_run.length
+            assert scalar_run.messages_sent() == legacy_run.messages_sent()
+            speedup = legacy_seconds / scalar_seconds if scalar_seconds else 0.0
+            rows.append((n, round(legacy_seconds * 1e3, 2),
+                         round(scalar_seconds * 1e3, 2), round(speedup, 2)))
             payload.update({
-                f"steps_n{n}": verdict_run.length,
-                f"messages_sent_n{n}": verdict_run.messages_sent(),
+                f"steps_n{n}": scalar_run.length,
+                f"messages_sent_n{n}": scalar_run.messages_sent(),
                 f"legacy_seconds_n{n}": round(legacy_seconds, 6),
-                f"full_seconds_n{n}": round(full_seconds, 6),
-                f"verdict_seconds_n{n}": round(verdict_seconds, 6),
-                f"speedup_verdict_only_n{n}": round(speedup, 3),
+                f"scalar_seconds_n{n}": round(scalar_seconds, 6),
+                f"scalar_speedup_n{n}": round(speedup, 3),
             })
         return rows, payload
 
     rows, payload = benchmark.pedantic(measure, iterations=1, rounds=1)
     emit(
-        "E13 recording-policy speedup (seed hot path vs zero-copy engine)",
-        format_table(
-            ("n", "seed ms", "full ms", "verdict-only ms", "speedup"), rows
-        ),
+        "E13 scalar executor speedup (seed hot path vs zero-copy engine)",
+        format_table(("n", "seed ms", "scalar ms", "speedup"), rows),
     )
     benchmark.extra_info.update(payload)
     emit_json("E13_simulator_scaling", payload)
-    for n, _legacy_ms, _full_ms, _verdict_ms, speedup in rows:
+    for n, _legacy_ms, _scalar_ms, speedup in rows:
         assert speedup >= SPEEDUP_FLOOR, (
             f"expected >= {SPEEDUP_FLOOR}x over the seed hot path at n={n}, "
             f"measured {speedup:.2f}x"
@@ -207,7 +198,7 @@ FAST_PATH_SPEEDUP_FLOOR = 3.0
 
 
 def fast_path_specs(n: int):
-    """16 VERDICT_ONLY specs: both schedulers x FAST_PATH_SEEDS seeds."""
+    """16 ``"verdict-only"`` specs: both schedulers x FAST_PATH_SEEDS seeds."""
     from repro.campaign.spec import ScenarioSpec
 
     f = n // 2
@@ -285,7 +276,7 @@ def test_batch_kernel_speedup(benchmark):
     rows, payload = benchmark.pedantic(measure, iterations=1, rounds=1)
     emit(
         "E14 bitmask fast path vs scalar executor and seed engine "
-        "(VERDICT_ONLY scenarios)",
+        "(verdict-only scenarios)",
         format_table(
             ("n", "scenarios", "seed ms", "scalar ms", "fast path ms",
              "vs scalar", "vs seed"), rows
@@ -301,10 +292,10 @@ def test_batch_kernel_speedup(benchmark):
 
 
 def run_once_traced(n: int):
-    """One verdict-only run under an active tracer with full phase capture."""
+    """One run under an active tracer with full phase capture."""
     tracer = Tracer(trace_id="bench")
     with activated(tracer):
-        run = run_once(n, RecordingPolicy.VERDICT_ONLY)
+        run = run_once(n)
     return run, tracer.drain()
 
 
@@ -315,23 +306,22 @@ def test_telemetry_overhead(benchmark):
         rows = []
         payload = {}
         for n in SPEEDUP_SIZES:
-            (verdict_seconds, verdict_run), (traced_seconds, (traced_run, spans)) = (
-                _best_alternating(
-                    partial(run_once, n, RecordingPolicy.VERDICT_ONLY),
-                    partial(run_once_traced, n)))
+            (untraced_seconds, untraced_run), (traced_seconds, (traced_run, spans)) = (
+                _best_alternating(partial(run_once, n),
+                                  partial(run_once_traced, n)))
             # Telemetry observes; it must never influence the schedule.
-            assert traced_run.decisions() == verdict_run.decisions()
-            assert traced_run.length == verdict_run.length
-            assert traced_run.messages_sent() == verdict_run.messages_sent()
+            assert traced_run.decisions() == untraced_run.decisions()
+            assert traced_run.length == untraced_run.length
+            assert traced_run.messages_sent() == untraced_run.messages_sent()
             # One execute span plus its four phase children were recorded.
             names = [s.name for s in spans]
             assert names.count("execute") == 1
             assert sum(1 for name in names if name.startswith("phase:")) == 4
-            overhead = traced_seconds / verdict_seconds if verdict_seconds else 0.0
-            rows.append((n, round(verdict_seconds * 1e3, 2),
+            overhead = traced_seconds / untraced_seconds if untraced_seconds else 0.0
+            rows.append((n, round(untraced_seconds * 1e3, 2),
                          round(traced_seconds * 1e3, 2), round(overhead, 2)))
             payload.update({
-                f"verdict_seconds_n{n}": round(verdict_seconds, 6),
+                f"untraced_seconds_n{n}": round(untraced_seconds, 6),
                 f"traced_seconds_n{n}": round(traced_seconds, 6),
                 f"telemetry_enabled_overhead_x_n{n}": round(overhead, 3),
             })
@@ -339,7 +329,7 @@ def test_telemetry_overhead(benchmark):
 
     rows, payload = benchmark.pedantic(measure, iterations=1, rounds=1)
     emit(
-        "E13 telemetry overhead (verdict-only, full phase capture)",
+        "E13 telemetry overhead (scalar executor, full phase capture)",
         format_table(("n", "untraced ms", "traced ms", "overhead x"), rows),
     )
     benchmark.extra_info.update(payload)

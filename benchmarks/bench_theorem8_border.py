@@ -29,9 +29,10 @@ from benchmarks.conftest import emit, emit_json
 # CI smoke-test the campaign-backed sweep on a tiny grid.
 SWEEP_N = [int(x) for x in os.environ.get("REPRO_SWEEP_N", "4,5,6").split(",")]
 BORDER_POINTS = [(4, 2, 1), (6, 4, 2), (8, 6, 3), (9, 6, 2), (10, 8, 4)]
-# The sweep consumes verdicts only, so the benchmarks run verdict-only
-# recording — tests/campaign/test_recording_plumbing.py pins that the
-# resulting points are identical to full recording.
+# The sweep consumes verdicts only, so the benchmarks run "verdict-only"
+# specs, whose solvable side takes the bitmask loop —
+# tests/campaign/test_recording_plumbing.py pins that the resulting points
+# are identical to those of "full" specs, which run the scalar executor.
 SWEEP_KWARGS = {"seeds": (1,), "max_steps": 8_000, "recording": "verdict-only"}
 
 

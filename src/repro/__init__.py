@@ -87,7 +87,6 @@ from repro.simulation import (
     LazyAdversaryView,
     PartitioningAdversary,
     RandomScheduler,
-    RecordingPolicy,
     RoundRobinScheduler,
     Run,
     SilenceAdversary,
@@ -183,7 +182,6 @@ __all__ = [
     # simulation
     "execute",
     "ExecutionSettings",
-    "RecordingPolicy",
     "LazyAdversaryView",
     "Run",
     "RoundRobinScheduler",

@@ -160,16 +160,16 @@ def sweep_theorem8(
     ``progress`` (:class:`repro.store.ProgressReporter`) streams
     pool-wide per-scenario events while the campaign runs.
 
-    ``recording`` selects the executor's
-    :class:`~repro.simulation.recording.RecordingPolicy` for every
-    scenario.  The sweep only consumes verdicts, so the default,
-    ``"verdict-only"``, returns the **identical** list of points (details
-    included) as ``"full"``, without per-step trace allocation and with
-    the solvable side on the bitmask fast path.  The recording policy is
-    part of every spec's store fingerprint: a store filled by a
-    ``"full"`` sweep — the default before it became ``"verdict-only"`` —
-    misses once for a default sweep, which then stores its outcomes under
-    the verdict-only fingerprints.
+    ``recording`` is every spec's
+    :attr:`~repro.campaign.spec.ScenarioSpec.recording`.  The sweep only
+    consumes verdicts, so the default, ``"verdict-only"``, which runs the
+    solvable side on the bitmask fast path, returns the **identical**
+    list of points (details included) as ``"full"``, which runs every
+    scenario on the scalar executor.  The name is part of every spec's
+    store fingerprint: a store filled by a ``"full"`` sweep — the default
+    before it became ``"verdict-only"`` — misses once for a default
+    sweep, which then stores its outcomes under the verdict-only
+    fingerprints.
     """
     n_values = list(n_values)
     specs = theorem8_specs(

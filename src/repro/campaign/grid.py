@@ -84,10 +84,10 @@ class ScenarioGrid:
     params:
         Extra kind-specific knobs attached to every scenario.
     recording:
-        Recording-policy name applied to every compiled scenario
-        (``"full"``, ``"decisions-only"`` or ``"verdict-only"``); the
-        policy changes what the executed runs retain, never their
-        verdicts.
+        :attr:`ScenarioSpec.recording` of every compiled scenario
+        (``"full"``, ``"decisions-only"`` or ``"verdict-only"``); it
+        picks the engine of ``theorem8-solvable`` specs, never their
+        outcomes.
     """
 
     kinds: Tuple[str, ...]

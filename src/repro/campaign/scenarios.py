@@ -60,7 +60,6 @@ from repro.partitioning.scenarios import Theorem10Scenario
 from repro.simulation.adversary import PartitioningAdversary
 from repro.simulation.bitmask_kernel import execute_bitmask
 from repro.simulation.executor import ExecutionSettings, execute
-from repro.simulation.recording import RecordingPolicy
 from repro.simulation.scheduler import Adversary, RandomScheduler, RoundRobinScheduler
 from repro.telemetry.spans import span as _span
 
@@ -176,16 +175,8 @@ def build_adversary(spec: ScenarioSpec) -> Adversary:
 
 
 def build_settings(spec: ScenarioSpec) -> ExecutionSettings:
-    """The spec's execution settings: step budget plus recording policy.
-
-    Campaign outcomes only consume decisions, flags and counters, so a
-    ``"verdict-only"`` spec skips all per-step trace allocation while
-    producing the identical :class:`ScenarioOutcome`.
-    """
-    return ExecutionSettings(
-        max_steps=spec.max_steps,
-        recording=RecordingPolicy.coerce(spec.recording),
-    )
+    """The spec's execution settings: its step budget."""
+    return ExecutionSettings(max_steps=spec.max_steps)
 
 
 def initial_crash_patterns(n: int, f: int, seeds: Sequence[int]) -> List[frozenset]:
@@ -307,7 +298,7 @@ def _judge_theorem8_solvable(spec: ScenarioSpec, run) -> ScenarioOutcome:
 @scenario_kind("theorem8-solvable", execution_key=_theorem8_solvable_key,
                judge=_judge_theorem8_solvable)
 def _execute_theorem8_solvable_kind(spec: ScenarioSpec):
-    if spec.recording == RecordingPolicy.VERDICT_ONLY.value:
+    if spec.recording == "verdict-only":
         return _theorem8_solvable_run(spec, execute_bitmask)
     return _theorem8_solvable_run(spec, execute)
 
@@ -441,10 +432,7 @@ def _run_corollary13_kmax(spec: ScenarioSpec) -> ScenarioOutcome:
 @scenario_kind("corollary13-middle")
 def _run_corollary13_middle(spec: ScenarioSpec) -> ScenarioOutcome:
     """The Theorem 10 violation construction (``2 <= k <= n - 2``)."""
-    scenario = Theorem10Scenario(
-        n=spec.n, k=spec.k, max_steps=spec.max_steps,
-        recording=RecordingPolicy.coerce(spec.recording),
-    )
+    scenario = Theorem10Scenario(n=spec.n, k=spec.k, max_steps=spec.max_steps)
     with _span("decision", k=spec.k):
         run, report = scenario.violation_run(FlawedQuorumKSet(spec.n, spec.k))
     return ScenarioOutcome.from_report(spec, report, run)

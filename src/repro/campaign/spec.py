@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Tuple, Union
 
 from repro.exceptions import ConfigurationError
-from repro.simulation.recording import RECORDING_POLICY_NAMES
 from repro.types import ProcessId, Time
 
 __all__ = [
     "DETERMINISTIC_SCHEDULERS",
+    "RECORDING_POLICY_NAMES",
     "ScenarioSpec",
     "ScenarioOutcome",
     "normalize_crashes",
@@ -39,6 +39,9 @@ __all__ = [
 #: compiler normalises their seed to 0 so that the seed axis does not
 #: produce duplicate scenarios.
 DETERMINISTIC_SCHEDULERS = frozenset({"round-robin", "partitioning", "isolation"})
+
+#: The names :attr:`ScenarioSpec.recording` accepts.
+RECORDING_POLICY_NAMES = ("full", "decisions-only", "verdict-only")
 
 #: Crash schedules accepted by :func:`normalize_crashes`: a mapping
 #: ``pid -> crash time`` or an iterable of initially dead process ids.
@@ -140,12 +143,15 @@ class ScenarioSpec:
     params:
         Extra kind-specific knobs as sorted ``(name, value)`` pairs.
     recording:
-        Name of the :class:`repro.simulation.recording.RecordingPolicy`
-        the execution runs under (``"full"``, ``"decisions-only"`` or
-        ``"verdict-only"``).  The policy is part of the spec's identity
-        (and therefore of its store fingerprint), but deliberately *not*
-        of :meth:`derived_seed` — the RNG stream, the schedule and the
-        outcome are identical across recording policies.
+        One of :data:`RECORDING_POLICY_NAMES`.  It only picks the engine
+        of a ``theorem8-solvable`` spec: ``"verdict-only"`` runs the
+        bitmask loop of :mod:`repro.simulation.bitmask_kernel`, and every
+        other spec, of any kind, runs the scalar executor, which always
+        records the whole trace.  ``"full"`` and ``"decisions-only"`` run
+        alike.  The name is part of the spec's identity (and therefore
+        of its store fingerprint), but deliberately *not* of
+        :meth:`derived_seed` — the RNG stream, the schedule and the
+        outcome are identical whatever the name.
     """
 
     kind: str
@@ -212,8 +218,7 @@ class ScenarioSpec:
         ``PYTHONHASHSEED``; distinct scenarios of a grid get distinct
         streams with overwhelming probability.  ``recording`` (like
         ``max_steps``) is deliberately excluded: the RNG stream — and
-        with it the schedule — must be bit-identical across recording
-        policies.
+        with it the schedule — must be bit-identical on either engine.
 
         The sha256 is computed once per spec instance and memoised —
         telemetry sampling, fault plans and the seeded schedulers all
@@ -285,8 +290,8 @@ class ScenarioOutcome:
     impossible side of a border) or ``"error"`` (the execution raised).
     Outcomes deliberately carry no timing information so that campaigns
     executed by different backends compare equal; ``steps`` and the
-    message counters *are* part of the outcome — the executor maintains
-    them under every recording policy, so they are deterministic too.
+    message counters *are* part of the outcome — both engines count them
+    and agree on them, so they are deterministic too.
     """
 
     spec: ScenarioSpec

@@ -70,13 +70,16 @@ class StaleViewError(SimulationError):
 
 
 class TraceUnavailableError(SimulationError):
-    """A run query needs trace data its recording policy did not keep.
+    """A run query needs a trace the run does not have.
 
-    Runs executed under ``RecordingPolicy.DECISIONS_ONLY`` or
-    ``RecordingPolicy.VERDICT_ONLY`` skip per-step event construction;
-    queries that need the step events (state sequences, per-step message
-    logs, ...) raise this error rather than silently returning an empty
-    trace.  Re-run with ``RecordingPolicy.FULL`` to get the full trace.
+    Only the bitmask fast path
+    (:func:`repro.simulation.bitmask_kernel.execute_bitmask`) returns a
+    traceless run (``Run.traced`` is ``False``): it keeps decisions, flags
+    and counters but no step events, failure-detector history, decision
+    times or undelivered messages.  Queries that need those raise this
+    error rather than silently returning an empty trace.  The scalar
+    executor always records the trace; replay the spec there with
+    :func:`repro.campaign.scenarios.execute_theorem8_solvable`.
     """
 
 

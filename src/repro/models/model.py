@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.exceptions import ConfigurationError, TraceUnavailableError
+from repro.exceptions import ConfigurationError
 from repro.models.parameters import SystemModelSpec
 from repro.types import ProcessId, validate_process_ids
 
@@ -214,19 +214,12 @@ class SystemModel:
         Returns a list of human-readable violation descriptions; an empty
         list means the run is admissible.
 
-        The step-wise conditions need the run's step-event trace, so runs
-        recorded under a trimmed
-        :class:`~repro.simulation.recording.RecordingPolicy` raise
+        The step-wise conditions need the run's step-event trace, so the
+        bitmask engine's traceless run (``traced=False``) raises
         :class:`repro.exceptions.TraceUnavailableError` instead of
         silently certifying an unverifiable schedule.
         """
-        recording = getattr(run, "recording", None)
-        if recording is not None and not recording.records_events:
-            raise TraceUnavailableError(
-                "admissibility checking needs the step-event trace, which "
-                f"RecordingPolicy.{recording.name} does not record; re-run "
-                "with RecordingPolicy.FULL"
-            )
+        run._require_trace("admissibility checking")
         violations: List[str] = []
         crash_times = tuple(run.failure_pattern.crash_times.items())
         if not self.failures.allows(crash_times):

@@ -41,7 +41,6 @@ from repro.simulation.executor import (
     execute,
     group_decided,
 )
-from repro.simulation.recording import RecordingPolicy
 from repro.simulation.message import Message
 from repro.simulation.run import Run
 from repro.simulation.scheduler import AdversaryView, RoundRobinScheduler
@@ -268,11 +267,6 @@ class Theorem10Scenario:
     k: int
     gst: int = 0
     max_steps: int = 20_000
-    #: Recording policy of :meth:`violation_run` (the campaign plumbs the
-    #: spec's policy through here).  The Lemma 12 machinery
-    #: (:meth:`block_runs`, :meth:`pasted_run`) always records full traces
-    #: — indistinguishability verification replays state sequences.
-    recording: RecordingPolicy = RecordingPolicy.FULL
 
     #: Justification used for condition (C); quotes the paper's argument.
     CONDITION_C_JUSTIFICATION = (
@@ -359,9 +353,7 @@ class Theorem10Scenario:
             self.model,
             self.proposals,
             adversary=adversary,
-            settings=ExecutionSettings(
-                max_steps=self.max_steps, recording=self.recording
-            ),
+            settings=ExecutionSettings(max_steps=self.max_steps),
         )
         report = KSetAgreementProblem(self.k).evaluate(run, proposals=self.proposals)
         return run, report

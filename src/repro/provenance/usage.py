@@ -3,10 +3,9 @@
 A :class:`ResourceUsage` record answers "what did this scenario cost?"
 in the two currencies a campaign spends: wall-clock time and simulated
 work (steps taken, messages sent/delivered).  The work counters come
-straight from the executor, which maintains them under **every**
-:class:`~repro.simulation.recording.RecordingPolicy` — they are part of
-the deterministic outcome of a scenario, bit-identical across recording
-policies and campaign backends.  Wall time is measurement, not outcome:
+straight from the run, and the scalar executor and the bitmask fast
+path count them alike — they are part of the deterministic outcome of
+a scenario, bit-identical across engines and campaign backends.  Wall time is measurement, not outcome:
 like the timing metadata of a
 :class:`~repro.campaign.runner.CampaignResult` it is **excluded from
 equality**, so usage records can be asserted equal across backends and

@@ -16,7 +16,6 @@ core theorem machinery and the benchmarks analyse.
 
 from repro.simulation.message import Message, MessageBuffer
 from repro.simulation.events import StepEvent
-from repro.simulation.recording import RecordingPolicy
 from repro.simulation.run import Run
 from repro.simulation.scheduler import (
     Adversary,
@@ -37,7 +36,6 @@ __all__ = [
     "Message",
     "MessageBuffer",
     "StepEvent",
-    "RecordingPolicy",
     "Run",
     "Adversary",
     "AdversaryView",

@@ -1,12 +1,11 @@
-"""The bitmask fast path: one verdict-only two-stage run per call.
+"""The bitmask fast path: one traceless two-stage run per call.
 
 The zero-copy scalar executor (:func:`repro.simulation.executor.execute`)
 pays full Python interpreter overhead per step — a :class:`LazyAdversaryView`,
 a :class:`StepDirective`, a frozen dataclass state replace and a handful of
-frozenset copies per scheduled process.  For ``VERDICT_ONLY`` campaign
-sweeps nothing of that per-step structure survives into the result: the
-outcome consumes only the final decision map, the completed/truncated
-flags and the volume counters.  :func:`execute_bitmask` replays one
+frozenset copies per scheduled process, and it records a trace of every
+step.  A campaign outcome consumes none of that: it reads only the final
+decision map, the completed/truncated flags and the volume counters.  :func:`execute_bitmask` replays one
 execution of the two-stage protocol over plain locals instead:
 
 * **Messages as bits.**  Every message of a run is a broadcast and each
@@ -59,12 +58,15 @@ executor loop, the two schedulers and the two-stage protocol *exactly*:
   it by a property test over random predecessor graphs
   (``tests/campaign/test_fast_path_oracle.py``), next to the
   outcome-for-outcome and RNG-state comparisons with the scalar executor;
-* the finished execution is returned as a genuine verdict-only
-  :class:`~repro.simulation.run.Run`, which callers evaluate with the same
+* the finished execution is returned as a
+  :class:`~repro.simulation.run.Run` with ``traced=False``, the one
+  traceless kind of run, which callers evaluate with the same
   :class:`~repro.core.ksetagreement.KSetAgreementProblem` machinery.
+  Its trace queries raise :class:`~repro.exceptions.TraceUnavailableError`;
+  the scalar replay of the same spec has the trace.
 
 The ``theorem8-solvable`` scenario kind (:mod:`repro.campaign.scenarios`)
-takes this path by itself for every ``VERDICT_ONLY`` spec; everything
+takes this path by itself for every ``"verdict-only"`` spec; everything
 else runs the scalar executor.
 """
 
@@ -83,7 +85,6 @@ from repro.simulation.executor import (
     _validate_proposals,
     all_correct_decided,
 )
-from repro.simulation.recording import RecordingPolicy
 from repro.simulation.run import Run
 from repro.simulation.scheduler import Adversary, RandomScheduler, RoundRobinScheduler
 from repro.telemetry.spans import span
@@ -109,14 +110,14 @@ def execute_bitmask(
     failure_pattern: FailurePattern,
     settings: ExecutionSettings,
 ) -> Run:
-    """``execute(...)`` for the two-stage protocol under ``VERDICT_ONLY``.
+    """``execute(...)`` for the two-stage protocol, without the trace.
 
     Takes the arguments of :func:`repro.simulation.executor.execute` and
-    returns the run it would return, for a freshly built
+    returns the run it would return, less the trace (``traced=False``),
+    for a freshly built
     :class:`~repro.simulation.scheduler.RoundRobinScheduler` or
     :class:`~repro.simulation.scheduler.RandomScheduler`, processes
-    ``1..n``, the default stop condition and ``VERDICT_ONLY`` recording.
-    Any other input raises
+    ``1..n`` and the default stop condition.  Any other input raises
     :class:`~repro.exceptions.ConfigurationError`.
 
     With an ambient tracer active, the execution is wrapped in an
@@ -136,13 +137,11 @@ def execute_bitmask(
     if (
         not isinstance(algorithm, TwoStageKnowledgeProtocol)
         or processes != tuple(range(1, algorithm.n + 1))
-        or settings.recording is not RecordingPolicy.VERDICT_ONLY
         or settings.stop_condition not in (None, all_correct_decided)
     ):
         raise ConfigurationError(
             "the bitmask loop replays only the two-stage protocol on "
-            "processes 1..n under VERDICT_ONLY recording and the default "
-            "stop condition")
+            "processes 1..n under the default stop condition")
 
     # The executor's validation, in the executor's order.
     _validate_proposals(proposals, processes)
@@ -176,7 +175,7 @@ def execute_bitmask(
         completed=completed,
         truncated=truncated,
         undelivered=(),
-        recording=RecordingPolicy.VERDICT_ONLY,
+        traced=False,
         final_decisions=decisions,
         final_decision_times=None,
         step_count=time,

@@ -44,7 +44,7 @@ class StepEvent:
     newly_decided:
         ``True`` when the write-once output was set in this very step.
 
-    A FULL recording builds one event per step, so the constructor fills
+    The scalar executor builds one event per step, so the constructor fills
     the instance dict directly instead of calling ``object.__setattr__``
     per field; the dataclass is otherwise as generated.
     """

@@ -34,12 +34,11 @@ The per-step hot path is zero-copy:
 * the built-in stop conditions advertise the set of processes whose
   decisions they await (``required_deciders``), which turns the per-step
   stop check into an O(1) counter test,
-* how much trace is recorded is controlled by the settings'
-  :class:`~repro.simulation.recording.RecordingPolicy`: verdict-only
-  campaigns skip :class:`~repro.simulation.events.StepEvent` and
-  failure-detector-history construction entirely.  The recording policy
-  never influences the schedule — decisions, completed/truncated flags
-  and volume counters are identical across policies.
+* every run is traced: one :class:`~repro.simulation.events.StepEvent`
+  per step, the failure-detector history, the undelivered messages and
+  the decision times.  The executor is the oracle of the bitmask fast
+  path (:mod:`repro.simulation.bitmask_kernel`), whose run is the one
+  traceless :class:`~repro.simulation.run.Run`.
 * telemetry is opt-in and ambient: the executor resolves
   :func:`repro.telemetry.spans.current_tracer` once per execution.  With
   no tracer active (the default) the per-step residue is a ``None``
@@ -60,7 +59,6 @@ from repro.failure_detectors.base import FailurePattern, RecordedHistory
 from repro.models.model import SystemModel
 from repro.simulation.events import StepEvent
 from repro.simulation.message import Message, MessageBuffer
-from repro.simulation.recording import RecordingPolicy
 from repro.simulation.run import Run
 from repro.simulation.scheduler import Adversary, LazyAdversaryView, RoundRobinScheduler
 from repro.telemetry.spans import PhaseAccumulator, current_tracer
@@ -72,7 +70,6 @@ __all__ = [
     "all_alive_decided",
     "group_decided",
     "ExecutionSettings",
-    "RecordingPolicy",
     "execute",
 ]
 
@@ -149,16 +146,10 @@ class ExecutionSettings:
         Step budget; reaching it marks the run as truncated.
     stop_condition:
         When to stop early (default: every correct process decided).
-    recording:
-        How much of the execution the returned run keeps (default:
-        everything).  See
-        :class:`~repro.simulation.recording.RecordingPolicy`; the policy
-        never changes the schedule or the verdict-relevant outputs.
     """
 
     max_steps: int = 10_000
     stop_condition: Optional[StopCondition] = None
-    recording: RecordingPolicy = RecordingPolicy.FULL
 
 
 _DEFAULT_SETTINGS = ExecutionSettings()
@@ -193,10 +184,9 @@ def execute(
         assumption — violations raise
         :class:`repro.exceptions.AdmissibilityError`.
     settings:
-        Step budget, stop condition and recording policy.
+        Step budget and stop condition.
     """
     settings = settings or _DEFAULT_SETTINGS
-    recording = settings.recording
     adversary = adversary or RoundRobinScheduler()
     stop_condition = settings.stop_condition or all_correct_decided
 
@@ -219,13 +209,11 @@ def execute(
 
     buffer = MessageBuffer(processes)
     history = RecordedHistory()
-    record_events = recording.records_events
-    record_history = recording.records_history
-    events: Optional[List[StepEvent]] = [] if record_events else None
+    events: List[StepEvent] = []
 
-    # Decisions are tracked incrementally for every policy: the maps grow
-    # by one entry per deciding step, so maintaining them costs O(1) per
-    # step and Run.decisions() never has to replay the event stream.
+    # Decisions are tracked incrementally: the maps grow by one entry per
+    # deciding step, so maintaining them costs O(1) per step and
+    # Run.decisions() never has to replay the event stream.
     decisions: Dict[ProcessId, Value] = {}
     decision_times: Dict[ProcessId, Time] = {}
     decided: FrozenSet[ProcessId] = frozenset(
@@ -306,8 +294,7 @@ def execute(
         fd_output = None
         if detector is not None:
             fd_output = detector.output(pid, time, pattern)
-            if record_history:
-                history.record(pid, time, fd_output)
+            history.record(pid, time, fd_output)
 
         delivered = buffer.take(pid, directive.deliver)
         for message in delivered:
@@ -333,8 +320,7 @@ def execute(
                     f"RestrictedAlgorithm to run it on a subsystem"
                 )
             message = buffer.put(pid, outgoing.receiver, outgoing.payload, time)
-            if record_events:
-                sent.append(message)
+            sent.append(message)
 
         states[pid] = new_state
         newly_decided = new_state.has_decided and not old_state.has_decided
@@ -347,12 +333,11 @@ def execute(
                 waiting.discard(pid)
         if phases is not None:
             phases.lap("transition")
-        if record_events:
-            # Positional arguments: cheaper than keywords, once per step.
-            events.append(StepEvent(
-                time, pid, delivered, fd_output, tuple(sent), new_state,
-                newly_decided,
-            ))
+        # Positional arguments: cheaper than keywords, once per step.
+        events.append(StepEvent(
+            time, pid, delivered, fd_output, tuple(sent), new_state,
+            newly_decided,
+        ))
         if waiting is not None:
             if newly_decided:
                 completed = not waiting
@@ -377,15 +362,14 @@ def execute(
         model_name=model.name,
         processes=processes,
         proposals=dict(proposals),
-        events=tuple(events) if record_events else (),
+        events=tuple(events),
         failure_pattern=pattern,
         fd_history=history,
         completed=completed,
         truncated=truncated,
-        undelivered=buffer.all_pending() if recording.records_undelivered else (),
-        recording=recording,
+        undelivered=buffer.all_pending(),
         final_decisions=decisions,
-        final_decision_times=decision_times if recording.records_decision_times else None,
+        final_decision_times=decision_times,
         step_count=time,
         sent_total=buffer.sent_count,
         delivered_total=buffer.delivered_count,

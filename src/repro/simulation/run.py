@@ -13,15 +13,15 @@ queries the paper's machinery needs:
 * the set of processes a given process heard from before deciding, which
   is what conditions (dec-D-bar) and T-independence are about.
 
-How much of the underlying trace exists depends on the run's
-:class:`~repro.simulation.recording.RecordingPolicy`: under
-``DECISIONS_ONLY``/``VERDICT_ONLY`` the executor skips the step events
-(and with them the per-step message log), recording the decisions and the
-volume counters directly instead.  The decision/counter queries therefore
-work — and return identical values — under every policy, while queries
-that genuinely need the step events raise
-:class:`repro.exceptions.TraceUnavailableError` on trimmed runs.  Runs
-constructed directly from events (run pasting, tests) keep working: every
+Every run of the scalar executor is traced: it carries its step events,
+failure-detector history, undelivered messages and decision times.  The
+one traceless run is the bitmask loop's
+(:func:`repro.simulation.bitmask_kernel.execute_bitmask`), marked by
+``traced=False``: it records the decisions and the volume counters
+directly, so the decision/counter queries return the values a scalar
+run of the same execution returns, while queries that need the trace
+raise :class:`repro.exceptions.TraceUnavailableError`.  Runs constructed
+directly from events (run pasting, tests) are traced: every
 directly-recorded field falls back to deriving from ``events``.
 """
 
@@ -35,7 +35,6 @@ from repro.exceptions import TraceUnavailableError
 from repro.failure_detectors.base import FailurePattern, RecordedHistory
 from repro.simulation.events import StepEvent
 from repro.simulation.message import Message
-from repro.simulation.recording import RecordingPolicy
 from repro.types import UNDECIDED, ProcessId, Time, Value
 
 __all__ = ["Run"]
@@ -55,13 +54,12 @@ class Run:
     proposals:
         The initial value of every executed process.
     events:
-        The step events in execution order (empty when the recording
-        policy skipped them).
+        The step events in execution order (empty on a traceless run).
     failure_pattern:
         The planned failure pattern of the run.
     fd_history:
         The recorded failure-detector history (empty in detector-free
-        models and under trimmed recording policies).
+        models and on a traceless run).
     completed:
         ``True`` when the executor's stop condition was met (by default:
         every correct process decided).
@@ -69,9 +67,11 @@ class Run:
         ``True`` when the step budget ran out first.
     undelivered:
         Messages still buffered when the execution stopped (not recorded
-        under ``VERDICT_ONLY``).
-    recording:
-        The :class:`RecordingPolicy` the run was executed under.
+        on a traceless run).
+    traced:
+        ``False`` only for the bitmask loop's run, which records no trace;
+        its trace queries raise
+        :class:`~repro.exceptions.TraceUnavailableError`.
     final_decisions / final_decision_times:
         Decision values/times recorded directly by the executor; when
         ``None`` (runs constructed from events) they are derived from
@@ -91,7 +91,7 @@ class Run:
     completed: bool = False
     truncated: bool = False
     undelivered: Tuple[Message, ...] = ()
-    recording: RecordingPolicy = RecordingPolicy.FULL
+    traced: bool = True
     final_decisions: Optional[Mapping[ProcessId, Value]] = None
     final_decision_times: Optional[Mapping[ProcessId, Time]] = None
     step_count: Optional[int] = None
@@ -100,12 +100,12 @@ class Run:
 
     # -- trace availability -------------------------------------------------
 
-    def _require_events(self, query: str) -> None:
-        if self.recording is not RecordingPolicy.FULL:
+    def _require_trace(self, query: str) -> None:
+        if not self.traced:
             raise TraceUnavailableError(
-                f"{query} needs the step-event trace, which "
-                f"RecordingPolicy.{self.recording.name} does not record; "
-                "re-run with RecordingPolicy.FULL"
+                f"{query} needs the run's trace, which the bitmask engine "
+                "does not record; replay the spec on the scalar executor "
+                "with execute_theorem8_solvable(spec)"
             )
 
     # -- decisions ---------------------------------------------------------
@@ -124,11 +124,7 @@ class Run:
         """Map every decided process to the time of its deciding step."""
         if self.final_decision_times is not None:
             return dict(self.final_decision_times)
-        if self.recording is RecordingPolicy.VERDICT_ONLY:
-            raise TraceUnavailableError(
-                "decision times are not recorded under "
-                "RecordingPolicy.VERDICT_ONLY; use DECISIONS_ONLY or FULL"
-            )
+        self._require_trace("decision_times")
         times: Dict[ProcessId, Time] = {}
         for event in self.events:
             if event.newly_decided and event.pid not in times:
@@ -166,7 +162,7 @@ class Run:
 
     def steps_of(self, pid: ProcessId) -> Tuple[StepEvent, ...]:
         """All step events of one process, in execution order."""
-        self._require_events("steps_of")
+        self._require_trace("steps_of")
         return tuple(e for e in self.events if e.pid == pid)
 
     def state_sequence(self, pid: ProcessId, *, until_decision: bool = True) -> Tuple[ProcessState, ...]:
@@ -203,11 +199,7 @@ class Run:
 
     def undelivered_to(self, pid: ProcessId) -> Tuple[Message, ...]:
         """Messages addressed to ``pid`` that were still pending at the end."""
-        if not self.recording.records_undelivered:
-            raise TraceUnavailableError(
-                "undelivered messages are not recorded under "
-                "RecordingPolicy.VERDICT_ONLY; use DECISIONS_ONLY or FULL"
-            )
+        self._require_trace("undelivered_to")
         return tuple(m for m in self.undelivered if m.receiver == pid)
 
     # -- aggregates ------------------------------------------------------------

@@ -9,7 +9,7 @@ per module and **stdlib-only imports** throughout, so every other layer
   no tracer active the executor's only residue is a ``None`` check.
 - :mod:`repro.telemetry.metrics` — named counters, gauges and bounded
   histograms whose deterministic fields (counts, integer sums, bins)
-  are bit-identical across recording policies and campaign backends.
+  are bit-identical across engines and campaign backends.
 - :mod:`repro.telemetry.export` — torn-tail-safe Chrome trace-event
   files (Perfetto / ``chrome://tracing`` load them directly) and
   metrics JSONL dumps.

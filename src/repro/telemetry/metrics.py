@@ -11,7 +11,7 @@ Determinism is the design constraint, mirroring
 :class:`~repro.provenance.usage.ResourceUsage`: metrics fed from the
 deterministic fields of the event stream (verdicts, steps, message
 counters, cache decisions) have **bit-identical** count/sum/bin values
-across recording policies and campaign backends, because the event
+across engines and campaign backends, because the event
 multiset is identical and counts and integer sums are order-independent.
 Wall-clock metrics (scenario latency, queue depth over time) are
 measurement, not outcome — they are flagged ``timing=True`` and
@@ -195,7 +195,7 @@ class MetricsRegistry:
     def deterministic_snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Only the deterministic metrics, without machine-dependent fields.
 
-        Two campaigns over the same scenarios — any recording policy,
+        Two campaigns over the same scenarios — on either engine, on
         any backend — produce *equal* deterministic snapshots; the
         plumbing tests assert this with ``==``.
         """

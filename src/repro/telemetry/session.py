@@ -21,8 +21,8 @@ placement — sampled traces are reproducible, not lucky.
 
 Metrics are fed parent-side from the event stream, so their
 deterministic fields (counts, integer sums, histogram bins over steps
-and message volumes) are bit-identical across recording policies and
-backends; wall-clock metrics are flagged ``timing`` and excluded from
+and message volumes) are bit-identical across engines and backends;
+wall-clock metrics are flagged ``timing`` and excluded from
 :meth:`TelemetrySession.deterministic_snapshot`.
 """
 

@@ -19,7 +19,7 @@ from repro.exceptions import ConfigurationError
 from repro.failure_detectors.base import FailurePattern
 from repro.graphs.knowledge_graph import decide_from_reports
 from repro.models.initial_crash import initial_crash_model
-from repro.simulation.executor import ExecutionSettings, RecordingPolicy, execute
+from repro.simulation.executor import ExecutionSettings, execute
 from repro.simulation.scheduler import Adversary, RandomScheduler, RoundRobinScheduler
 from repro.types import Value
 
@@ -287,8 +287,7 @@ def _full_run(algorithm, n, f, dead, proposals, max_steps, adversary):
         algorithm, model, dict(zip(model.processes, proposals)),
         adversary=adversary,
         failure_pattern=FailurePattern.initially_dead(model.processes, dead),
-        settings=ExecutionSettings(
-            max_steps=max_steps, recording=RecordingPolicy.FULL),
+        settings=ExecutionSettings(max_steps=max_steps),
     )
 
 

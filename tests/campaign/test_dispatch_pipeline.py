@@ -51,7 +51,7 @@ def _positions(tasks):
 
 
 def mixed_specs():
-    """A deliberately heterogeneous spec set: every recording policy,
+    """A deliberately heterogeneous spec set: every recording name,
     crash schedules, params, several kinds."""
     specs = list(theorem8_specs([4, 5], seeds=(1, 2), max_steps=4_000))[:12]
     specs += [

@@ -10,8 +10,9 @@ scalar run — decisions, flags, counters and error strings alike:
   scenario rejects (late crashes, more than ``f`` crashes, scheduler
   parameters out of range, a scheduler the kind cannot build) and step
   budgets small enough to truncate;
-* a pinned grid compares the two engines' runs field for field and
-  whole campaigns on every backend, with and without the store;
+* a pinned grid compares every field the bitmask run records with the
+  scalar run's, and whole campaigns on every backend, with and without
+  the store;
 * the grids the benchmarks run (n=16 and n=24) are compared outcome for
   outcome, because the loop packs messages into 2n-bit masks and
   memoises closures per run, so some bugs show only at wider n;
@@ -222,10 +223,6 @@ class TestEngineSelection:
         assert fast["truncated"] is (max_steps == 5)
 
     def test_loop_rejects_inputs_it_cannot_replay(self):
-        spec = ScenarioSpec(kind="theorem8-solvable", n=4, f=1, k=1,
-                            recording="full")
-        with pytest.raises(ConfigurationError):
-            bitmask_run(spec)
         model = initial_crash_model(4, 1)
         with pytest.raises(ConfigurationError):
             execute_bitmask(
@@ -241,6 +238,10 @@ class TestEngineSelection:
 class TestPinnedGrid:
     """Field-for-field and campaign-level equality on a pinned grid."""
 
+    #: The fields only a traced run fills, and the flag that says so.
+    TRACE_FIELDS = frozenset({"events", "fd_history", "undelivered",
+                              "final_decision_times", "traced"})
+
     @pytest.mark.parametrize("scheduler", ["round-robin", "random"])
     def test_runs_equal_the_scalar_executor_field_for_field(self, scheduler):
         specs = [spec for spec in pinned_specs()
@@ -250,10 +251,9 @@ class TestPinnedGrid:
         for spec in specs:
             fast = bitmask_run(spec)
             scalar, _report = execute_theorem8_solvable(spec)
+            assert scalar.traced and not fast.traced
             for field in fields(Run):
-                if field.name == "fd_history":
-                    assert list(fast.fd_history) == list(scalar.fd_history)
-                else:
+                if field.name not in self.TRACE_FIELDS:
                     assert getattr(fast, field.name) == getattr(
                         scalar, field.name), (spec.label(), field.name)
 

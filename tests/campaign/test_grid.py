@@ -17,9 +17,8 @@ from repro.campaign import (
     theorem8_impossible_grid,
     theorem8_solvable_grid,
 )
-from repro.campaign.spec import DETERMINISTIC_SCHEDULERS
+from repro.campaign.spec import DETERMINISTIC_SCHEDULERS, RECORDING_POLICY_NAMES
 from repro.exceptions import ConfigurationError
-from repro.simulation.recording import RECORDING_POLICY_NAMES
 from repro.store import fingerprint_spec
 
 

@@ -1,15 +1,18 @@
-"""Recording-policy plumbing through specs, grids, codecs, stores and sweeps.
+"""``ScenarioSpec.recording`` through specs, grids, codecs, stores and sweeps.
 
-The acceptance property of the zero-copy executor work: a sweep's
-verdicts are **identical** across all three recording policies and across
-the serial/process campaign backends.  The tests below pin that on the
-small Theorem 8 grid, plus the identity/seeding rules the policy has to
+The field only picks the engine of ``theorem8-solvable`` specs
+(``"verdict-only"`` runs the bitmask loop, every other spec the scalar
+executor), so a kind's outcomes are **identical** under all three names,
+and a sweep's verdicts are identical under all three names and across
+the serial/process campaign backends.  The tests below pin that for every
+kind on small grids, plus the identity/seeding rules the field has to
 obey (part of the store fingerprint, absent from the RNG derivation).
 """
 
 from __future__ import annotations
 
 import inspect
+from dataclasses import replace
 
 import pytest
 
@@ -22,8 +25,8 @@ from repro.campaign import (
     theorem8_specs,
 )
 from repro.campaign.codec import spec_from_dict, spec_to_dict
+from repro.campaign.spec import RECORDING_POLICY_NAMES
 from repro.exceptions import ConfigurationError
-from repro.simulation.recording import RECORDING_POLICY_NAMES
 from repro.store import fingerprint_spec
 
 PINNED_GRID = [4, 5]
@@ -95,48 +98,37 @@ class TestSpecPlumbing:
             assert spec.recording == "verdict-only"
 
 
+def specs_named(recording: str):
+    """Specs of all five kinds, under one ``recording`` name."""
+    return (theorem8_specs(PINNED_GRID, recording=recording, **PINNED_KWARGS)
+            + corollary13_specs([4, 5], recording=recording))
+
+
 class TestOutcomeEquivalence:
     @pytest.fixture(scope="class")
-    def full_result(self):
-        specs = theorem8_specs(PINNED_GRID, **PINNED_KWARGS)
-        return CampaignRunner().run(specs)
+    def outcomes(self):
+        """Each name's campaign, keyed by name, with the field reset to
+        ``"full"`` in every outcome's spec."""
+        return {
+            name: [replace(outcome, spec=replace(outcome.spec, recording="full"))
+                   for outcome in CampaignRunner().run(specs_named(name)).outcomes]
+            for name in RECORDING_POLICY_NAMES
+        }
 
-    @pytest.mark.parametrize("recording", ["decisions-only", "verdict-only"])
-    def test_campaign_outcomes_identical_across_policies(self, full_result, recording):
-        """Outcome for outcome, only the spec's recording field differs."""
-        specs = theorem8_specs(PINNED_GRID, recording=recording, **PINNED_KWARGS)
-        result = CampaignRunner().run(specs)
-        assert len(result.outcomes) == len(full_result.outcomes)
-        for trimmed, full in zip(result.outcomes, full_result.outcomes):
-            assert trimmed.spec == ScenarioSpec(
-                kind=full.spec.kind, n=full.spec.n, f=full.spec.f, k=full.spec.k,
-                scheduler=full.spec.scheduler, seed=full.spec.seed,
-                crashes=full.spec.crashes, max_steps=full.spec.max_steps,
-                params=full.spec.params, recording=recording,
-            )
-            assert trimmed.verdict == full.verdict
-            assert trimmed.agreement_ok == full.agreement_ok
-            assert trimmed.validity_ok == full.validity_ok
-            assert trimmed.termination_ok == full.termination_ok
-            assert trimmed.distinct_decisions == full.distinct_decisions
-            assert trimmed.decided == full.decided
-            assert trimmed.steps == full.steps
-            assert trimmed.truncated == full.truncated
-
-    def test_corollary13_outcomes_identical_across_policies(self):
-        full = CampaignRunner().run(corollary13_specs([4, 5]))
-        trimmed = CampaignRunner().run(corollary13_specs([4, 5], recording="verdict-only"))
-        assert [
-            (o.verdict, o.distinct_decisions, o.decided, o.steps, o.truncated)
-            for o in trimmed.outcomes
-        ] == [
-            (o.verdict, o.distinct_decisions, o.decided, o.steps, o.truncated)
-            for o in full.outcomes
-        ]
+    @pytest.mark.parametrize("kind", [
+        "theorem8-solvable", "theorem8-impossible", "corollary13-k1",
+        "corollary13-kmax", "corollary13-middle",
+    ])
+    def test_outcomes_identical_across_the_three_names(self, outcomes, kind):
+        """Outcome for outcome, every field; only the spec's name differs."""
+        reference = [o for o in outcomes["full"] if o.spec.kind == kind]
+        assert reference
+        for name in RECORDING_POLICY_NAMES:
+            assert [o for o in outcomes[name] if o.spec.kind == kind] == reference, name
 
 
 class TestPinnedSweepAcceptance:
-    """Sweep verdicts are identical across recording policies and backends."""
+    """Sweep verdicts are identical across recording names and backends."""
 
     @pytest.fixture(scope="class")
     def reference_points(self):
@@ -184,7 +176,7 @@ class TestPinnedSweepAcceptance:
 
 class TestResourceUsagePlumbing:
     """The cost counters are outcome, not measurement: bit-identical
-    across every recording policy and every campaign backend."""
+    across every recording name and every campaign backend."""
 
     @staticmethod
     def _usage_triples(result):

@@ -7,7 +7,7 @@ every spec against that run; :func:`run_scenario` never shares and is
 the reference.  The contract:
 
 * a hypothesis property over random task lists (several ``k`` per
-  ``(n, f, crashes)``, both schedulers, every recording policy,
+  ``(n, f, crashes)``, both schedulers, every recording name,
   truncating budgets, inadmissible crash schedules, other kinds)
   asserts the task's outcomes equal ``run_scenario``'s, field for
   field, spec included;
@@ -44,10 +44,13 @@ from repro.campaign import (
 )
 from repro.campaign.runner import _run_batch
 from repro.campaign.scenarios import _KINDS
-from repro.campaign.spec import normalize_crashes, normalize_params
+from repro.campaign.spec import (
+    RECORDING_POLICY_NAMES,
+    normalize_crashes,
+    normalize_params,
+)
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan, InjectedFaultError
-from repro.simulation.recording import RECORDING_POLICY_NAMES
 from repro.telemetry.spans import Tracer, activated
 
 #: Specs that exercise the execution key of each kind that has one.  A

@@ -1,27 +1,35 @@
-"""Recording policies and the lazy-view contract of the executor.
+"""The one run contract, and the lazy-view contract of the executor.
 
-The recording policy must never change *what happens* — only what the
-returned :class:`Run` retains.  The property tests below randomise over
-parameter points, crash sets and schedules (the same strategy the
-executor-invariant tests use) and assert that trimmed runs report exactly
-the same verdict-relevant facts as full ones.  The lazy-view tests pin
-the loud-failure contract: a view (or anything it exposes lazily) used
-after its step raises :class:`repro.exceptions.StaleViewError`.
+The scalar executor always records the whole trace; the bitmask fast
+path's run is the one traceless run (``Run.traced`` is ``False``).  The
+contract tests hold every trace query to that: on a bitmask run it
+raises :class:`repro.exceptions.TraceUnavailableError`, and on a scalar
+run of the same spec it never raises, whatever the spec's ``recording``
+name.  A property over random initial-crash executions (the strategy the
+executor-invariant tests use) holds the decisions, flags and counters of
+the two runs equal.  The lazy-view tests pin the loud-failure contract:
+a view (or anything it exposes lazily) used after its step raises
+:class:`repro.exceptions.StaleViewError`.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.algorithms.kset_initial_crash import KSetInitialCrash
 from repro.algorithms.trivial import DecideOwnValue
+from repro.campaign import ScenarioSpec, get_kind
+from repro.campaign.scenarios import (
+    execute_theorem8_impossible,
+    execute_theorem8_solvable,
+)
 from repro.exceptions import StaleViewError, TraceUnavailableError
 from repro.failure_detectors.base import FailurePattern
 from repro.models.initial_crash import initial_crash_model
+from repro.simulation.bitmask_kernel import execute_bitmask
 from repro.simulation.executor import ExecutionSettings, execute
-from repro.simulation.recording import RECORDING_POLICY_NAMES, RecordingPolicy
 from repro.simulation.scheduler import (
     Adversary,
     RandomScheduler,
@@ -48,46 +56,104 @@ def executions(draw):
     return n, f, dead, seed
 
 
-def run_execution(n, f, dead, seed, *, recording, max_steps=4_000):
+def run_execution(engine, n, f, dead, seed, *, max_steps=4_000):
     model = initial_crash_model(n, f)
     adversary = RoundRobinScheduler() if seed is None else RandomScheduler(seed, max_delay=10)
-    return execute(
+    return engine(
         KSetInitialCrash(n, f),
         model,
         {p: p for p in model.processes},
         adversary=adversary,
         failure_pattern=FailurePattern.initially_dead(model.processes, dead),
-        settings=ExecutionSettings(max_steps=max_steps, recording=recording),
+        settings=ExecutionSettings(max_steps=max_steps),
     )
 
 
-class TestPolicyEquivalence:
-    @given(executions())
-    def test_trimmed_runs_report_identical_facts(self, case):
-        """DECISIONS_ONLY/VERDICT_ONLY agree with FULL on everything a verdict needs."""
-        full = run_execution(*case, recording=RecordingPolicy.FULL)
-        for policy in (RecordingPolicy.DECISIONS_ONLY, RecordingPolicy.VERDICT_ONLY):
-            trimmed = run_execution(*case, recording=policy)
-            assert trimmed.completed == full.completed
-            assert trimmed.truncated == full.truncated
-            assert trimmed.decisions() == full.decisions()
-            assert trimmed.distinct_decisions() == full.distinct_decisions()
-            assert trimmed.decided_processes() == full.decided_processes()
-            assert trimmed.length == full.length
-            assert trimmed.messages_sent() == full.messages_sent()
-            assert trimmed.messages_delivered() == full.messages_delivered()
-            assert trimmed.recording is policy
+#: Every query that reads the trace, the model's admissibility check
+#: included, as ``(run, model) -> answer``.
+TRACE_QUERIES = {
+    "steps_of": lambda run, model: run.steps_of(1),
+    "state_sequence": lambda run, model: run.state_sequence(1),
+    "received_before_decision": lambda run, model: run.received_before_decision(1),
+    "deliveries_to": lambda run, model: run.deliveries_to(1),
+    "decision_times": lambda run, model: run.decision_times(),
+    "last_decision_time": lambda run, model: run.last_decision_time(),
+    "undelivered_to": lambda run, model: run.undelivered_to(1),
+    "admissibility_violations": lambda run, model: model.admissibility_violations(run),
+}
 
-    @given(executions())
-    @settings(max_examples=10)
-    def test_decision_times_match_between_full_and_decisions_only(self, case):
-        full = run_execution(*case, recording=RecordingPolicy.FULL)
-        decisions_only = run_execution(*case, recording=RecordingPolicy.DECISIONS_ONLY)
-        assert decisions_only.decision_times() == full.decision_times()
-        assert decisions_only.last_decision_time() == full.last_decision_time()
+#: ``"verdict-only"`` specs of both Theorem 8 kinds.  Under its kind the
+#: solvable one runs the bitmask loop; each has a scalar run.
+SOLVABLE = ScenarioSpec(kind="theorem8-solvable", n=5, f=2, k=2,
+                        scheduler="random", seed=3, crashes=((5, 0),),
+                        recording="verdict-only")
+IMPOSSIBLE = ScenarioSpec(kind="theorem8-impossible", n=4, f=2, k=1,
+                          scheduler="partitioning", recording="verdict-only")
+SCALAR_RUNS = {
+    "theorem8-solvable": execute_theorem8_solvable,
+    "theorem8-impossible": execute_theorem8_impossible,
+}
 
-    def test_full_directly_recorded_maps_agree_with_the_event_stream(self):
-        # The executor records decisions incrementally even under FULL;
+
+def scalar_run(spec):
+    return SCALAR_RUNS[spec.kind](spec)[0]
+
+
+def model_of(spec):
+    return initial_crash_model(spec.n, spec.f)
+
+
+@pytest.mark.parametrize("query", sorted(TRACE_QUERIES))
+class TestRunContract:
+    def test_a_bitmask_run_raises(self, query):
+        run = get_kind(SOLVABLE.kind).execute(SOLVABLE)
+        assert not run.traced
+        with pytest.raises(TraceUnavailableError,
+                           match=r"execute_theorem8_solvable\(spec\)"):
+            TRACE_QUERIES[query](run, model_of(SOLVABLE))
+
+    @pytest.mark.parametrize("spec", [SOLVABLE, IMPOSSIBLE],
+                             ids=lambda spec: spec.kind)
+    def test_a_scalar_run_never_raises(self, query, spec):
+        run = scalar_run(spec)
+        assert run.traced
+        TRACE_QUERIES[query](run, model_of(spec))
+
+
+class TestEnginesAgree:
+    @given(executions())
+    def test_both_runs_report_identical_facts(self, case):
+        """Everything a verdict needs is equal on the two engines' runs."""
+        scalar = run_execution(execute, *case)
+        fast = run_execution(execute_bitmask, *case)
+        assert scalar.traced and not fast.traced
+        assert fast.completed == scalar.completed
+        assert fast.truncated == scalar.truncated
+        assert fast.length == scalar.length
+        for query in ("decisions", "distinct_decisions", "decided_processes",
+                      "messages_sent", "messages_delivered", "summary"):
+            assert getattr(fast, query)() == getattr(scalar, query)(), query
+
+    def test_a_bitmask_run_keeps_no_trace(self):
+        scalar = run_execution(execute, 6, 3, frozenset({6}), None)
+        fast = run_execution(execute_bitmask, 6, 3, frozenset({6}), None)
+        assert scalar.events and scalar.decision_times()
+        assert fast.events == ()
+        assert len(fast.fd_history) == 0
+        assert fast.undelivered == ()
+
+    def test_a_scalar_run_records_the_failure_detector_history(self):
+        from repro.algorithms.sigma_kset import SigmaKSetAgreement
+        from repro.failure_detectors.sigma import SigmaK
+        from repro.models.asynchronous import asynchronous_model
+
+        model = asynchronous_model(3, 2, failure_detector=SigmaK(1))
+        run = execute(SigmaKSetAgreement(3), model, {1: 1, 2: 2, 3: 3})
+        assert run.traced
+        assert len(run.fd_history) == run.length
+
+    def test_directly_recorded_maps_agree_with_the_event_stream(self):
+        # The executor records decisions incrementally beside the events;
         # they must coincide with what replaying the events yields.
         model = initial_crash_model(5, 2)
         run = execute(KSetInitialCrash(5, 2), model, {p: p for p in model.processes})
@@ -101,77 +167,6 @@ class TestPolicyEquivalence:
         assert run.decision_times() == times
         assert run.messages_sent() == sum(len(e.sent) for e in run.events)
         assert run.messages_delivered() == sum(len(e.delivered) for e in run.events)
-
-
-class TestTrimmedRunSurface:
-    @pytest.fixture(scope="class")
-    def runs(self):
-        return {
-            policy: run_execution(
-                6, 3, frozenset({6}), None, recording=RecordingPolicy(policy)
-            )
-            for policy in RECORDING_POLICY_NAMES
-        }
-
-    def test_events_skipped_on_trimmed_runs(self, runs):
-        assert runs["full"].events
-        assert runs["decisions-only"].events == ()
-        assert runs["verdict-only"].events == ()
-
-    def test_fd_history_skipped_on_trimmed_runs(self):
-        from repro.algorithms.sigma_kset import SigmaKSetAgreement
-        from repro.failure_detectors.sigma import SigmaK
-        from repro.models.asynchronous import asynchronous_model
-
-        model = asynchronous_model(3, 2, failure_detector=SigmaK(1))
-        full = execute(SigmaKSetAgreement(3), model, {1: 1, 2: 2, 3: 3})
-        trimmed = execute(
-            SigmaKSetAgreement(3), model, {1: 1, 2: 2, 3: 3},
-            settings=ExecutionSettings(recording=RecordingPolicy.VERDICT_ONLY),
-        )
-        assert len(full.fd_history) == full.length
-        assert len(trimmed.fd_history) == 0
-        assert trimmed.decisions() == full.decisions()
-
-    def test_event_queries_raise_on_trimmed_runs(self, runs):
-        for policy in ("decisions-only", "verdict-only"):
-            run = runs[policy]
-            with pytest.raises(TraceUnavailableError):
-                run.steps_of(1)
-            with pytest.raises(TraceUnavailableError):
-                run.state_sequence(1)
-            with pytest.raises(TraceUnavailableError):
-                run.received_before_decision(1)
-
-    def test_decision_times_raise_only_on_verdict_only(self, runs):
-        assert runs["decisions-only"].decision_times()
-        with pytest.raises(TraceUnavailableError):
-            runs["verdict-only"].decision_times()
-
-    def test_undelivered_raise_only_on_verdict_only(self, runs):
-        assert runs["decisions-only"].undelivered_to(6) == runs["full"].undelivered_to(6)
-        with pytest.raises(TraceUnavailableError):
-            runs["verdict-only"].undelivered_to(6)
-
-    def test_admissibility_check_refuses_trimmed_runs(self, runs):
-        model = initial_crash_model(6, 3)
-        assert model.is_admissible(runs["full"])
-        for policy in ("decisions-only", "verdict-only"):
-            with pytest.raises(TraceUnavailableError):
-                model.admissibility_violations(runs[policy])
-
-    def test_summary_works_under_every_policy(self, runs):
-        summaries = {policy: run.summary() for policy, run in runs.items()}
-        assert summaries["decisions-only"] == summaries["full"]
-        assert summaries["verdict-only"] == summaries["full"]
-
-    def test_settings_accept_policy_names_via_coerce(self):
-        assert RecordingPolicy.coerce("verdict-only") is RecordingPolicy.VERDICT_ONLY
-        assert RecordingPolicy.coerce(RecordingPolicy.FULL) is RecordingPolicy.FULL
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            RecordingPolicy.coerce("everything")
 
 
 class ViewStashingAdversary(Adversary):

@@ -123,49 +123,47 @@ class TestFinalTimeInvariant:
 
     The adversary-halt rewind (``time -= 1`` when ``next_step`` returns
     ``None``) is correct — the aborted step records nothing — but the
-    invariant deserves pinning across all recording policies, and the
+    invariant deserves pinning on both engines' runs, and the
     event-count fallback of :attr:`Run.length` used to violate it for
     runs whose event times are non-contiguous.
     """
 
-    @pytest.mark.parametrize(
-        "recording", ["full", "decisions-only", "verdict-only"])
-    def test_halted_run_final_time_bounds_decision_times(self, recording):
-        from repro.simulation.executor import ExecutionSettings
-        from repro.simulation.recording import RecordingPolicy
-
+    def test_halted_run_final_time_bounds_decision_times(self):
         model = initial_crash_model(4, 1)
         algorithm = KSetInitialCrash(4, 1)
         run = execute(
             algorithm, model, {p: p for p in model.processes},
             adversary=HaltAfterFirstDecision(),
-            settings=ExecutionSettings(
-                recording=RecordingPolicy.coerce(recording)),
         )
         assert not run.completed
-        if run.recording.records_decision_times:
-            times = run.decision_times()
-            assert times  # somebody decided before the halt
-            assert all(t <= run.length for t in times.values())
-        if run.recording.records_events:
-            assert all(e.time <= run.length for e in run.events)
+        times = run.decision_times()
+        assert times  # somebody decided before the halt
+        assert all(t <= run.length for t in times.values())
+        assert all(e.time <= run.length for e in run.events)
 
-    def test_halted_run_length_identical_across_policies(self):
+    def test_bitmask_run_final_time_equals_the_scalar_runs(self):
+        """A traceless run has only its final time: on a run truncated
+        after three decisions it equals the scalar run's, which bounds
+        every recorded timestamp."""
+        from repro.simulation.bitmask_kernel import execute_bitmask
         from repro.simulation.executor import ExecutionSettings
-        from repro.simulation.recording import RecordingPolicy
+        from repro.simulation.scheduler import RoundRobinScheduler
 
-        lengths = set()
-        for name in ("full", "decisions-only", "verdict-only"):
+        def run_on(engine):
             model = initial_crash_model(4, 1)
-            run = execute(
-                KSetInitialCrash(4, 1), model,
-                {p: p for p in model.processes},
-                adversary=HaltAfterFirstDecision(),
-                settings=ExecutionSettings(
-                    recording=RecordingPolicy.coerce(name)),
+            return engine(
+                KSetInitialCrash(4, 1), model, {p: p for p in model.processes},
+                adversary=RoundRobinScheduler(),
+                failure_pattern=FailurePattern.all_correct(model.processes),
+                settings=ExecutionSettings(max_steps=8),
             )
-            lengths.add(run.length)
-        assert len(lengths) == 1
+
+        scalar, fast = run_on(execute), run_on(execute_bitmask)
+        assert fast.truncated and scalar.truncated
+        assert len(fast.decisions()) == 3
+        assert fast.length == scalar.length == 8
+        assert max(scalar.decision_times().values()) <= fast.length
+        assert all(e.time <= fast.length for e in scalar.events)
 
     def test_length_fallback_uses_last_event_time_not_event_count(self):
         """Regression: gapped event times used to make ``length`` undershoot

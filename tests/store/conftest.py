@@ -4,17 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.store import JsonlResultStore, MemoryResultStore, SqliteResultStore
-
-BACKENDS = ("jsonl", "sqlite", "memory")
-
-
-def make_store(backend: str, tmp_path):
-    if backend == "jsonl":
-        return JsonlResultStore(tmp_path / "store.jsonl")
-    if backend == "sqlite":
-        return SqliteResultStore(tmp_path / "store.sqlite")
-    return MemoryResultStore()
+from store_backends import BACKENDS, make_store
 
 
 @pytest.fixture(params=BACKENDS)

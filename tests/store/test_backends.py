@@ -12,9 +12,8 @@ from hypothesis import given, strategies as st
 from repro.campaign import CampaignRunner, ScenarioSpec, theorem8_specs
 from repro.campaign.codec import (outcome_from_row, outcome_to_row,
                                   spec_from_dict, spec_to_dict)
-from repro.campaign.spec import ScenarioOutcome
+from repro.campaign.spec import RECORDING_POLICY_NAMES, ScenarioOutcome
 from repro.exceptions import ConfigurationError
-from repro.simulation.recording import RECORDING_POLICY_NAMES
 from repro.store import (
     JsonlResultStore,
     SqliteResultStore,
@@ -23,7 +22,7 @@ from repro.store import (
 )
 from repro.store.compact import compact_store
 
-from conftest import BACKENDS, make_store
+from store_backends import BACKENDS, make_store
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)
 OUTCOMES = CampaignRunner().run(SPECS).outcomes

@@ -31,7 +31,7 @@ from repro.store import (
     open_store,
 )
 
-from conftest import BACKENDS, make_store
+from store_backends import BACKENDS, make_store
 
 
 def _outcome(index: int) -> ScenarioOutcome:

@@ -3,7 +3,7 @@
 The acceptance properties of the unified telemetry layer:
 
 * the **deterministic metric fields** (counts, integer sums, bins) are
-  bit-identical across all recording policies and all campaign
+  bit-identical across all recording names and all campaign
   backends — the telemetry mirror of the recording-plumbing pins;
 * a traced **process-backend** campaign collects spans from the worker
   processes (worker pids, not the parent's) under the correct campaign
@@ -28,7 +28,7 @@ from repro.campaign import (
     get_kind,
     theorem8_specs,
 )
-from repro.simulation.recording import RECORDING_POLICY_NAMES
+from repro.campaign.spec import RECORDING_POLICY_NAMES
 from repro.store import CachingRunner, MemoryResultStore
 from repro.telemetry import (
     TelemetryConfig,
@@ -69,7 +69,7 @@ class TestDeterministicMetrics:
     def test_metrics_identical_across_policies_and_backends(self):
         # The ResourceUsage design pattern, applied to the registry: the
         # deterministic snapshot must be equal with ``==`` across the
-        # full policy x backend matrix.  Wall-clock metrics are excluded
+        # full recording-name x backend matrix.  Wall-clock metrics are excluded
         # by deterministic_snapshot itself.
         snapshots = {}
         verdicts = {}
