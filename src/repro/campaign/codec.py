@@ -104,7 +104,9 @@ def spec_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
 def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     """Decode a spec; the result compares equal to the encoded original.
 
-    Tuples are built from lists: ``tuple(generator)`` over-allocates and
+    The spec's constructor turns the crash pairs back into its shared
+    canonical tuple.  The other tuples are built from lists:
+    ``tuple(generator)`` over-allocates and
     shrinks by ``realloc``, parking one block per decoded tuple in
     another size's free list until the lists' caps (2,000 tuples a size)
     are reached, so a pass that decodes many rows (a store open,
@@ -118,7 +120,7 @@ def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         k=int(data["k"]),
         scheduler=data["scheduler"],
         seed=int(data["seed"]),
-        crashes=tuple([(int(pid), int(time)) for pid, time in data["crashes"]]),
+        crashes=data["crashes"],
         max_steps=int(data["max_steps"]),
         params=tuple([(str(name), decode_value(value))
                       for name, value in data["params"]]),

@@ -92,7 +92,7 @@ SettleHook = Callable[["ScenarioEvent"], None]
 SkipHook = Callable[[ScenarioSpec], bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScenarioEvent:
     """One scenario settled somewhere in the campaign.
 
@@ -111,6 +111,10 @@ class ScenarioEvent:
     :class:`~repro.telemetry.session.WorkerTelemetry` sampled it); they
     come back on the task's result with the worker's pid, so pool-wide
     traces need no extra channel.
+
+    A warm campaign builds one event per store hit, so the constructor
+    fills the instance dict directly; the dataclass is otherwise as
+    generated.
     """
 
     spec: ScenarioSpec
@@ -119,6 +123,23 @@ class ScenarioEvent:
     worker_pid: int
     cached: bool = False
     spans: Tuple[SpanRecord, ...] = ()
+
+    def __init__(
+        self,
+        spec: ScenarioSpec,
+        outcome: ScenarioOutcome,
+        seconds: float,
+        worker_pid: int,
+        cached: bool = False,
+        spans: Tuple[SpanRecord, ...] = (),
+    ) -> None:
+        attrs = self.__dict__
+        attrs["spec"] = spec
+        attrs["outcome"] = outcome
+        attrs["seconds"] = seconds
+        attrs["worker_pid"] = worker_pid
+        attrs["cached"] = cached
+        attrs["spans"] = spans
 
     @property
     def label(self) -> str:

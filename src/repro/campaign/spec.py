@@ -15,13 +15,22 @@ harnesses: the RNG seed actually handed to a scheduler is
 identity.  Two different scenarios of the same grid therefore never share
 an RNG stream, and the derived seed does not depend on the order in which
 scenarios are executed or on which worker executes them.
+
+The store fingerprint (:func:`repro.store.fingerprint_spec`) and the
+derived seed hash one identity text, :meth:`ScenarioSpec.identity_text`.
+The constructor canonicalises the crash schedule to sorted
+``(int(pid), int(time))`` pairs, so specs that compare equal also hash,
+seed and run alike.  A grid shares a few dozen schedules among thousands
+of specs, so canonical schedules and their ``repr`` come from a bounded
+memo keyed by the schedule's value: equal schedules become one shared
+tuple, and the identity text reprs each schedule once, not once per spec.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 from repro.types import ProcessId, Time
@@ -115,7 +124,46 @@ def _canonical_params(
     return tuple((name, _canonical_value(value)) for name, value in params)
 
 
-@dataclass(frozen=True)
+#: Canonical crash schedules with their ``repr``, keyed by schedule.  Only
+#: canonical schedules (sorted pairs of plain ``int``s) are keys, so an
+#: input that compares equal to a key, ``((2.0, 0),)`` to ``((2, 0),)``
+#: say, canonicalises to that key.
+_SCHEDULES: Dict[Tuple, Tuple[Tuple[Tuple[ProcessId, Time], ...], str]] = {}
+
+#: The memo is cleared when it holds this many schedules; E16's grids
+#: have 57 (t8) and 80 (borders-pool).
+_SCHEDULES_LIMIT = 1024
+
+
+def _schedule(crashes: Iterable[Tuple[ProcessId, Time]]) -> Tuple[Tuple[Tuple[ProcessId, Time], ...], str]:
+    """The canonical form of a crash schedule and its ``repr``.
+
+    Any iterable of ``(pid, time)`` pairs canonicalises to its sorted
+    ``(int(pid), int(time))`` pairs.  An input equal to a memoised
+    schedule (the grid's shared tuples, or twins such as ``(2.0, 0)``)
+    is served by one dict lookup; any other input, an unhashable one
+    included, is converted first and then memoised.  A pair that is not
+    two integers raises :class:`repro.exceptions.ConfigurationError`.
+    """
+    try:
+        return _SCHEDULES[crashes]
+    except (KeyError, TypeError):  # a new schedule, or an unhashable one
+        pass
+    try:
+        pairs = tuple(sorted([(int(pid), int(time)) for pid, time in crashes]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"crashes must be (pid, time) pairs of integers, got {crashes!r}"
+        ) from exc
+    entry = _SCHEDULES.get(pairs)
+    if entry is None:
+        if len(_SCHEDULES) >= _SCHEDULES_LIMIT:
+            _SCHEDULES.clear()
+        entry = _SCHEDULES[pairs] = (pairs, repr(pairs))
+    return entry
+
+
+@dataclass(frozen=True, init=False)
 class ScenarioSpec:
     """One scenario of a campaign: a single adversarial execution.
 
@@ -135,9 +183,13 @@ class ScenarioSpec:
         The grid seed of the scenario.  Schedulers never consume it
         directly — they are seeded with :meth:`derived_seed`.
     crashes:
-        The planned crash schedule as sorted ``(pid, time)`` pairs; time 0
-        means initially dead.  An empty tuple lets the kind derive its own
-        schedule (the partitioning constructions do).
+        The planned crash schedule as sorted ``(pid, time)`` pairs of
+        plain ``int``s; time 0 means initially dead.  The constructor
+        canonicalises any iterable of pairs to that form, so
+        ``crashes=[(5, 0), (2.0, 0)]`` gives the spec (and the
+        fingerprint, seed and outcome) of ``crashes=((2, 0), (5, 0))``.
+        An empty tuple lets the kind derive its own schedule (the
+        partitioning constructions do).
     max_steps:
         Step budget of the execution.
     params:
@@ -152,6 +204,13 @@ class ScenarioSpec:
         of its store fingerprint), but deliberately *not* of
         :meth:`derived_seed` — the RNG stream, the schedule and the
         outcome are identical whatever the name.
+
+    Grids build thousands of specs, so the constructor is written by hand:
+    it validates and canonicalises its arguments and fills the instance
+    dict directly, where the generated frozen ``__init__`` calls
+    ``object.__setattr__`` once per field.  The dataclass is otherwise as
+    generated (eq, hash, ``replace``, ``FrozenInstanceError`` on
+    assignment).
     """
 
     kind: str
@@ -165,29 +224,51 @@ class ScenarioSpec:
     params: Tuple[Tuple[str, Hashable], ...] = ()
     recording: str = "full"
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got n={self.n}")
-        if not 0 <= self.f < self.n:
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        f: int,
+        k: int,
+        scheduler: str = "round-robin",
+        seed: int = 0,
+        crashes: Iterable[Tuple[ProcessId, Time]] = (),
+        max_steps: int = 10_000,
+        params: Tuple[Tuple[str, Hashable], ...] = (),
+        recording: str = "full",
+    ) -> None:
+        if n < 1:
+            raise ConfigurationError(f"n must be >= 1, got n={n}")
+        if not 0 <= f < n:
             raise ConfigurationError(
-                f"the failure bound must satisfy 0 <= f < n, got f={self.f}, n={self.n}"
+                f"the failure bound must satisfy 0 <= f < n, got f={f}, n={n}"
             )
-        if self.k < 1:
-            raise ConfigurationError(f"k must be >= 1, got k={self.k}")
-        if self.max_steps < 1:
-            raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.recording not in RECORDING_POLICY_NAMES:
+        if k < 1:
+            raise ConfigurationError(f"k must be >= 1, got k={k}")
+        if max_steps < 1:
+            raise ConfigurationError(f"max_steps must be >= 1, got {max_steps}")
+        if recording not in RECORDING_POLICY_NAMES:
             raise ConfigurationError(
-                f"unknown recording policy {self.recording!r}; choose one of "
+                f"unknown recording policy {recording!r}; choose one of "
                 f"{RECORDING_POLICY_NAMES}"
             )
         # A spec built directly must equal, fingerprint and run like its
         # grid-compiled twin, whose pairs come out of normalize_crashes /
         # normalize_params sorted.
-        if len(self.crashes) > 1 and self.crashes != tuple(sorted(self.crashes)):
-            object.__setattr__(self, "crashes", tuple(sorted(self.crashes)))
-        if len(self.params) > 1 and self.params != tuple(sorted(self.params)):
-            object.__setattr__(self, "params", tuple(sorted(self.params)))
+        crashes = _schedule(crashes)[0]
+        if len(params) > 1 and params != tuple(sorted(params)):
+            params = tuple(sorted(params))
+        attrs = self.__dict__
+        attrs["kind"] = kind
+        attrs["n"] = n
+        attrs["f"] = f
+        attrs["k"] = k
+        attrs["scheduler"] = scheduler
+        attrs["seed"] = seed
+        attrs["crashes"] = crashes
+        attrs["max_steps"] = max_steps
+        attrs["params"] = params
+        attrs["recording"] = recording
 
     # -- identity ----------------------------------------------------------
 
@@ -209,6 +290,28 @@ class ScenarioSpec:
             self.recording,
         )
 
+    def identity_text(self, schema_version: Optional[int] = None) -> str:
+        """The text whose sha256 keys or seeds the scenario.
+
+        With a ``schema_version`` it is ``repr((schema_version,
+        self.identity()))``, the text :func:`repro.store.fingerprint_spec`
+        hashes; without one it is the ``repr`` of the seed tuple, the
+        identity without ``max_steps`` and ``recording``, which
+        :meth:`derived_seed` hashes.  It joins the fields' ``repr`` as the
+        tuple's ``repr`` does, byte for byte, but takes the crash
+        schedule's ``repr`` from the memo of canonical schedules: that
+        ``repr`` is most of the text's cost, and a grid has few distinct
+        schedules.
+        """
+        crashes = _schedule(self.crashes)[1]
+        params = repr(_canonical_params(self.params)) if self.params else "()"
+        head = (f"{self.kind!r}, {self.n!r}, {self.f!r}, {self.k!r}, "
+                f"{self.scheduler!r}, {self.seed!r}, {crashes}")
+        if schema_version is None:
+            return f"({head}, {params})"
+        return (f"({schema_version!r}, ({head}, {self.max_steps!r}, {params}, "
+                f"{self.recording!r}))")
+
     # -- seeding -----------------------------------------------------------
 
     def derived_seed(self) -> int:
@@ -220,19 +323,17 @@ class ScenarioSpec:
         ``max_steps``) is deliberately excluded: the RNG stream — and
         with it the schedule — must be bit-identical on either engine.
 
-        The sha256 is computed once per spec instance and memoised —
-        telemetry sampling, fault plans and the seeded schedulers all
-        consult the derived seed on the hot dispatch path.
+        The sha256 of :meth:`identity_text` is computed once per spec
+        instance and memoised — telemetry sampling, fault plans and the
+        seeded schedulers all consult the derived seed on the hot
+        dispatch path.
         """
-        cached = self.__dict__.get("_derived_seed")
+        attrs = self.__dict__
+        cached = attrs.get("_derived_seed")
         if cached is not None:
             return cached
-        blob = repr(
-            (self.kind, self.n, self.f, self.k, self.scheduler, self.seed,
-             self.crashes, _canonical_params(self.params))
-        ).encode()
-        value = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-        object.__setattr__(self, "_derived_seed", value)
+        digest = hashlib.sha256(self.identity_text().encode()).digest()
+        value = attrs["_derived_seed"] = int.from_bytes(digest[:8], "big")
         return value
 
     # -- serialisation hygiene ---------------------------------------------
@@ -281,7 +382,7 @@ class ScenarioSpec:
         return f"{self.kind}(n={self.n},f={self.f},k={self.k}) {self.scheduler}{seed} crashes={crash}{rec}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScenarioOutcome:
     """The deterministic result of executing one scenario.
 
@@ -292,6 +393,10 @@ class ScenarioOutcome:
     executed by different backends compare equal; ``steps`` and the
     message counters *are* part of the outcome — both engines count them
     and agree on them, so they are deterministic too.
+
+    A warm campaign builds one outcome per store hit, so the constructor
+    fills the instance dict directly; the dataclass is otherwise as
+    generated.
     """
 
     spec: ScenarioSpec
@@ -307,6 +412,37 @@ class ScenarioOutcome:
     error: str = ""
     messages_sent: int = 0
     messages_delivered: int = 0
+
+    def __init__(
+        self,
+        spec: ScenarioSpec,
+        verdict: str,
+        agreement_ok: bool = True,
+        validity_ok: bool = True,
+        termination_ok: bool = True,
+        distinct_decisions: int = 0,
+        decided: int = 0,
+        steps: int = 0,
+        truncated: bool = False,
+        violations: Tuple[str, ...] = (),
+        error: str = "",
+        messages_sent: int = 0,
+        messages_delivered: int = 0,
+    ) -> None:
+        attrs = self.__dict__
+        attrs["spec"] = spec
+        attrs["verdict"] = verdict
+        attrs["agreement_ok"] = agreement_ok
+        attrs["validity_ok"] = validity_ok
+        attrs["termination_ok"] = termination_ok
+        attrs["distinct_decisions"] = distinct_decisions
+        attrs["decided"] = decided
+        attrs["steps"] = steps
+        attrs["truncated"] = truncated
+        attrs["violations"] = violations
+        attrs["error"] = error
+        attrs["messages_sent"] = messages_sent
+        attrs["messages_delivered"] = messages_delivered
 
     @property
     def all_ok(self) -> bool:

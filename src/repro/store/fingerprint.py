@@ -2,16 +2,20 @@
 
 :func:`fingerprint_spec` returns the stable sha256 digest of a
 scenario's full canonical identity
-(:meth:`repro.campaign.spec.ScenarioSpec.identity`), using the same
-``repr``-of-a-canonical-tuple blob construction as
-:meth:`~repro.campaign.spec.ScenarioSpec.derived_seed`.  That digest
-string is the key under which the persistent store files outcomes,
-which gives the cache its correctness argument for free:
+(:meth:`repro.campaign.spec.ScenarioSpec.identity`): the sha256 of
+:meth:`~repro.campaign.spec.ScenarioSpec.identity_text`, byte for byte
+``repr((SCHEMA_VERSION, spec.identity()))``.  The same helper builds
+the text :meth:`~repro.campaign.spec.ScenarioSpec.derived_seed` hashes,
+and takes each crash schedule's ``repr`` from a bounded memo, so the
+texts of a grid repr each of its few distinct schedules once.  That
+digest string is the key under which the persistent store files
+outcomes, which gives the cache its correctness argument for free:
 
 * **Stability.**  The identity tuple contains only canonicalised plain
-  data (sorted crash pairs, sorted params), so the fingerprint does not
-  depend on process, platform, ``PYTHONHASHSEED``, execution order or
-  how the spec was constructed.
+  data (crash pairs the spec's constructor sorts into plain ``int``
+  pairs, sorted params), so the fingerprint does not depend on
+  process, platform, ``PYTHONHASHSEED``, execution order or how the
+  spec was constructed: specs that compare equal fingerprint equal.
 * **Completeness.**  Everything that can change an outcome is in the
   tuple — including ``max_steps``, which :meth:`derived_seed` leaves out
   (a bigger budget extends a schedule; it must not be served a
@@ -56,10 +60,10 @@ def fingerprint_spec(spec: ScenarioSpec) -> str:
     different processes each hash once, which is exactly the "no spec
     is hashed twice in one campaign" contract.
     """
-    cached = spec.__dict__.get("_fingerprint")
+    attrs = spec.__dict__
+    cached = attrs.get("_fingerprint")
     if cached is not None:
         return cached
-    blob = repr((SCHEMA_VERSION, spec.identity())).encode()
-    digest = hashlib.sha256(blob).hexdigest()
-    object.__setattr__(spec, "_fingerprint", digest)
+    text = spec.identity_text(SCHEMA_VERSION)
+    digest = attrs["_fingerprint"] = hashlib.sha256(text.encode()).hexdigest()
     return digest

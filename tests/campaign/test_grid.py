@@ -158,17 +158,17 @@ class TestBuildCost:
     def test_each_kept_spec_is_built_once(self, monkeypatch):
         built: List[ScenarioSpec] = []
         normalised: List[int] = []
-        post_init = ScenarioSpec.__post_init__
+        init = ScenarioSpec.__init__
 
-        def counting_post_init(spec):
+        def counting_init(spec, *args, **kwargs):
             built.append(spec)
-            post_init(spec)
+            init(spec, *args, **kwargs)
 
         def counting_normalize(schedule, n):
             normalised.append(n)
             return normalize_crashes(schedule, n)
 
-        monkeypatch.setattr(ScenarioSpec, "__post_init__", counting_post_init)
+        monkeypatch.setattr(ScenarioSpec, "__init__", counting_init)
         monkeypatch.setattr(grid_module, "normalize_crashes", counting_normalize)
         grid = theorem8_solvable_grid([8], seeds=(1, 2), recording="verdict-only")
         specs = grid.compile()
